@@ -1,15 +1,13 @@
-"""Partial-likelihood kernels for the proportional-hazards fitter.
+"""Partial-likelihood kernel for the proportional-hazards fitter.
 
-These are the hot inner loops: one call evaluates the log partial
-likelihood, its gradient, and the observed information at a coefficient
-vector, and the Newton driver calls them repeatedly for every fit.  Two
-implementations exist with identical semantics:
+One call evaluates the log partial likelihood, its gradient, and the
+observed information at a coefficient vector; the Newton driver calls it
+repeatedly for every fit.
 
-* a numba ``@njit`` kernel (default when numba is importable), and
-* a pure-numpy suffix-sum fallback.
-
-Set ``CAUSALSURV_DISABLE_NUMBA=1`` to force the numpy path; the benchmark
-in ``benchmarks/bench_cox.py`` compares the two.
+Rows carry integer case weights: the fitter collapses its input to
+distinct (time, event, covariates) rows with counts, and a row of count k
+contributes exactly what k replicated rows would, the Efron tie correction
+included (Efron 1977; Therneau & Grambsch 2000, section 7.1).
 
 Inputs must be sorted by time ascending.  Tied event times use either the
 Efron correction (failure risk mass removed in fractions l/m across the m
@@ -18,157 +16,65 @@ by its maximum before exponentiation; the shift cancels exactly in all
 three outputs because every failure contributes one numerator eta and one
 log-denominator term.
 
+No Python loop runs per event time.  Risk-set sums are reversed cumulative
+sums read at the first row of each failure time, per-time failure sums
+come from ``np.add.reduceat``, and the Efron terms l = 0..m-1 of every
+failure time are laid out in one flat array over all failures.  The
+second-moment part of the information needs only per-time scalar sums
+over l, so no array is larger than rows x p x p or failures x p.
+
 The Efron fraction is applied as ``(l * sf) / m`` rather than
 ``(l / m) * sf`` so that exactly symmetric arms cancel to a gradient of
 exactly zero in floating point.
 """
 
-import math
-import os
-
 import numpy as np
 
-DISABLE_ENV = "CAUSALSURV_DISABLE_NUMBA"
-
-try:
-    if os.environ.get(DISABLE_ENV, "") not in ("", "0"):
-        raise ImportError("numba disabled by environment flag")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+BACKEND = "numpy"
 
 
-def eval_numpy(x, t, d, beta, efron):
-    """Vectorized evaluation: (loglik, gradient, information).
+def cox_eval(x, t, d, beta, efron, counts=None):
+    """Log partial likelihood, gradient and observed information at ``beta``.
 
-    Risk-set sums come from reversed cumulative sums; the only Python loop
-    runs over the unique event times.
+    ``x`` is rows x p, ``t`` ascending times, ``d`` 0/1 events and
+    ``counts`` the integer weight of each row (None: every row once).
     """
-    n, p = x.shape
+    c = np.ones(x.shape[0]) if counts is None else np.asarray(counts, dtype=np.float64)
     eta = x @ beta
     shift = eta.max()
-    w = np.exp(eta - shift)
+    w = c * np.exp(eta - shift)
     wx = w[:, None] * x
     wxx = wx[:, :, None] * x[:, None, :]
-    s0c = np.cumsum(w[::-1])[::-1]
-    s1c = np.cumsum(wx[::-1], axis=0)[::-1]
-    s2c = np.cumsum(wxx[::-1], axis=0)[::-1]
 
-    starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-    ends = np.r_[starts[1:], n]
-    ll = 0.0
-    grad = np.zeros(p)
-    info = np.zeros((p, p))
-    for a0, a1 in zip(starts, ends):
-        fail = a0 + np.flatnonzero(d[a0:a1] == 1)
-        m = fail.size
-        if m == 0:
-            continue
-        s0, s1, s2 = s0c[a0], s1c[a0], s2c[a0]
-        s0f = w[fail].sum()
-        s1f = wx[fail].sum(axis=0)
-        s2f = wxx[fail].sum(axis=0)
-        ll += (eta[fail] - shift).sum()
-        grad += x[fail].sum(axis=0)
-        ls = np.arange(m, dtype=np.float64) if efron else np.zeros(m)
-        denom = s0 - (ls * s0f) / m
-        ll -= np.log(denom).sum()
-        e1 = (s1[None, :] - (ls[:, None] * s1f[None, :]) / m) / denom[:, None]
-        grad -= e1.sum(axis=0)
-        e2 = (s2[None, :, :] - (ls[:, None, None] * s2f[None, :, :]) / m) / denom[
-            :, None, None
-        ]
-        info += e2.sum(axis=0) - np.einsum("la,lb->ab", e1, e1)
+    fail = np.flatnonzero(d == 1)
+    tf = t[fail]
+    first = np.flatnonzero(np.concatenate(([True], tf[1:] != tf[:-1])))
+    risk = np.searchsorted(t, tf[first])  # first row of each failure time
+    s0 = np.cumsum(w[::-1])[::-1][risk]
+    s1 = np.cumsum(wx[::-1], axis=0)[::-1][risk]
+    s2 = np.cumsum(wxx[::-1], axis=0)[::-1][risk]
+    s0f = np.add.reduceat(w[fail], first)
+    s1f = np.add.reduceat(wx[fail], first, axis=0)
+    s2f = np.add.reduceat(wxx[fail], first, axis=0)
+    m = np.add.reduceat(c[fail], first)
+
+    # one entry per failure: its time's index g and Efron position l
+    mi = m.astype(np.int64)
+    g = np.repeat(np.arange(mi.size), mi)
+    if efron:
+        ls = (np.arange(g.size) - np.repeat(np.cumsum(mi) - mi, mi)).astype(np.float64)
+    else:
+        ls = np.zeros(g.size)
+    mg = m[g]
+    denom = s0[g] - (ls * s0f[g]) / mg
+    e1 = (s1[g] - (ls[:, None] * s1f[g]) / mg[:, None]) / denom[:, None]
+    inv = 1.0 / denom
+    sum_inv = np.bincount(g, inv, minlength=mi.size)
+    sum_frac = np.bincount(g, (ls / mg) * inv, minlength=mi.size)
+
+    ll = c[fail] @ (eta[fail] - shift) - np.log(denom).sum()
+    grad = c[fail] @ x[fail] - e1.sum(axis=0)
+    p = x.shape[1]
+    info = (sum_inv @ s2.reshape(-1, p * p) - sum_frac @ s2f.reshape(-1, p * p)).reshape(p, p)
+    info -= e1.T @ e1
     return ll, grad, info
-
-
-def _eval_loops(x, t, d, beta, efron):
-    # Scalar-loop form of eval_numpy; this is what numba compiles.
-    n, p = x.shape
-    eta = np.empty(n)
-    for j in range(n):
-        s = 0.0
-        for k in range(p):
-            s += x[j, k] * beta[k]
-        eta[j] = s
-    shift = eta[0]
-    for j in range(1, n):
-        if eta[j] > shift:
-            shift = eta[j]
-    w = np.empty(n)
-    for j in range(n):
-        w[j] = math.exp(eta[j] - shift)
-
-    s0 = 0.0
-    s1 = np.zeros(p)
-    s2 = np.zeros((p, p))
-    s1f = np.empty(p)
-    s2f = np.empty((p, p))
-    e1 = np.empty(p)
-    ll = 0.0
-    grad = np.zeros(p)
-    info = np.zeros((p, p))
-
-    i = n - 1
-    while i >= 0:
-        j = i
-        while j >= 0 and t[j] == t[i]:
-            j -= 1
-        nfail = 0
-        s0f = 0.0
-        for a in range(p):
-            s1f[a] = 0.0
-            for b in range(p):
-                s2f[a, b] = 0.0
-        for r in range(j + 1, i + 1):
-            wr = w[r]
-            s0 += wr
-            for a in range(p):
-                va = wr * x[r, a]
-                s1[a] += va
-                for b in range(p):
-                    s2[a, b] += va * x[r, b]
-            if d[r] == 1:
-                nfail += 1
-                s0f += wr
-                ll += eta[r] - shift
-                for a in range(p):
-                    grad[a] += x[r, a]
-                    vfa = wr * x[r, a]
-                    s1f[a] += vfa
-                    for b in range(p):
-                        s2f[a, b] += vfa * x[r, b]
-        if nfail > 0:
-            for l in range(nfail):
-                if efron:
-                    denom = s0 - (l * s0f) / nfail
-                else:
-                    denom = s0
-                ll -= math.log(denom)
-                for a in range(p):
-                    if efron:
-                        e1[a] = (s1[a] - (l * s1f[a]) / nfail) / denom
-                    else:
-                        e1[a] = s1[a] / denom
-                    grad[a] -= e1[a]
-                for a in range(p):
-                    for b in range(p):
-                        if efron:
-                            e2ab = (s2[a, b] - (l * s2f[a, b]) / nfail) / denom
-                        else:
-                            e2ab = s2[a, b] / denom
-                        info[a, b] += e2ab - e1[a] * e1[b]
-        i = j
-    return ll, grad, info
-
-
-if HAVE_NUMBA:
-    eval_numba = njit(cache=True)(_eval_loops)
-    cox_eval = eval_numba
-    BACKEND = "numba"
-else:
-    eval_numba = None
-    cox_eval = eval_numpy
-    BACKEND = "numpy"

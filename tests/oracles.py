@@ -3,7 +3,8 @@
 These deliberately avoid the package's production code paths: d-separation
 is checked by enumerating every simple undirected path and applying the
 blocking rules; the Cox coefficient is checked by golden-section search
-over a directly-evaluated log partial likelihood.
+over a directly-evaluated log partial likelihood; and the Cox kernel is
+checked against a scalar loop over subjects.
 """
 
 import math
@@ -125,6 +126,84 @@ def golden_section_max(f, lo=-20.0, hi=20.0, iterations=80):
 
 def central_difference(f, beta, h=1e-5):
     return (f(beta + h) - f(beta - h)) / (2.0 * h)
+
+
+# --- scalar-loop Cox kernel (unit weights, Efron or Breslow) -------------------
+
+def cox_eval_loops(x, t, d, beta, efron):
+    """(loglik, gradient, information) by one backward pass over subjects.
+
+    Subjects must be sorted by time ascending.  Each tie time adds its
+    subjects to the running risk-set sums, then its m failures contribute
+    the Efron terms l = 0..m-1 (Breslow: l = 0 throughout) one at a time.
+    """
+    n, p = x.shape
+    eta = np.empty(n)
+    for j in range(n):
+        s = 0.0
+        for k in range(p):
+            s += x[j, k] * beta[k]
+        eta[j] = s
+    shift = eta[0]
+    for j in range(1, n):
+        if eta[j] > shift:
+            shift = eta[j]
+    w = np.empty(n)
+    for j in range(n):
+        w[j] = math.exp(eta[j] - shift)
+
+    s0 = 0.0
+    s1 = np.zeros(p)
+    s2 = np.zeros((p, p))
+    s1f = np.empty(p)
+    s2f = np.empty((p, p))
+    e1 = np.empty(p)
+    ll = 0.0
+    grad = np.zeros(p)
+    info = np.zeros((p, p))
+
+    i = n - 1
+    while i >= 0:
+        j = i
+        while j >= 0 and t[j] == t[i]:
+            j -= 1
+        nfail = 0
+        s0f = 0.0
+        for a in range(p):
+            s1f[a] = 0.0
+            for b in range(p):
+                s2f[a, b] = 0.0
+        for r in range(j + 1, i + 1):
+            wr = w[r]
+            s0 += wr
+            for a in range(p):
+                va = wr * x[r, a]
+                s1[a] += va
+                for b in range(p):
+                    s2[a, b] += va * x[r, b]
+            if d[r] == 1:
+                nfail += 1
+                s0f += wr
+                ll += eta[r] - shift
+                for a in range(p):
+                    grad[a] += x[r, a]
+                    vfa = wr * x[r, a]
+                    s1f[a] += vfa
+                    for b in range(p):
+                        s2f[a, b] += vfa * x[r, b]
+        for l in range(nfail):
+            frac = l if efron else 0
+            denom = s0 - (frac * s0f) / nfail
+            ll -= math.log(denom)
+            for a in range(p):
+                e1[a] = (s1[a] - (frac * s1f[a]) / nfail) / denom
+                grad[a] -= e1[a]
+            for a in range(p):
+                for b in range(p):
+                    e2ab = (s2[a, b] - (frac * s2f[a, b]) / nfail) / denom
+                    info[a, b] += e2ab - e1[a] * e1[b]
+        i = j
+    return ll, grad, info
 
 
 # --- small random survival data -------------------------------------------------

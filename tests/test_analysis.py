@@ -130,3 +130,40 @@ def test_adjustment_member_without_data_column(three_level):
     data, graph = three_level
     with pytest.raises(UnknownCovariate):
         run_analysis(str(data), str(graph), _options(covariate_cols=()))
+
+
+def test_registry_scale_tied_cohort_fits_converge(tmp_path):
+    # n = 10^5 with day-granular ties over five years and two confounders.
+    # Summed over 10^5 un-aggregated rows, this seed's adjusted fit stalls
+    # with |score| just above tolerance and stops unconverged at 50 steps.
+    n = 100_000
+    rng = np.random.default_rng(2)
+    z = rng.integers(0, 3, size=n)
+    w = rng.integers(0, 2, size=n)
+    p_treat = 1.0 / (1.0 + np.exp(-(-1.0 + 0.7 * z + 0.9 * w)))
+    x = (rng.random(n) < p_treat).astype(np.int64)
+    rate = 0.0008 * np.exp(0.4 * z + 0.5 * w - 0.3 * x)
+    t_event = np.minimum(np.floor(rng.exponential(1.0 / rate)), 1825).astype(np.int64)
+    t_cens = np.floor(rng.uniform(0.0, 2500.0, size=n)).astype(np.int64)
+    event = ((t_event <= t_cens) & (t_event < 1825)).astype(np.int64)
+    time = np.minimum(t_event, t_cens)
+    data = tmp_path / "cohort.csv"
+    np.savetxt(
+        data,
+        np.column_stack((x, time, event, z, w)),
+        fmt="%d",
+        delimiter=",",
+        header="x,t,s,z,w",
+        comments="",
+    )
+    graph = tmp_path / "graph.json"
+    _write_graph(
+        graph,
+        [{"name": v} for v in ("z", "w", "x", "t")],
+        [("z", "x"), ("w", "x"), ("z", "t"), ("w", "t"), ("x", "t")],
+    )
+    report, _ = run_analysis(str(data), str(graph), _options(covariate_cols=("z", "w")))
+    assert report.adjustment_set == ("w", "z")
+    for entry in (report.crude, report.traditional, report.adjusted):
+        assert entry.error is None
+        assert entry.converged
