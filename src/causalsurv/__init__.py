@@ -7,7 +7,7 @@ an individual-level pseudo-cohort from the adjusted counts, and fits a
 proportional-hazards model to report the treatment hazard ratio.
 """
 
-from .adjust import AdjustedCurve, adjust_curve, brute_force_do, unadjusted_curve
+from .adjust import AdjustedCurve, adjust_curve, unadjusted_curve
 from .analysis import AnalysisOptions, AnalysisReport, run_analysis, write_outputs
 from .cohort import (
     CohortDataset,
@@ -61,7 +61,6 @@ __all__ = [
     "SubjectRecord",
     "SurvivalMatrix",
     "adjust_curve",
-    "brute_force_do",
     "build_cohort",
     "cox_fit",
     "d_separated",

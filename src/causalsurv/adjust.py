@@ -8,27 +8,18 @@ fractions:
 
 with both factors estimated as empirical frequencies.  An empty Z makes
 the adjusted curve the crude per-arm proportion.
-
-``brute_force_do`` evaluates the same estimand the long way, by explicit
-summation over the empirical joint distribution of the whole daily outcome
-history within each stratum.  It exists as a test oracle: the two routes
-must agree to within 1e-12, and the oracle stays independent of the code
-path it checks.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import CohortDataset, stratum_assignments
-from .errors import InvalidAdjustmentSet, PositivityViolation
+from .cohort import CohortDataset
+from .errors import InvalidAdjustmentSet
 from .graph import AdjustmentSet
 from .trials import DailyProportions, SurvivalMatrix, daily_survival_proportions
 
-__all__ = ["AdjustedCurve", "adjust_curve", "unadjusted_curve", "brute_force_do"]
-
-_DENSE_CAP = 100_000_000
+__all__ = ["AdjustedCurve", "adjust_curve", "unadjusted_curve"]
 
 
 @dataclass(frozen=True)
@@ -51,16 +42,6 @@ class AdjustedCurve:
         day = np.asarray(day)
         idx = np.searchsorted(self.grid, day, side="right") - 1
         return self.p[arm, idx]
-
-    def count_at(self, arm: int, day) -> np.ndarray:
-        day = np.asarray(day)
-        idx = np.searchsorted(self.grid, day, side="right") - 1
-        return self.counts[arm, idx]
-
-    def dense_p(self, arm: int) -> np.ndarray:
-        if self.t_max + 1 > _DENSE_CAP:
-            raise MemoryError("horizon too long for a dense per-day array")
-        return self.p_at(arm, np.arange(self.t_max + 1))
 
 
 def _curve_from_proportions(table: DailyProportions, cohort, members) -> AdjustedCurve:
@@ -107,48 +88,3 @@ def unadjusted_curve(cohort: CohortDataset, matrix: SurvivalMatrix) -> AdjustedC
     """Crude per-arm survival proportions on the same grid (no adjustment)."""
     table = daily_survival_proportions(matrix, cohort, ())
     return _curve_from_proportions(table, cohort, ())
-
-
-def brute_force_do(
-    cohort: CohortDataset,
-    matrix: SurvivalMatrix,
-    z: AdjustmentSet,
-    day: int,
-    arm: int,
-) -> float:
-    """Long-form interventional survival at one day: the test oracle.
-
-    Sums the empirical joint probability of every observed daily outcome
-    history (Y_0, ..., Y_day) whose final entry is alive, stratum by
-    stratum, weighted by the empirical stratum frequency.  Small cohorts
-    only; cost grows with day * n.
-    """
-    if not z.valid:
-        raise InvalidAdjustmentSet("adjustment set is not valid")
-    if (day + 1) * cohort.n > 5_000_000:
-        raise ValueError("oracle is meant for small cohorts and short horizons")
-    _, strata, assign = stratum_assignments(cohort, z.variables)
-    treatment = cohort.treatment
-    death_day = matrix.death_day
-    n = cohort.n
-
-    total = 0.0
-    for si, combo in enumerate(strata):
-        in_stratum = assign == si
-        weight = in_stratum.sum() / n
-        idx = np.flatnonzero(in_stratum & (treatment == arm))
-        if idx.size == 0:
-            raise PositivityViolation(arm, combo)
-        histories = Counter()
-        for j in idx.tolist():
-            dd = death_day[j]
-            history = tuple(
-                0 if (dd >= 0 and dd <= i) else 1 for i in range(day + 1)
-            )
-            histories[history] += 1
-        stratum_mass = 0.0
-        for history, count in sorted(histories.items()):
-            if history[day] == 1:
-                stratum_mass += count / idx.size
-        total += stratum_mass * weight
-    return min(total, 1.0)

@@ -124,14 +124,12 @@ def _z_for(alpha: float) -> float:
 
 
 def _dummy_columns(cohort: CohortDataset, names):
-    """One-hot columns (first level dropped) for categorical covariates."""
-    cols = []
+    """One-hot column blocks (first level dropped) for categorical covariates."""
+    blocks = []
     for name in sorted(names):
-        levels = cohort.covariate_levels[name]
-        column = cohort.covariate_column(name)
-        for level in levels[1:]:
-            cols.append(np.array([1.0 if v == level else 0.0 for v in column]))
-    return cols
+        levels = np.arange(1, len(cohort.covariate_levels[name]))
+        blocks.append((cohort.codes[name][:, None] == levels).astype(np.float64))
+    return blocks
 
 
 def _fit_entry(fit_callable, z_alpha) -> FitEntry:

@@ -1,6 +1,6 @@
 """Cohort ingestion, validation, and stratum indexing.
 
-A cohort is a list of subjects with a binary treatment, an integer survival
+A cohort is a set of subjects with a binary treatment, an integer survival
 time in days, a binary event flag (1 = event at that time, 0 = censored at
 that time), and finite categorical covariates.  Times must be whole days:
 fractional inputs are rejected rather than rounded so that the per-day
@@ -8,13 +8,15 @@ transformation downstream stays unambiguous.  Continuous covariates are
 likewise rejected in spirit: every covariate column is treated as a label,
 and users must pre-discretize numeric ones.
 
-Datasets are immutable after load and safe for shared concurrent reads.
+Datasets are columnar, immutable after load and safe for shared
+concurrent reads.  CSV cells and subject records pass one validator.
 """
 
 import csv
 import io
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass, field, replace
+from itertools import compress, product
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -54,122 +56,173 @@ class SubjectRecord:
     covariates: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohortDataset:
-    subjects: tuple[SubjectRecord, ...]
-    covariate_levels: dict[str, tuple[str, ...]]
-    t_max: int
+    """A validated cohort, one array per column.
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "_treatment",
-            np.array([s.treatment for s in self.subjects], dtype=np.int64),
-        )
-        object.__setattr__(
-            self,
-            "_time",
-            np.array([s.survival_time for s in self.subjects], dtype=np.int64),
-        )
-        object.__setattr__(
-            self, "_event", np.array([s.event for s in self.subjects], dtype=np.int64)
-        )
+    ``treatment``, ``time`` and ``event`` are int64 arrays; covariate
+    ``name`` is int64 ``codes[name]`` into its sorted level tuple
+    ``covariate_levels[name]``, every level in use.  ``ids`` is an object
+    array of id strings, or int64 row numbers minus 2 for a CSV read
+    without an id column.
+    """
+
+    ids: np.ndarray
+    treatment: np.ndarray
+    time: np.ndarray
+    event: np.ndarray
+    covariate_levels: dict[str, tuple[str, ...]]
+    codes: dict[str, np.ndarray]
+    t_max: int
 
     @property
     def n(self) -> int:
-        return len(self.subjects)
+        return len(self.ids)
 
     @property
-    def treatment(self) -> np.ndarray:
-        return self._treatment
-
-    @property
-    def time(self) -> np.ndarray:
-        return self._time
-
-    @property
-    def event(self) -> np.ndarray:
-        return self._event
+    def subjects(self) -> tuple[SubjectRecord, ...]:
+        """One record per subject, built on each access."""
+        names = tuple(self.covariate_levels)
+        labels = [np.array(self.covariate_levels[c], object)[self.codes[c]] for c in names]
+        columns = [a.tolist() for a in (self.ids, self.treatment, self.time, self.event)]
+        return tuple(
+            SubjectRecord(str(i), x, t, e, dict(zip(names, values)))
+            for i, x, t, e, *values in zip(*columns, *labels)
+        )
 
     def arm_sizes(self) -> dict[int, int]:
-        t = self._treatment
+        t = self.treatment
         return {0: int((t == 0).sum()), 1: int((t == 1).sum())}
 
     def covariate_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.covariate_levels))
 
-    def covariate_column(self, name: str) -> list[str]:
-        if name not in self.covariate_levels:
-            raise UnknownCovariate(f"unknown covariate {name!r}")
-        return [s.covariates[name] for s in self.subjects]
+
+def _dataset(ids, treatment, time, event, covariates) -> CohortDataset:
+    """Check both arms are occupied; drop covariate levels nobody has.
+
+    ``covariates`` maps each name to (sorted levels, per-subject codes).
+    """
+    if len(ids) == 0:
+        raise EmptyArm("cohort is empty")
+    for arm, count in enumerate(np.bincount(treatment, minlength=2).tolist()):
+        if count == 0:
+            raise EmptyArm(f"treatment arm {arm} has no subjects")
+    levels, codes = {}, {}
+    for name, (values, column) in sorted(covariates.items()):
+        present = np.bincount(column, minlength=len(values)) > 0
+        if not present.all():
+            column = (np.cumsum(present) - 1)[column]
+            values = tuple(compress(values, present.tolist()))
+        levels[name], codes[name] = values, column
+    return CohortDataset(ids, treatment, time, event, levels, codes, int(time.max()))
+
+
+def _encode(rows, j):
+    """Sorted distinct stripped values of column ``j``, and each row's code."""
+    distinct = set(map(itemgetter(j), rows))
+    levels = sorted({c.strip() for c in distinct})
+    position = {v: i for i, v in enumerate(levels)}
+    index = {c: position[c.strip()] for c in distinct}
+    cells = map(index.__getitem__, map(itemgetter(j), rows))
+    return tuple(levels), np.fromiter(cells, dtype=np.int64, count=len(rows))
+
+
+def _first(flagged, codes) -> int:
+    """Index of the first row whose level is flagged (one bool per level)."""
+    return int(np.argmax(np.array(flagged, dtype=bool)[codes]))
+
+
+def _day_count(text):
+    """A stripped time cell as (day count, None), or (0, why it is not one)."""
+    try:
+        day = int(text)
+    except ValueError:
+        try:
+            day = float(text)
+        except ValueError:
+            return 0, "is not a day count"
+        if not day.is_integer():
+            return 0, "is not a whole number of days (fractional times are rejected, not rounded)"
+        day = int(day)
+    if day > np.iinfo(np.int64).max:
+        return 0, "is outside the 64-bit range of day counts"
+    return day, None
+
+
+def _validated(rows, columns, ids, id_column, where, broken=None) -> CohortDataset:
+    """Check rows of raw text cells column by column and build the dataset.
+
+    ``columns`` holds (name, position in a row) for treatment, time, event
+    and then each covariate; ``ids`` come from column ``id_column`` unless
+    it is None, and ``where(i)`` names row i in messages.  The earliest
+    failing row is reported; within a row an empty cell (in column order,
+    the id column last) comes first, then treatment, time, event.
+    ``broken``, a structural error just past ``rows``, is raised when every
+    row passes.
+    """
+    encoded = [_encode(rows, j) for _, j in columns]
+    failures = []
+    for (name, _), (levels, codes) in zip(columns, encoded):
+        if levels and levels[0] == "":  # "" sorts first
+            i = int(np.argmax(codes == 0))
+            failures.append((i, MissingValue(f"{where(i)}: column {name!r} is empty")))
+    if id_column is not None and np.any(ids == ""):
+        i = int(np.argmax(ids == ""))
+        failures.append((i, MissingValue(f"{where(i)}: column {id_column!r} is empty")))
+
+    def binary(k, exc):
+        (name, j), (levels, codes) = columns[k], encoded[k]
+        bad = [v not in ("0", "1") for v in levels]
+        if any(bad):
+            i = _first(bad, codes)
+            got = f"expected 0 or 1, got {rows[i][j]!r}"
+            failures.append((i, exc(f"{where(i)}, column {name!r}: {got}")))
+        return np.array([v == "1" for v in levels], dtype=np.int64)[codes]
+
+    treatment = binary(0, NonBinaryTreatment)
+    (name, j), (levels, codes) = columns[1], encoded[1]
+    parsed = [_day_count(v) for v in levels]
+    bad = [reason is not None or day < 0 for day, reason in parsed]
+    if any(bad):
+        i = _first(bad, codes)
+        day, reason = parsed[codes[i]]
+        if reason is None:
+            exc = NegativeTime(f"{where(i)}, column {name!r}: {day} is negative")
+        else:
+            exc = NonIntegerTime(f"{where(i)}, column {name!r}: {rows[i][j]!r} {reason}")
+        failures.append((i, exc))
+    event = binary(2, NonBinaryEvent)
+
+    if failures:
+        raise min(failures, key=itemgetter(0))[1]
+    if broken is not None:
+        raise broken
+    time = np.array([day for day, _ in parsed], dtype=np.int64)[codes]
+    covariates = {name: enc for (name, _), enc in zip(columns[3:], encoded[3:])}
+    return _dataset(ids, treatment, time, event, covariates)
 
 
 def build_cohort(records) -> CohortDataset:
-    """Validate records and derive covariate levels and the time horizon."""
+    """Validate subject records and derive covariate levels and the horizon.
+
+    Records are checked as text cells, like :func:`load_cohort`'s, and all
+    must carry the covariate keys of the first.
+    """
     records = tuple(records)
-    if not records:
-        raise EmptyArm("cohort is empty")
-    names = set(records[0].covariates)
-    levels: dict[str, set[str]] = {c: set() for c in names}
-    arm_counts = {0: 0, 1: 0}
-    for rec in records:
-        if rec.treatment not in (0, 1):
-            raise NonBinaryTreatment(
-                f"subject {rec.id!r}: treatment must be 0 or 1, got {rec.treatment!r}"
-            )
-        if rec.event not in (0, 1):
-            raise NonBinaryEvent(
-                f"subject {rec.id!r}: event must be 0 or 1, got {rec.event!r}"
-            )
-        if rec.survival_time < 0:
-            raise NegativeTime(
-                f"subject {rec.id!r}: survival time {rec.survival_time} is negative"
-            )
-        if set(rec.covariates) != names:
+    names = sorted(records[0].covariates) if records else []
+    rows = []
+    for r in records:
+        if r.covariates.keys() != set(names):
             raise CohortError(
-                f"subject {rec.id!r}: covariate keys differ from the first subject"
+                f"subject {r.id!r}: covariate keys differ from the first subject"
             )
-        arm_counts[rec.treatment] += 1
-        for c, v in rec.covariates.items():
-            levels[c].add(v)
-    for arm, count in arm_counts.items():
-        if count == 0:
-            raise EmptyArm(f"treatment arm {arm} has no subjects")
-    t_max = max(rec.survival_time for rec in records)
-    return CohortDataset(
-        records,
-        {c: tuple(sorted(vals)) for c, vals in sorted(levels.items())},
-        t_max,
-    )
-
-
-def _parse_binary(value, row_num, column, exc):
-    v = value.strip()
-    if v not in ("0", "1"):
-        raise exc(f"row {row_num}, column {column!r}: expected 0 or 1, got {value!r}")
-    return int(v)
-
-
-def _parse_days(value, row_num, column):
-    v = value.strip()
-    try:
-        t = int(v)
-    except ValueError:
-        try:
-            f = float(v)
-        except ValueError:
-            raise NonIntegerTime(
-                f"row {row_num}, column {column!r}: {value!r} is not a day count"
-            ) from None
-        if not f.is_integer():
-            raise NonIntegerTime(
-                f"row {row_num}, column {column!r}: {value!r} is not a whole number "
-                "of days (fractional times are rejected, not rounded)"
-            ) from None
-        t = int(f)
-    if t < 0:
-        raise NegativeTime(f"row {row_num}, column {column!r}: {t} is negative")
-    return t
+        cells = (r.treatment, r.survival_time, r.event, *map(r.covariates.get, names))
+        rows.append(tuple(map(str, cells)))
+    columns = [("treatment", 0), ("time", 1), ("event", 2)]
+    columns += [(c, 3 + k) for k, c in enumerate(names)]
+    ids = np.array([r.id for r in records], dtype=object)
+    return _validated(rows, columns, ids, None, lambda i: f"subject {ids[i]!r}")
 
 
 def load_cohort(csv_source, column_map) -> CohortDataset:
@@ -178,7 +231,9 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
     ``column_map`` maps roles onto header names: ``treatment``, ``time``,
     ``event``, an optional ``covariates`` list, and an optional ``id``.
     Treatment and event accept only the literals 0 and 1; rows with empty
-    mapped cells are rejected.
+    mapped cells are rejected.  Cells are stripped.  Rows are numbered
+    from 2, blank lines included; a subject's default id is its row
+    number minus 2.
     """
     if hasattr(csv_source, "read"):
         handle = csv_source
@@ -198,46 +253,32 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
         wanted = [column_map["treatment"], column_map["time"], column_map["event"]]
         wanted += covariates
         id_col = column_map.get("id")
-        if id_col is not None:
-            wanted.append(id_col)
-        for col in wanted:
+        for col in wanted + ([id_col] if id_col is not None else []):
             if col not in index:
                 raise MissingColumn(f"column {col!r} not found in header {header!r}")
-
-        records = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue  # blank line
-            if len(row) != len(header):
-                raise RaggedRow(
-                    f"row {row_num}: {len(row)} fields, header has {len(header)}"
-                )
-            cells = {col: row[index[col]] for col in wanted}
-            for col, value in cells.items():
-                if value.strip() == "":
-                    raise MissingValue(f"row {row_num}: column {col!r} is empty")
-            records.append(
-                SubjectRecord(
-                    id=cells[id_col].strip() if id_col else str(row_num - 2),
-                    treatment=_parse_binary(
-                        cells[column_map["treatment"]],
-                        row_num,
-                        column_map["treatment"],
-                        NonBinaryTreatment,
-                    ),
-                    survival_time=_parse_days(
-                        cells[column_map["time"]], row_num, column_map["time"]
-                    ),
-                    event=_parse_binary(
-                        cells[column_map["event"]], row_num, column_map["event"], NonBinaryEvent
-                    ),
-                    covariates={c: cells[c].strip() for c in covariates},
-                )
-            )
+        rows = list(reader)
     finally:
         if close:
             handle.close()
-    return build_cohort(records)
+
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    row_nums = np.flatnonzero(lengths) + 2
+    rows = list(filter(None, rows))  # drop blank lines
+    lengths = lengths[lengths > 0]
+    ragged = np.flatnonzero(lengths != len(header))
+    broken = None
+    if ragged.size:
+        stop = int(ragged[0])
+        broken = RaggedRow(
+            f"row {row_nums[stop]}: {lengths[stop]} fields, header has {len(header)}"
+        )
+        rows = rows[:stop]
+    if id_col is None:
+        ids = row_nums[: len(rows)] - 2
+    else:
+        ids = np.array([row[index[id_col]].strip() for row in rows], dtype=object)
+    columns = [(col, index[col]) for col in wanted]
+    return _validated(rows, columns, ids, id_col, lambda i: f"row {row_nums[i]}", broken)
 
 
 def save_cohort(cohort: CohortDataset, destination) -> None:
@@ -269,14 +310,19 @@ def load_saved_cohort(csv_source, covariates=None) -> CohortDataset:
     return load_cohort(csv_source, column_map)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StratumIndex:
-    """Counts per (arm, covariate-level combination), zero cells included."""
+    """Counts per (arm, covariate-level combination), zero cells included.
+
+    ``counts`` runs stratum by stratum, arm 0 before arm 1; ``assign`` is
+    each subject's index into ``strata``.
+    """
 
     covariates: tuple[str, ...]
     strata: tuple[tuple[str, ...], ...]
     counts: dict[tuple[int, tuple[str, ...]], int]
     marginals: dict[tuple[str, ...], int]
+    assign: np.ndarray
 
     def empty_cells(self) -> list[tuple[int, tuple[str, ...]]]:
         return [key for key, c in sorted(self.counts.items()) if c == 0]
@@ -296,10 +342,8 @@ def stratum_assignments(cohort: CohortDataset, covariates):
         return covs, ((),), np.zeros(cohort.n, dtype=np.int64)
     level_lists = [cohort.covariate_levels[c] for c in covs]
     strata = tuple(product(*level_lists))
-    lookup = {combo: i for i, combo in enumerate(strata)}
-    assign = np.array(
-        [lookup[tuple(s.covariates[c] for c in covs)] for s in cohort.subjects],
-        dtype=np.int64,
+    assign = np.ravel_multi_index(
+        [cohort.codes[c] for c in covs], [len(levels) for levels in level_lists]
     )
     return covs, strata, assign
 
@@ -307,15 +351,15 @@ def stratum_assignments(cohort: CohortDataset, covariates):
 def stratum_counts(cohort: CohortDataset, covariates) -> StratumIndex:
     """Count subjects per arm within every covariate-level combination."""
     covs, strata, assign = stratum_assignments(cohort, covariates)
-    treatment = cohort.treatment
-    counts = {}
-    marginals = {}
-    for i, combo in enumerate(strata):
-        in_stratum = assign == i
-        marginals[combo] = int(in_stratum.sum())
-        for arm in (0, 1):
-            counts[(arm, combo)] = int((in_stratum & (treatment == arm)).sum())
-    return StratumIndex(covs, strata, counts, marginals)
+    table = np.bincount(assign * 2 + cohort.treatment, minlength=2 * len(strata))
+    table = table.reshape(-1, 2).tolist()
+    counts = {
+        (arm, combo): count
+        for combo, row in zip(strata, table)
+        for arm, count in enumerate(row)
+    }
+    marginals = {combo: row[0] + row[1] for combo, row in zip(strata, table)}
+    return StratumIndex(covs, strata, counts, marginals, assign)
 
 
 def truncate_followup(cohort: CohortDataset, t_max: int) -> CohortDataset:
@@ -328,15 +372,12 @@ def truncate_followup(cohort: CohortDataset, t_max: int) -> CohortDataset:
         raise CohortError(f"t_max must be non-negative, got {t_max}")
     if t_max >= cohort.t_max:
         return cohort
-    records = []
-    for s in cohort.subjects:
-        if s.survival_time > t_max:
-            records.append(
-                SubjectRecord(s.id, s.treatment, t_max, 0, dict(s.covariates))
-            )
-        else:
-            records.append(s)
-    return build_cohort(records)
+    return replace(
+        cohort,
+        time=np.minimum(cohort.time, t_max),
+        event=np.where(cohort.time > t_max, 0, cohort.event),
+        t_max=int(t_max),
+    )
 
 
 def drop_early_censored(cohort: CohortDataset) -> tuple[CohortDataset, int]:
@@ -347,12 +388,13 @@ def drop_early_censored(cohort: CohortDataset) -> tuple[CohortDataset, int]:
     opt-in alternative.  Returns the filtered cohort and the number of
     subjects removed.
     """
-    kept = [
-        s
-        for s in cohort.subjects
-        if not (s.event == 0 and s.survival_time < cohort.t_max)
-    ]
-    dropped = cohort.n - len(kept)
+    keep = (cohort.event == 1) | (cohort.time >= cohort.t_max)
+    dropped = cohort.n - int(keep.sum())
     if dropped == 0:
         return cohort, 0
-    return build_cohort(kept), dropped
+    covariates = {
+        name: (levels, cohort.codes[name][keep])
+        for name, levels in cohort.covariate_levels.items()
+    }
+    columns = (cohort.ids, cohort.treatment, cohort.time, cohort.event)
+    return _dataset(*(column[keep] for column in columns), covariates), dropped

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import CohortDataset, stratum_assignments
+from .cohort import CohortDataset, stratum_counts
 from .errors import NonMonotoneCounts, PositivityViolation
 
 __all__ = [
@@ -57,23 +57,14 @@ class SurvivalMatrix:
             raise MemoryError(
                 f"dense matrix would hold {cells} cells; use the compressed accessors"
             )
-        y = np.ones((self.t_max + 1, self.n), dtype=np.uint8)
-        for j, dd in enumerate(self.death_day):
-            if dd >= 0:
-                y[dd:, j] = 0
-        return y
+        days = np.arange(self.t_max + 1)[:, None]
+        dd = self.death_day[None, :]
+        return ((dd < 0) | (days < dd)).view(np.uint8)
 
     def event_grid(self) -> np.ndarray:
         """Days where any survival value can change, plus both endpoints."""
         days = self.death_day[self.death_day >= 0]
         return np.unique(np.concatenate((days, [0, self.t_max]))).astype(np.int64)
-
-    def alive_counts(self, subject_idx: np.ndarray, days: np.ndarray) -> np.ndarray:
-        """Number of subjects among ``subject_idx`` alive at each of ``days``."""
-        dd = self.death_day[subject_idx]
-        dead_days = np.sort(dd[dd >= 0])
-        dead_by = np.searchsorted(dead_days, days, side="right")
-        return len(subject_idx) - dead_by
 
 
 def to_daily_trials(cohort: CohortDataset) -> SurvivalMatrix:
@@ -86,11 +77,9 @@ def to_daily_trials(cohort: CohortDataset) -> SurvivalMatrix:
 class DailyProportions:
     """Empirical P(alive at day | arm, stratum) on the compressed day grid."""
 
-    covariates: tuple[str, ...]
     strata: tuple[tuple[str, ...], ...]
     grid: np.ndarray
     values: np.ndarray  # shape (2, n_strata, len(grid))
-    stratum_sizes: dict[tuple[int, tuple[str, ...]], int]
     marginals: dict[tuple[str, ...], int]
     t_max: int
 
@@ -98,9 +87,6 @@ class DailyProportions:
         day = np.asarray(day)
         idx = np.searchsorted(self.grid, day, side="right") - 1
         return self.values[arm, stratum_index, idx]
-
-    def dense(self, arm: int, stratum_index: int) -> np.ndarray:
-        return self.at(arm, stratum_index, np.arange(self.t_max + 1))
 
 
 def daily_survival_proportions(
@@ -114,23 +100,21 @@ def daily_survival_proportions(
     (size + 2a), steadying near-empty strata; 0 is the plain plug-in and
     0.5 is the conventional smoothing value.
     """
-    covs, strata, assign = stratum_assignments(cohort, stratify_by)
+    index = stratum_counts(cohort, stratify_by)
+    empty = [cell for cell, count in index.counts.items() if count == 0]
+    if empty:
+        raise PositivityViolation(*empty[0])
     grid = matrix.event_grid()
-    treatment = cohort.treatment
-    values = np.empty((2, len(strata), len(grid)), dtype=np.float64)
-    sizes = {}
-    marginals = {}
-    for si, combo in enumerate(strata):
-        in_stratum = assign == si
-        marginals[combo] = int(in_stratum.sum())
-        for arm in (0, 1):
-            idx = np.flatnonzero(in_stratum & (treatment == arm))
-            sizes[(arm, combo)] = len(idx)
-            if len(idx) == 0:
-                raise PositivityViolation(arm, combo)
-            alive = matrix.alive_counts(idx, grid)
-            values[arm, si] = (alive + laplace) / (len(idx) + 2.0 * laplace)
-    return DailyProportions(covs, strata, grid, values, sizes, marginals, matrix.t_max)
+    # deaths per (arm, stratum, grid day) cell, then alive = size - deaths so far
+    n_strata = len(index.strata)
+    dead = matrix.death_day >= 0
+    cell = (cohort.treatment * n_strata + index.assign)[dead] * len(grid)
+    cell += np.searchsorted(grid, matrix.death_day[dead])
+    deaths = np.bincount(cell, minlength=2 * n_strata * len(grid))
+    sizes = np.reshape(list(index.counts.values()), (n_strata, 2)).T[:, :, None]
+    alive = sizes - np.cumsum(deaths.reshape(2, n_strata, len(grid)), axis=2)
+    values = (alive + laplace) / (sizes + 2.0 * laplace)
+    return DailyProportions(index.strata, grid, values, index.marginals, matrix.t_max)
 
 
 @dataclass(frozen=True)
@@ -157,7 +141,7 @@ class AdjustedCohort:
         return len(self.treatment)
 
 
-def _integerize_counts(days, counts, arm_size):
+def _integerize_counts(counts, arm_size):
     """Round fractional alive-counts to integers, totals preserved exactly.
 
     The cumulative death count is rounded day by day (half-up, which hands
@@ -179,34 +163,27 @@ def from_adjusted_counts(adj, arm_sizes) -> AdjustedCohort:
     an event at day i; the count remaining at the horizon emits that many
     subjects censored there.  Per-arm totals equal ``arm_sizes`` exactly.
     """
-    treatment, times, events = [], [], []
+    days = np.asarray(adj.grid, dtype=np.int64)
+    repeats = []
     source = {}
     for arm in (0, 1):
         size = int(arm_sizes[arm])
-        days = np.asarray(adj.grid, dtype=np.int64)
         counts = np.asarray(adj.counts[arm], dtype=np.float64)
         if np.any(np.diff(counts) > 1e-9 * max(size, 1)):
             raise NonMonotoneCounts(
                 f"arm {arm}: adjusted counts increase along the day grid"
             )
-        ints = _integerize_counts(days, counts, size)
+        ints = _integerize_counts(counts, size)
         source[arm] = (days, ints)
-        prev = size
-        for day, count in zip(days.tolist(), ints.tolist()):
-            drop = prev - count
-            if drop > 0:
-                treatment.extend([arm] * drop)
-                times.extend([day] * drop)
-                events.extend([1] * drop)
-            prev = count
-        survivors = int(ints[-1])
-        if survivors > 0:
-            treatment.extend([arm] * survivors)
-            times.extend([int(days[-1])] * survivors)
-            events.extend([0] * survivors)
+        drops = np.maximum(-np.diff(ints, prepend=size), 0)
+        repeats.append(np.append(drops, ints[-1]))  # survivors row last
+    repeats = np.concatenate(repeats)
+    rows = len(days) + 1
+    row_days = np.append(days, days[-1])
+    row_events = np.append(np.ones(len(days), dtype=np.int64), 0)
     return AdjustedCohort(
-        np.array(treatment, dtype=np.int64),
-        np.array(times, dtype=np.int64),
-        np.array(events, dtype=np.int64),
+        np.repeat(np.repeat(np.arange(2, dtype=np.int64), rows), repeats),
+        np.repeat(np.tile(row_days, 2), repeats),
+        np.repeat(np.tile(row_events, 2), repeats),
         source,
     )

@@ -3,13 +3,18 @@
 These deliberately avoid the package's production code paths: d-separation
 is checked by enumerating every simple undirected path and applying the
 blocking rules; the Cox coefficient is checked by golden-section search
-over a directly-evaluated log partial likelihood; and the Cox kernel is
-checked against a scalar loop over subjects.
+over a directly-evaluated log partial likelihood; the Cox kernel is
+checked against a scalar loop over subjects; and the backdoor-adjusted
+curve is checked against a sum over whole daily outcome histories.
 """
 
 import math
+from collections import Counter
+from itertools import product
 
 import numpy as np
+
+from causalsurv.errors import InvalidAdjustmentSet, PositivityViolation
 
 
 # --- brute-force d-separation -------------------------------------------------
@@ -221,3 +226,47 @@ def random_tie_free_dataset(rng, max_n=12):
         beta_gs = golden_section_max(lambda b: direct_loglik(x, t, b))
         if abs(beta_gs) < 10.0:
             return x, t, beta_gs
+
+
+# --- long-form interventional survival ----------------------------------------
+
+def brute_force_do(cohort, matrix, z, day, arm):
+    """Long-form interventional survival at one day.
+
+    Sums the empirical joint probability of every observed daily outcome
+    history (Y_0, ..., Y_day) whose final entry is alive, stratum by
+    stratum, weighted by the empirical stratum frequency.  Strata come from
+    the per-subject covariate dicts of ``cohort.subjects``, not from the
+    cohort's level codes.  Small cohorts only; cost grows with day * n.
+    """
+    if not z.valid:
+        raise InvalidAdjustmentSet("adjustment set is not valid")
+    if (day + 1) * cohort.n > 5_000_000:
+        raise ValueError("oracle is meant for small cohorts and short horizons")
+    subjects = cohort.subjects
+    covs = sorted(z.variables)
+    keys = [tuple(s.covariates[c] for c in covs) for s in subjects]
+    levels = [sorted({s.covariates[c] for s in subjects}) for c in covs]
+    death_day = matrix.death_day
+    n = len(subjects)
+
+    total = 0.0
+    for combo in product(*levels):
+        members = [j for j in range(n) if keys[j] == combo]
+        weight = len(members) / n
+        idx = [j for j in members if subjects[j].treatment == arm]
+        if not idx:
+            raise PositivityViolation(arm, combo)
+        histories = Counter()
+        for j in idx:
+            dd = death_day[j]
+            history = tuple(
+                0 if (dd >= 0 and dd <= i) else 1 for i in range(day + 1)
+            )
+            histories[history] += 1
+        stratum_mass = 0.0
+        for history, count in sorted(histories.items()):
+            if history[day] == 1:
+                stratum_mass += count / len(idx)
+        total += stratum_mass * weight
+    return min(total, 1.0)

@@ -17,7 +17,6 @@ import pytest
 
 import causalsurv as cs
 from causalsurv import errors
-from causalsurv.adjust import brute_force_do
 from causalsurv.cli import main
 from causalsurv.cohort import SubjectRecord, build_cohort
 from causalsurv.estimators import gradient_at
@@ -25,6 +24,7 @@ from causalsurv.graph import satisfies_backdoor, validate_dag
 
 from oracles import (
     brute_force_d_separated,
+    brute_force_do,
     central_difference,
     direct_loglik,
     random_dag,

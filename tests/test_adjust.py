@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from causalsurv import errors
-from causalsurv.adjust import adjust_curve, brute_force_do, unadjusted_curve
+from causalsurv.adjust import adjust_curve, unadjusted_curve
 from causalsurv.cohort import SubjectRecord, build_cohort
 from causalsurv.graph import AdjustmentSet, satisfies_backdoor, validate_dag
 from causalsurv.trials import to_daily_trials
+
+from oracles import brute_force_do
 
 CONFOUNDED = validate_dag(["z", "x", "t"], [("z", "x"), ("z", "t"), ("x", "t")])
 ZSET = satisfies_backdoor(CONFOUNDED, {"z"}, "x", "t")

@@ -247,3 +247,17 @@ def test_simulate_invalid_n(tmp_path, capsys):
     assert main(["simulate", "--n", "0", "--out", str(tmp_path / "x.csv")]) == 3
     payload = json.loads(capsys.readouterr().out.strip())
     assert payload["error"]["type"] == "InvalidConfig"
+
+
+@pytest.mark.parametrize("time", ["1e30", "99999999999999999999"])
+def test_analyze_time_outside_int64_is_data_error(tmp_path, capsys, time):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(CONFOUNDED_GRAPH))
+    data = tmp_path / "cohort.csv"
+    data.write_text(f"treatment,time,event,z\n0,5,1,0\n1,{time},1,1\n1,3,1,0\n0,4,1,1\n")
+    code = main(_analyze_args(tmp_path, graph, data))
+    assert code == 3
+    payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert payload["error"]["type"] == "NonIntegerTime"
+    assert "row 3, column 'time'" in payload["error"]["message"]
+    assert payload["error"]["exit"] == 3
