@@ -237,7 +237,7 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
     pseudo = from_adjusted_counts(curve, cohort.arm_sizes())
 
     km_unadj = km_fit(cohort.time, cohort.event, cohort.treatment)
-    km_adj = km_fit(pseudo.survival_time, pseudo.event, pseudo.treatment)
+    km_adj = km_fit(pseudo.day, pseudo.event, pseudo.arm, counts=pseudo.count)
 
     z_alpha = _z_for(options.alpha)
     treatment = cohort.treatment.astype(np.float64)
@@ -264,9 +264,10 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
     )
     report.adjusted = _fit_entry(
         lambda: cox_fit(
-            pseudo.treatment.astype(np.float64)[:, None],
-            pseudo.survival_time,
+            pseudo.arm.astype(np.float64)[:, None],
+            pseudo.day,
             pseudo.event,
+            counts=pseudo.count,
             ties=options.ties,
         ),
         z_alpha,
@@ -283,10 +284,7 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
     report.warnings = warnings
 
     curves = []
-    for variant, km, source_times in (
-        ("unadjusted", km_unadj, cohort.time),
-        ("adjusted", km_adj, pseudo.survival_time),
-    ):
+    for variant, km in (("unadjusted", km_unadj), ("adjusted", km_adj)):
         for arm in (0, 1):
             group = km.groups[arm]
             days = np.unique(

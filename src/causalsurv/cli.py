@@ -16,14 +16,9 @@ from .analysis import AnalysisOptions, run_analysis, write_outputs
 from .cohort import save_cohort, stratum_counts
 from .errors import (
     CausalSurvError,
-    CohortError,
     EstimationError,
-    GraphError,
     InvalidAdjustmentSet,
-    InvalidConfig,
-    NonMonotoneCounts,
     NotIdentifiable,
-    PositivityViolation,
 )
 from .graph import load_graph, minimal_backdoor_sets
 from .simulate import SimConfig, generate_cohort
@@ -180,17 +175,7 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(_error_payload(exc, EXIT_NUMERICAL))
         return EXIT_NUMERICAL
-    except (
-        CohortError,
-        GraphError,
-        InvalidConfig,
-        PositivityViolation,
-        NonMonotoneCounts,
-        OSError,
-    ) as exc:
-        print(_error_payload(exc, EXIT_DATA))
-        return EXIT_DATA
-    except CausalSurvError as exc:
+    except (CausalSurvError, OSError) as exc:
         print(_error_payload(exc, EXIT_DATA))
         return EXIT_DATA
 

@@ -257,6 +257,13 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
             if col not in index:
                 raise MissingColumn(f"column {col!r} not found in header {header!r}")
         rows = list(reader)
+    except UnicodeDecodeError as exc:
+        # decoding runs ahead in blocks, so no line number is known here
+        raise CohortError(
+            f"CSV is not valid UTF-8: byte 0x{exc.object[exc.start]:02x} cannot be decoded"
+        ) from None
+    except csv.Error as exc:
+        raise CohortError(f"line {reader.line_num}: {exc}") from None
     finally:
         if close:
             handle.close()

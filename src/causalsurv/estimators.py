@@ -70,11 +70,20 @@ class KmCurve:
         return self.groups[group].survival_at(day)
 
 
-def km_fit(times, events, groups=None) -> KmCurve:
+def _weights(counts, n):
+    """Per-row case weights as floats; None gives every row a weight of 1."""
+    c = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
+    if c.shape != (n,):
+        raise LengthMismatch("counts differs in length from times")
+    return c
+
+
+def km_fit(times, events, groups=None, *, counts=None) -> KmCurve:
     """Kaplan-Meier product-limit estimate per group.
 
     Survival steps down only at event times; censored subjects leave the
-    risk set just after their censoring time.
+    risk set just after their censoring time.  ``counts`` gives how many
+    subjects each row stands for.
     """
     times = np.asarray(times)
     events = np.asarray(events)
@@ -90,15 +99,15 @@ def km_fit(times, events, groups=None) -> KmCurve:
         raise EmptyGroup("no subjects")
     if np.any(times < 0):
         raise ValueError("times must be non-negative")
+    weights = _weights(counts, times.size)
 
     out = {}
     for label in np.unique(groups):
         mask = groups == label
-        t = times[mask]
-        d = events[mask]
+        t, d, c = times[mask], events[mask], weights[mask]
         days, day_of = np.unique(t, return_inverse=True)
-        at_risk_all = np.cumsum(np.bincount(day_of)[::-1])[::-1]
-        events_all = np.bincount(day_of[d == 1], minlength=days.size)
+        at_risk_all = np.cumsum(np.bincount(day_of, c)[::-1])[::-1]
+        events_all = np.bincount(day_of[d == 1], c[d == 1], minlength=days.size)
         keep = events_all > 0
         event_times, at_risk, n_events = days[keep], at_risk_all[keep], events_all[keep]
         survival = np.cumprod(1.0 - n_events / at_risk)
@@ -119,7 +128,7 @@ class CoxFit:
     ties_method: str
 
 
-def _prepare(covariate_matrix, times, events):
+def _prepare(covariate_matrix, times, events, counts=None):
     """Distinct (time, event, covariates) rows sorted by time, with counts."""
     x = np.asarray(covariate_matrix, dtype=np.float64)
     if x.ndim == 1:
@@ -128,6 +137,7 @@ def _prepare(covariate_matrix, times, events):
     d = np.asarray(events, dtype=np.uint8)
     if not (x.shape[0] == t.shape[0] == d.shape[0]):
         raise LengthMismatch("covariates, times, and events differ in length")
+    weights = _weights(counts, t.size)
     if d.sum() == 0:
         raise NoEvents("no events in the data; the partial likelihood is empty")
     spans = x.max(axis=0) - x.min(axis=0)
@@ -138,15 +148,19 @@ def _prepare(covariate_matrix, times, events):
     # than np.unique(axis=0); the kernel needs time order only between times.
     rows = np.column_stack((t, d, x))
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    counts = np.bincount(inverse, weights)
     order = np.argsort(rows[first, 0], kind="stable")
     rows, counts = rows[first[order]], counts[order]
     return np.ascontiguousarray(rows[:, 2:]), rows[:, 0], rows[:, 1], counts
 
 
-def cox_fit(covariate_matrix, times, events, *, ties="efron", max_iter=50, tol=1e-8) -> CoxFit:
+def cox_fit(
+    covariate_matrix, times, events, *, counts=None, ties="efron", max_iter=50, tol=1e-8
+) -> CoxFit:
     """Maximize the log partial likelihood by Newton-Raphson.
 
+    A row of ``counts`` k fits exactly as k copies of it would.
     Step-halving (up to 10 halvings per iteration) guards against
     log-likelihood decreases.  Standard errors come from the inverse of the
     observed information at the optimum.  Exhausting ``max_iter`` returns a
@@ -155,7 +169,7 @@ def cox_fit(covariate_matrix, times, events, *, ties="efron", max_iter=50, tol=1
     """
     if ties not in ("efron", "breslow"):
         raise ValueError(f"ties must be 'efron' or 'breslow', got {ties!r}")
-    x, t, d, counts = _prepare(covariate_matrix, times, events)
+    x, t, d, counts = _prepare(covariate_matrix, times, events, counts)
     p = x.shape[1]
     efron = ties == "efron"
 

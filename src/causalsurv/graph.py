@@ -43,6 +43,9 @@ __all__ = [
     "find_open_backdoor_path",
 ]
 
+# The backdoor search is exhaustive over subsets of the candidate nodes.
+MAX_CANDIDATES = 20
+
 
 @dataclass(frozen=True)
 class CausalDag:
@@ -278,9 +281,7 @@ def satisfies_backdoor(dag: CausalDag, z, treatment: str, outcome: str) -> Adjus
     return AdjustmentSet(z, valid, treatment, outcome)
 
 
-def minimal_backdoor_sets(
-    dag: CausalDag, treatment: str, outcome: str, max_candidates: int = 20
-) -> list[AdjustmentSet]:
+def minimal_backdoor_sets(dag: CausalDag, treatment: str, outcome: str) -> list[AdjustmentSet]:
     """All inclusion-minimal observed sets satisfying the backdoor criterion.
 
     Exhaustive over subsets of observed non-descendants of the treatment
@@ -293,9 +294,9 @@ def minimal_backdoor_sets(
         raise TreatmentEqualsOutcome(f"treatment and outcome are both {treatment!r}")
     banned = descendants(dag, treatment) | {treatment, outcome}
     candidates = sorted(v for v in dag.observed_nodes() if v not in banned)
-    if len(candidates) > max_candidates:
+    if len(candidates) > MAX_CANDIDATES:
         raise GraphTooLarge(
-            f"{len(candidates)} candidate nodes exceed the cap of {max_candidates}"
+            f"{len(candidates)} candidate nodes exceed the cap of {MAX_CANDIDATES}"
         )
     minimal: list[AdjustmentSet] = []
     for size in range(len(candidates) + 1):
@@ -360,12 +361,18 @@ def load_graph(source) -> CausalDag:
     (bool, default true).  Malformed input is rejected with the offending
     position in the message.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        origin = getattr(source, "name", "<graph>")
-    else:
-        origin = str(source)
-        text = Path(source).read_text(encoding="utf-8")
+    try:
+        if hasattr(source, "read"):
+            origin = getattr(source, "name", "<graph>")
+            text = source.read()
+        else:
+            origin = str(source)
+            text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFileError(
+            f"{origin}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} "
+            "is not valid UTF-8"
+        ) from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -74,16 +74,34 @@ class SimConfig:
             raise InvalidConfig(f"noise bounds {self.noise} are not ordered")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+        for z, x, size in self._cells():
+            # the cell's last member has the ladder's largest time
+            try:
+                top = self._ladder(z, x, size - 1) + hi
+            except OverflowError:
+                top = math.inf
+            if size and top >= 2.0**63:
+                raise InvalidConfig(
+                    f"n={self.n} is too large: the survival-time ladder of cell "
+                    f"z={z}, x={x} leaves the 64-bit range of day counts"
+                )
 
-    def assignment_plan(self) -> list[tuple[int, int]]:
-        """(z, x) per subject in index order; cell counts are exact."""
+    def _cells(self) -> list[tuple[int, int, int]]:
+        """(z, x, size) per cell in index order; sizes are exact."""
         n_z1 = _half_up(self.n * self.p_z1)
-        plan = []
+        cells = []
         for z, n_z in ((0, self.n - n_z1), (1, n_z1)):
             treated = _half_up(n_z * self.p_treat_given_z[z])
-            plan.extend([(z, 1)] * treated)
-            plan.extend([(z, 0)] * (n_z - treated))
-        return plan
+            cells += [(z, 1, treated), (z, 0, n_z - treated)]
+        return cells
+
+    def assignment_plan(self) -> list[tuple[int, int]]:
+        """(z, x) per subject in index order."""
+        return [(z, x) for z, x, size in self._cells() for _ in range(size)]
+
+    def _ladder(self, z: int, x: int, k: int) -> float:
+        """Noise-free survival time of the k-th member of cell (z, x)."""
+        return self.a * math.exp((self.b + self.c * z + self.d * x + self.e * z * x) * k)
 
 
 def generate_cohort(config: SimConfig) -> CohortDataset:
@@ -96,9 +114,7 @@ def generate_cohort(config: SimConfig) -> CohortDataset:
         noise = rng.uniform(config.noise[0], config.noise[1])
         k = within.get((z, x), 0)
         within[(z, x)] = k + 1
-        raw = config.a * math.exp(
-            (config.b + config.c * z + config.d * x + config.e * z * x) * k
-        ) + noise
+        raw = config._ladder(z, x, k) + noise
         records.append(
             SubjectRecord(
                 id=f"p{i}",

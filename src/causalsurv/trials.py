@@ -7,8 +7,8 @@ count as alive on every day (their event was never observed).  That is the
 contract, and it overstates survival when censoring is heavy; the strict
 mode in :mod:`causalsurv.cohort` is the opt-in alternative.
 
-Backward: per-arm per-day adjusted survival counts are turned back into an
-individual-level pseudo-cohort whose deaths fall on the first day each
+Backward: per-arm per-day adjusted survival counts are turned back into a
+pseudo-cohort, held as count rows, whose deaths fall on the first day each
 count drops and whose survivors are censored at the horizon.
 
 Every per-day quantity here is a step function that can only change on a
@@ -119,26 +119,19 @@ def daily_survival_proportions(
 
 @dataclass(frozen=True)
 class AdjustedCohort:
-    """Pseudo-cohort rebuilt from integerized per-arm adjusted counts."""
+    """Pseudo-cohort as count rows: ``count`` subjects share (arm, day, event).
 
-    treatment: np.ndarray
-    survival_time: np.ndarray
+    See :func:`from_adjusted_counts` for the rows; none has a count of zero.
+    """
+
+    arm: np.ndarray
+    day: np.ndarray
     event: np.ndarray
-    source_counts: dict[int, tuple[np.ndarray, np.ndarray]]  # arm -> (days, counts)
-
-    @property
-    def subjects(self) -> list[tuple[int, int, int]]:
-        return list(
-            zip(
-                self.treatment.tolist(),
-                self.survival_time.tolist(),
-                self.event.tolist(),
-            )
-        )
+    count: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.treatment)
+        return int(self.count.sum())
 
 
 def _integerize_counts(counts, arm_size):
@@ -157,15 +150,17 @@ def _integerize_counts(counts, arm_size):
 
 
 def from_adjusted_counts(adj, arm_sizes) -> AdjustedCohort:
-    """Rebuild per-subject survival times from adjusted per-day counts.
+    """Rebuild the pseudo-cohort's count rows from adjusted per-day counts.
 
-    For each arm, a count drop of d at day i emits d pseudo-subjects with
-    an event at day i; the count remaining at the horizon emits that many
-    subjects censored there.  Per-arm totals equal ``arm_sizes`` exactly.
+    For each arm, a count drop of d at day i becomes a row of d events at
+    day i; the count remaining at the horizon becomes a row of that many
+    subjects censored there.  Rows of count zero are left out.  Per-arm
+    totals equal ``arm_sizes`` exactly.
     """
     days = np.asarray(adj.grid, dtype=np.int64)
-    repeats = []
-    source = {}
+    row_days = np.append(days, days[-1])  # survivors row last
+    row_events = np.append(np.ones(len(days), dtype=np.int64), 0)
+    columns = []
     for arm in (0, 1):
         size = int(arm_sizes[arm])
         counts = np.asarray(adj.counts[arm], dtype=np.float64)
@@ -174,16 +169,8 @@ def from_adjusted_counts(adj, arm_sizes) -> AdjustedCohort:
                 f"arm {arm}: adjusted counts increase along the day grid"
             )
         ints = _integerize_counts(counts, size)
-        source[arm] = (days, ints)
         drops = np.maximum(-np.diff(ints, prepend=size), 0)
-        repeats.append(np.append(drops, ints[-1]))  # survivors row last
-    repeats = np.concatenate(repeats)
-    rows = len(days) + 1
-    row_days = np.append(days, days[-1])
-    row_events = np.append(np.ones(len(days), dtype=np.int64), 0)
-    return AdjustedCohort(
-        np.repeat(np.repeat(np.arange(2, dtype=np.int64), rows), repeats),
-        np.repeat(np.tile(row_days, 2), repeats),
-        np.repeat(np.tile(row_events, 2), repeats),
-        source,
-    )
+        count = np.append(drops, ints[-1])
+        keep = count > 0
+        columns.append((np.full(keep.sum(), arm), row_days[keep], row_events[keep], count[keep]))
+    return AdjustedCohort(*(np.concatenate(col) for col in zip(*columns)))

@@ -4,8 +4,9 @@ These deliberately avoid the package's production code paths: d-separation
 is checked by enumerating every simple undirected path and applying the
 blocking rules; the Cox coefficient is checked by golden-section search
 over a directly-evaluated log partial likelihood; the Cox kernel is
-checked against a scalar loop over subjects; and the backdoor-adjusted
-curve is checked against a sum over whole daily outcome histories.
+checked against a scalar loop over subjects; the backdoor-adjusted curve
+is checked against a sum over whole daily outcome histories; and the
+pseudo-cohort's count rows can be expanded to one tuple per subject.
 """
 
 import math
@@ -226,6 +227,19 @@ def random_tie_free_dataset(rng, max_n=12):
         beta_gs = golden_section_max(lambda b: direct_loglik(x, t, b))
         if abs(beta_gs) < 10.0:
             return x, t, beta_gs
+
+
+# --- pseudo-cohort ------------------------------------------------------------
+
+def expand(pseudo):
+    """Per-subject (arm, day, event) tuples of a count-row pseudo-cohort."""
+    return [
+        (arm, day, event)
+        for arm, day, event, count in zip(
+            pseudo.arm.tolist(), pseudo.day.tolist(), pseudo.event.tolist(), pseudo.count.tolist()
+        )
+        for _ in range(count)
+    ]
 
 
 # --- long-form interventional survival ----------------------------------------

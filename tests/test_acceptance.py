@@ -56,7 +56,7 @@ def _three_way(cohort, adjustment=ZSET):
         cohort.treatment.astype(float)[:, None], cohort.time, cohort.event
     )
     adjusted = cs.cox_fit(
-        pseudo.treatment.astype(float)[:, None], pseudo.survival_time, pseudo.event
+        pseudo.arm.astype(float)[:, None], pseudo.day, pseudo.event, counts=pseudo.count
     )
     return crude, adjusted, curve, pseudo
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_analyze_adjusted_km_matches_adjusted_probabilities(workspace):
     report, artifacts = run_analysis(str(data), str(graph), options)
     curve = artifacts["adjusted_curve"]
     pseudo = artifacts["pseudo"]
-    km = km_fit(pseudo.survival_time, pseudo.event, pseudo.treatment)
+    km = km_fit(pseudo.day, pseudo.event, pseudo.arm, counts=pseudo.count)
     for arm in (0, 1):
         bound = 1.0 / (2.0 * curve.arm_sizes[arm]) + 1e-12
         km_vals = np.asarray(km.survival_at(arm, curve.grid))
@@ -249,15 +250,76 @@ def test_simulate_invalid_n(tmp_path, capsys):
     assert payload["error"]["type"] == "InvalidConfig"
 
 
-@pytest.mark.parametrize("time", ["1e30", "99999999999999999999"])
-def test_analyze_time_outside_int64_is_data_error(tmp_path, capsys, time):
+def _cohort_bytes(cell="1,7,1,1"):
+    return f"treatment,time,event,z\n0,5,1,0\n{cell}\n1,3,1,0\n0,4,1,1\n".encode("latin-1")
+
+
+GRAPH_BYTES = json.dumps(CONFOUNDED_GRAPH).encode()
+LATIN1_GRAPH_BYTES = json.dumps(CONFOUNDED_GRAPH).replace('"z"', '"z\xe9"').encode("latin-1")
+
+
+@pytest.mark.parametrize(
+    "command, cohort, graph, error_type, detail",
+    [
+        pytest.param(
+            "analyze", _cohort_bytes("1,1e30,1,1"), GRAPH_BYTES,
+            "NonIntegerTime", "row 3, column 'time'", id="1e30",
+        ),
+        pytest.param(
+            "analyze", _cohort_bytes("1,99999999999999999999,1,1"), GRAPH_BYTES,
+            "NonIntegerTime", "row 3, column 'time'", id="99999999999999999999",
+        ),
+        pytest.param(
+            "analyze", _cohort_bytes("1,7,1,\xe9"), GRAPH_BYTES,
+            "CohortError", "not valid UTF-8", id="latin1-cohort",
+        ),
+        pytest.param(
+            "analyze", _cohort_bytes("1,7,1," + "a" * 200_000), GRAPH_BYTES,
+            "CohortError", "line 3: field larger than field limit", id="oversized-cell",
+        ),
+        pytest.param(
+            "analyze", _cohort_bytes(), LATIN1_GRAPH_BYTES,
+            "GraphFileError", "byte 0xe9 at offset", id="latin1-graph",
+        ),
+        pytest.param(
+            "backdoor", _cohort_bytes(), LATIN1_GRAPH_BYTES,
+            "GraphFileError", "byte 0xe9 at offset", id="latin1-graph-backdoor",
+        ),
+    ],
+)
+def test_bad_input_is_data_error(tmp_path, capsys, command, cohort, graph, error_type, detail):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_bytes(graph)
+    data = tmp_path / "cohort.csv"
+    data.write_bytes(cohort)
+    if command == "backdoor":
+        argv = ["backdoor", "--graph", str(graph_path), "--treatment", "treatment",
+                "--outcome", "time"]
+    else:
+        argv = _analyze_args(tmp_path, graph_path, data)
+    code = main(argv)
+    assert code == 3
+    payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert payload["error"]["type"] == error_type
+    assert detail in payload["error"]["message"]
+    assert payload["error"]["exit"] == 3
+
+
+@pytest.mark.parametrize("n", ["4000", "100000"])
+def test_simulate_n_past_day_range_is_config_error(tmp_path, capsys, n):
+    assert main(["simulate", "--n", n, "--out", str(tmp_path / "x.csv")]) == 3
+    payload = json.loads(capsys.readouterr().out.strip())
+    assert payload["error"]["type"] == "InvalidConfig"
+    assert payload["error"]["message"].startswith(f"n={n} is too large")
+
+
+def test_simulate_seed_7_analysis_matches_golden_outputs(tmp_path):
+    # report.json and curves.csv of the paper design, pinned byte for byte
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps(CONFOUNDED_GRAPH))
     data = tmp_path / "cohort.csv"
-    data.write_text(f"treatment,time,event,z\n0,5,1,0\n1,{time},1,1\n1,3,1,0\n0,4,1,1\n")
-    code = main(_analyze_args(tmp_path, graph, data))
-    assert code == 3
-    payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
-    assert payload["error"]["type"] == "NonIntegerTime"
-    assert "row 3, column 'time'" in payload["error"]["message"]
-    assert payload["error"]["exit"] == 3
+    assert main(["simulate", "--seed", "7", "--out", str(data)]) == 0
+    assert main(_analyze_args(tmp_path, graph, data)) == 0
+    golden = Path(__file__).parent / "fixtures" / "golden_seed7"
+    for name in ("report.json", "curves.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (golden / name).read_bytes()

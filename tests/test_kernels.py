@@ -1,6 +1,7 @@
 import numpy as np
 
 from causalsurv import _cox_kernels as kernels
+from causalsurv.estimators import cox_fit, km_fit
 from oracles import cox_eval_loops
 
 
@@ -42,6 +43,21 @@ def test_integer_counts_equal_replicated_rows():
                 kernels.cox_eval(x, t, d, beta, efron, counts),
                 kernels.cox_eval(x[rep], t[rep], d[rep], beta, efron),
             )
+        # the fitters see the same distinct rows either way: bit-identical
+        x1 = np.round(x[:, :1])  # few distinct rows, so counts also merge
+        for ties in ("efron", "breslow"):
+            weighted = cox_fit(x1, t, d, counts=counts, ties=ties)
+            expanded = cox_fit(x1[rep], t[rep], d[rep], ties=ties)
+            for field in ("beta", "se", "loglik", "iterations", "converged"):
+                assert np.array_equal(getattr(weighted, field), getattr(expanded, field))
+        groups = (x[:, 1] > 0).astype(int)
+        weighted = km_fit(t, d, groups, counts=counts)
+        expanded = km_fit(t[rep], d[rep], groups[rep])
+        assert weighted.groups.keys() == expanded.groups.keys()
+        for label, group in weighted.groups.items():
+            want = expanded.groups[label]
+            for field in ("times", "at_risk", "events", "survival"):
+                assert np.array_equal(getattr(group, field), getattr(want, field))
 
 
 def test_numpy_path_handles_single_covariate():

@@ -84,3 +84,15 @@ def test_times_are_nonnegative_integers():
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(errors.InvalidConfig):
         generate_cohort(SimConfig(**kwargs))
+
+
+@pytest.mark.parametrize("n", [3741, 4000, 100_000, 10**13])
+def test_n_whose_ladder_leaves_the_day_range_rejected(n):
+    # at the default cells the last member's time first passes 2**63 at n = 3741
+    with pytest.raises(errors.InvalidConfig, match=f"^n={n} is too large"):
+        SimConfig(n=n).validate()
+
+
+def test_largest_n_within_the_day_range_is_simulated():
+    cohort = generate_cohort(SimConfig(n=3740, seed=1))
+    assert cohort.n == 3740

@@ -10,6 +10,8 @@ from causalsurv.trials import (
     to_daily_trials,
 )
 
+from oracles import expand
+
 
 def _cohort(rows):
     # rows: (treatment, time, event, z)
@@ -100,23 +102,37 @@ def _curve(days, counts0, counts1, sizes):
     return AdjustedCurve(days, p, counts, dict(sizes), frozenset(), int(days[-1]))
 
 
+def _rows(pseudo, arm):
+    """(day, event, count) rows of one arm, in pseudo-cohort order."""
+    mine = pseudo.arm == arm
+    return list(
+        zip(pseudo.day[mine].tolist(), pseudo.event[mine].tolist(), pseudo.count[mine].tolist())
+    )
+
+
+def _alive(pseudo, arm, days):
+    """Arm size minus the cumulative event count at each of ``days``."""
+    rows = _rows(pseudo, arm)
+    size = sum(count for _, _, count in rows)
+    return [
+        size - sum(count for day, event, count in rows if event == 1 and day <= d)
+        for d in days
+    ]
+
+
 def test_reconstruction_consecutive_differences():
     curve = _curve([0, 1, 2, 3], [100, 90, 90, 80], [100, 90, 90, 80], {0: 100, 1: 100})
     pseudo = from_adjusted_counts(curve, {0: 100, 1: 100})
-    arm0 = [(t, e) for x, t, e in pseudo.subjects if x == 0]
-    events = [t for t, e in arm0 if e == 1]
-    assert events.count(1) == 10
-    assert events.count(3) == 10
-    assert len(events) == 20
-    censored = [(t, e) for t, e in arm0 if e == 0]
-    assert censored == [(3, 0)] * 80
+    assert _rows(pseudo, 0) == [(1, 1, 10), (3, 1, 10), (3, 0, 80)]
+    assert _rows(pseudo, 1) == _rows(pseudo, 0)
+    assert pseudo.n == 200
 
 
 def test_reconstruction_constant_counts_all_censored():
     curve = _curve([0, 1, 2], [50, 50, 50], [50, 50, 50], {0: 50, 1: 50})
     pseudo = from_adjusted_counts(curve, {0: 50, 1: 50})
-    assert np.all(pseudo.event == 0)
-    assert np.all(pseudo.survival_time == 2)
+    assert _rows(pseudo, 0) == [(2, 0, 50)]
+    assert _rows(pseudo, 1) == [(2, 0, 50)]
 
 
 def test_reconstruction_fractional_counts_rounding():
@@ -124,21 +140,14 @@ def test_reconstruction_fractional_counts_rounding():
     # day, integerizing to [10, 9, 8]
     curve = _curve([0, 1, 2], [10, 9.5, 8.5], [10, 10, 10], {0: 10, 1: 10})
     pseudo = from_adjusted_counts(curve, {0: 10, 1: 10})
-    days, ints = pseudo.source_counts[0]
-    assert ints.tolist() == [10, 9, 8]
-    arm0 = [(t, e) for x, t, e in pseudo.subjects if x == 0]
-    assert arm0.count((1, 1)) == 1
-    assert arm0.count((2, 1)) == 1
-    assert arm0.count((2, 0)) == 8
+    assert _alive(pseudo, 0, [0, 1, 2]) == [10, 9, 8]
+    assert _rows(pseudo, 0) == [(1, 1, 1), (2, 1, 1), (2, 0, 8)]
 
 
 def test_reconstruction_death_at_day_zero():
     curve = _curve([0, 1], [8, 5], [10, 10], {0: 10, 1: 10})
     pseudo = from_adjusted_counts(curve, {0: 10, 1: 10})
-    arm0 = [(t, e) for x, t, e in pseudo.subjects if x == 0]
-    assert arm0.count((0, 1)) == 2
-    assert arm0.count((1, 1)) == 3
-    assert arm0.count((1, 0)) == 5
+    assert _rows(pseudo, 0) == [(0, 1, 2), (1, 1, 3), (1, 0, 5)]
 
 
 def test_reconstruction_preserves_arm_totals_and_stays_within_half():
@@ -157,9 +166,11 @@ def test_reconstruction_preserves_arm_totals_and_stays_within_half():
             counts.append(c)
         curve = _curve(days, counts[0], counts[1], sizes)
         pseudo = from_adjusted_counts(curve, sizes)
+        assert np.all(pseudo.count > 0)
+        assert pseudo.n == sizes[0] + sizes[1]
         for arm in (0, 1):
-            assert int((pseudo.treatment == arm).sum()) == sizes[arm]
-            _, ints = pseudo.source_counts[arm]
+            assert int(pseudo.count[pseudo.arm == arm].sum()) == sizes[arm]
+            ints = np.array(_alive(pseudo, arm, days))
             assert np.all(np.abs(ints - counts[arm]) <= 0.5 + 1e-12)
             assert np.all(np.diff(ints) <= 0)
 
@@ -189,8 +200,6 @@ def test_round_trip_identity_without_censoring():
                 t for (x, t, s, _) in rows if x == arm and s == 1
             )
             rebuilt = sorted(
-                int(t)
-                for x, t, e in pseudo.subjects
-                if x == arm and e == 1
+                day for x, day, event in expand(pseudo) if x == arm and event == 1
             )
             assert rebuilt == orig
