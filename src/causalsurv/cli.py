@@ -30,6 +30,17 @@ EXIT_NOT_IDENTIFIABLE = 4
 EXIT_NUMERICAL = 5
 
 
+def _alpha(text: str) -> float:
+    """argparse type for --alpha: a finite number strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:  # also false for nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not strictly between 0 and 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalsurv",
@@ -60,7 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="'auto' (first minimal backdoor set) or explicit comma-separated names",
     )
     analyze.add_argument("--ties", choices=("efron", "breslow"), default="efron")
-    analyze.add_argument("--alpha", type=float, default=0.05)
+    analyze.add_argument(
+        "--alpha", type=_alpha, default=0.05,
+        help="intervals cover 1 - alpha; strictly between 0 and 1 (default 0.05)",
+    )
     analyze.add_argument(
         "--t-max", type=int, default=None, help="truncate follow-up at this day"
     )

@@ -239,7 +239,8 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
         handle = csv_source
         close = False
     else:
-        handle = open(csv_source, "r", encoding="utf-8", newline="")
+        # utf-8-sig drops a leading byte-order mark, as spreadsheets write
+        handle = open(csv_source, "r", encoding="utf-8-sig", newline="")
         close = True
     try:
         reader = csv.reader(handle)

@@ -2,20 +2,24 @@
 
 These deliberately avoid the package's production code paths: d-separation
 is checked by enumerating every simple undirected path and applying the
-blocking rules; the Cox coefficient is checked by golden-section search
-over a directly-evaluated log partial likelihood; the Cox kernel is
-checked against a scalar loop over subjects; the backdoor-adjusted curve
-is checked against a sum over whole daily outcome histories; and the
-pseudo-cohort's count rows can be expanded to one tuple per subject.
+blocking rules; the minimal backdoor sets are checked by trying every
+subset of the candidates with ``satisfies_backdoor`` (whose d-separation
+is itself checked against the path enumeration); the Cox coefficient is
+checked by golden-section search over a directly-evaluated log partial
+likelihood; the Cox kernel is checked against a scalar loop over
+subjects; the backdoor-adjusted curve is checked against a sum over whole
+daily outcome histories; and the pseudo-cohort's count rows can be
+expanded to one tuple per subject.
 """
 
 import math
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from causalsurv.errors import InvalidAdjustmentSet, PositivityViolation
+from causalsurv.graph import descendants, satisfies_backdoor
 
 
 # --- brute-force d-separation -------------------------------------------------
@@ -97,6 +101,27 @@ def random_dag(rng, max_nodes=8, edge_prob=0.35, latent_prob=0.0):
                 edges.append((names[order[i]], names[order[j]]))
     nodes = [(name, bool(rng.random() >= latent_prob)) for name in names]
     return nodes, edges
+
+
+def brute_force_minimal_backdoor_sets(dag, treatment, outcome):
+    """Minimal backdoor sets by trying every subset of the candidates.
+
+    Candidates are the observed non-descendants of the treatment; subsets
+    go by size then lexicographically, and supersets of a set already
+    found are skipped, so the output order is the production order.
+    """
+    banned = descendants(dag, treatment) | {treatment, outcome}
+    candidates = sorted(v for v in dag.observed_nodes() if v not in banned)
+    minimal = []
+    for size in range(len(candidates) + 1):
+        for combo in combinations(candidates, size):
+            s = frozenset(combo)
+            if any(m.variables < s for m in minimal):
+                continue
+            checked = satisfies_backdoor(dag, s, treatment, outcome)
+            if checked.valid:
+                minimal.append(checked)
+    return minimal
 
 
 # --- direct Cox partial likelihood (one covariate, no ties) --------------------

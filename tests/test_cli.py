@@ -1,4 +1,8 @@
+import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +124,35 @@ def test_analyze_not_identifiable_front_door(tmp_path, capsys):
     assert "treatment <- z -> time" in payload["error"]["message"]
 
 
+def _latent_chain_graph(length=1500):
+    # treatment <- u0 -> u1 -> ... -> u1499 -> time, every u latent: the
+    # only open backdoor path is longer than Python's recursion limit
+    links = [f"u{i}" for i in range(length)]
+    return {
+        "nodes": [{"name": "treatment"}, {"name": "time"}]
+        + [{"name": u, "observed": False} for u in links],
+        "edges": [["u0", "treatment"], ["treatment", "time"], [links[-1], "time"]]
+        + [list(pair) for pair in zip(links, links[1:])],
+    }
+
+
+def test_long_latent_backdoor_path_is_not_identifiable(tmp_path, capsys):
+    graph = tmp_path / "chain.json"
+    graph.write_text(json.dumps(_latent_chain_graph()))
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--n", "50", "--seed", "2", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(_analyze_args(tmp_path, graph, data)) == 4
+    payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert payload["error"]["type"] == "NotIdentifiable"
+    assert payload["error"]["exit"] == 4
+    assert "treatment <- u0 -> u1 -> " in payload["error"]["message"]
+    assert payload["error"]["message"].endswith("-> u1499 -> time")
+    code = main(["backdoor", "--graph", str(graph), "--treatment", "treatment", "--outcome", "time"])
+    assert code == 4
+    assert capsys.readouterr().out.strip() == "NOT IDENTIFIABLE (backdoor)"
+
+
 def test_analyze_explicit_invalid_set(tmp_path, capsys):
     graph = tmp_path / "med.json"
     graph.write_text(json.dumps(MEDIATOR_GRAPH))
@@ -186,6 +219,39 @@ def test_analyze_breslow_and_alpha_flags(workspace):
     assert report["alpha"] == 0.01
     lo, hi = report["crude"]["ci"]
     assert lo < report["crude"]["hr"] < hi
+
+
+@pytest.mark.parametrize("alpha", ["2", "0", "-1", "nan", "inf"])
+def test_analyze_alpha_outside_unit_interval_is_usage_error(workspace, capsys, alpha):
+    tmp_path, graph, data = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(_analyze_args(tmp_path, graph, data, extra=["--alpha", alpha]))
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_reads_csv_with_byte_order_mark(workspace):
+    tmp_path, graph, data = workspace
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    for source, out in ((data, "plain"), (marked, "bom")):
+        assert main(_analyze_args(tmp_path, graph, source, out=out, extra=["--id", "id"])) == 0
+    report = (tmp_path / "bom" / "report.json").read_bytes()
+    assert report == (tmp_path / "plain" / "report.json").read_bytes()
+
+
+def test_import_loads_no_optional_modules():
+    # the CLI's cold start must not pull in graph or test libraries
+    code = "import causalsurv.cli, sys; print(sorted(sys.modules))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    loaded = {name.split(".")[0] for name in ast.literal_eval(done.stdout)}
+    assert "causalsurv" in loaded
+    assert not loaded & {"networkx", "scipy", "hypothesis"}
 
 
 def test_backdoor_lists_minimal_sets(tmp_path, capsys):

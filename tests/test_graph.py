@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalsurv import errors
 from causalsurv.graph import (
@@ -15,7 +17,11 @@ from causalsurv.graph import (
     validate_dag,
 )
 
-from oracles import brute_force_d_separated, random_dag
+from oracles import (
+    brute_force_d_separated,
+    brute_force_minimal_backdoor_sets,
+    random_dag,
+)
 
 
 @pytest.fixture
@@ -189,6 +195,19 @@ def test_minimal_sets_two_confounders():
     assert [s.sorted_members() for s in sets] == [("Z1", "Z2")]
 
 
+def test_minimal_sets_several_in_order():
+    # X <- A <- B -> Y and X <- C -> Y: either link of the chain, plus C;
+    # the latent L on a third path leaves only its observed parent D
+    dag = validate_dag(
+        ["A", "B", "C", "D", ("L", False), "X", "Y"],
+        [("B", "A"), ("A", "X"), ("B", "Y"), ("C", "X"), ("C", "Y"),
+         ("D", "L"), ("L", "X"), ("D", "Y"), ("X", "Y")],
+    )
+    sets = minimal_backdoor_sets(dag, "X", "Y")
+    assert [s.sorted_members() for s in sets] == [("A", "C", "D"), ("B", "C", "D")]
+    assert all(s.valid and (s.treatment, s.outcome) == ("X", "Y") for s in sets)
+
+
 def test_minimal_sets_are_inclusion_minimal():
     rng = np.random.default_rng(5)
     for _ in range(40):
@@ -210,6 +229,68 @@ def test_minimal_sets_graph_too_large():
     dag = validate_dag(names, edges + [("X", "Y")])
     with pytest.raises(errors.GraphTooLarge):
         minimal_backdoor_sets(dag, "X", "Y")
+
+
+@st.composite
+def dags_with_pair(draw):
+    """A DAG of at most 12 nodes, about a quarter latent, and two of its nodes."""
+    n = draw(st.integers(3, 12))
+    order = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    density = draw(st.sampled_from([2, 3, 5]))  # one edge in `density` pairs
+    keep = draw(st.lists(st.sampled_from([True] + [False] * (density - 1)),
+                         min_size=len(pairs), max_size=len(pairs)))
+    observed = draw(st.lists(st.sampled_from([True, True, True, False]),
+                             min_size=n, max_size=n))
+    treatment, outcome = draw(st.lists(st.sampled_from(order), min_size=2,
+                                       max_size=2, unique=True))
+    dag = validate_dag(list(zip(order, observed)),
+                       [pair for pair, k in zip(pairs, keep) if k])
+    return dag, treatment, outcome
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(dags_with_pair())
+def test_minimal_sets_match_exhaustive_search(case):
+    dag, treatment, outcome = case
+    assert minimal_backdoor_sets(dag, treatment, outcome) == (
+        brute_force_minimal_backdoor_sets(dag, treatment, outcome)
+    )
+
+
+def test_minimal_sets_are_minimal_d_separators_for_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(300):
+        nodes, edges = random_dag(rng, max_nodes=12, edge_prob=0.3, latent_prob=0.25)
+        names = [n for n, _ in nodes]
+        treatment, outcome = (str(v) for v in rng.choice(names, 2, replace=False))
+        dag = validate_dag(nodes, edges)
+        backdoor = nx.DiGraph([(a, b) for a, b in edges if a != treatment])
+        backdoor.add_nodes_from(names)
+        for s in minimal_backdoor_sets(dag, treatment, outcome):
+            assert nx.is_minimal_d_separator(backdoor, treatment, outcome, set(s.variables))
+            checked += 1
+    assert checked > 100
+
+
+def test_minimal_sets_wide_graph():
+    # the benchmark's wide graph: confounders c00 and c01 (c00 shares a
+    # latent cause with the outcome cause c02), instruments, outcome-only
+    # causes and a mediator
+    covariates = [f"c{i:02d}" for i in range(16)]
+    nodes = covariates + ["treatment", "m", "time", ("u", False), ("v", False)]
+    edges = [
+        ("c00", "treatment"), ("c00", "time"), ("c01", "treatment"), ("c01", "time"),
+        ("u", "c00"), ("u", "c02"), ("c02", "time"), ("v", "c01"),
+        ("treatment", "m"), ("m", "time"), ("treatment", "time"),
+    ]
+    edges += [(c, "treatment") for i, c in enumerate(covariates) if i >= 3 and i % 2]
+    edges += [(c, "time") for i, c in enumerate(covariates) if i >= 3 and not i % 2]
+    dag = validate_dag(nodes, edges)
+    sets = minimal_backdoor_sets(dag, "treatment", "time")
+    assert [s.sorted_members() for s in sets] == [("c00", "c01")]
 
 
 def test_open_backdoor_path_on_front_door(front_door):
