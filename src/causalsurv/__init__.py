@@ -16,7 +16,6 @@ from .cohort import (
     build_cohort,
     drop_early_censored,
     load_cohort,
-    load_saved_cohort,
     save_cohort,
     stratum_counts,
     truncate_followup,
@@ -36,8 +35,7 @@ from .simulate import SimConfig, generate_cohort
 from .svg import CurveSeries, emit_svg
 from .trials import (
     AdjustedCohort,
-    SurvivalMatrix,
-    daily_survival_proportions,
+    DailyTrials,
     from_adjusted_counts,
     to_daily_trials,
 )
@@ -55,16 +53,15 @@ __all__ = [
     "CohortDataset",
     "CoxFit",
     "CurveSeries",
+    "DailyTrials",
     "KmCurve",
     "SimConfig",
     "StratumIndex",
     "SubjectRecord",
-    "SurvivalMatrix",
     "adjust_curve",
     "build_cohort",
     "cox_fit",
     "d_separated",
-    "daily_survival_proportions",
     "descendants",
     "drop_early_censored",
     "emit_svg",
@@ -75,7 +72,6 @@ __all__ = [
     "km_fit",
     "load_cohort",
     "load_graph",
-    "load_saved_cohort",
     "minimal_backdoor_sets",
     "run_analysis",
     "satisfies_backdoor",

@@ -6,8 +6,11 @@ fractions:
 
     P(alive at day i | do(arm)) = sum_z P(alive at i | arm, z) * P(z)
 
-with both factors estimated as empirical frequencies.  An empty Z makes
-the adjusted curve the crude per-arm proportion.
+with both factors estimated as empirical frequencies, all read from the
+daily trials' (arm, stratum, day, event) count table: a cell's size is its
+sum over days and events, and the number alive at day i is that size less
+its deaths up to i.  An empty Z makes the adjusted curve the crude per-arm
+proportion.
 """
 
 from dataclasses import dataclass
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import CohortDataset
-from .errors import InvalidAdjustmentSet
+from .errors import InvalidAdjustmentSet, PositivityViolation
 from .graph import AdjustmentSet
-from .trials import DailyProportions, SurvivalMatrix, daily_survival_proportions
+from .trials import DailyTrials
 
 __all__ = ["AdjustedCurve", "adjust_curve", "unadjusted_curve"]
 
@@ -44,47 +47,57 @@ class AdjustedCurve:
         return self.p[arm, idx]
 
 
-def _curve_from_proportions(table: DailyProportions, cohort, members) -> AdjustedCurve:
-    n = cohort.n
-    weights = np.array(
-        [table.marginals[combo] for combo in table.strata], dtype=np.float64
-    ) / n
-    arm_sizes = cohort.arm_sizes()
-    p = np.empty((2, len(table.grid)))
+def _curve(table, days, strata, members) -> AdjustedCurve:
+    """The adjusted curve from a (2, strata, days, 2) count table.
+
+    Raises :class:`PositivityViolation` naming the first empty (arm,
+    stratum) cell, stratum by stratum and arm 0 first; the plug-in
+    adjustment needs every cell occupied.
+    """
+    sizes = table.sum(axis=(2, 3))
+    empty = np.argwhere(sizes.T == 0)
+    if empty.size:
+        stratum, arm = empty[0].tolist()
+        raise PositivityViolation(arm, strata[stratum])
+    deaths = table[..., 1]
+    grid = np.union1d(days[deaths.any(axis=(0, 1))], [0, days[-1]])
+    # deaths on or before each grid day, then alive = size - deaths so far
+    dead = np.zeros(deaths.shape[:2] + (len(days) + 1,), dtype=np.int64)
+    np.cumsum(deaths, axis=2, out=dead[..., 1:])
+    alive = sizes[..., None] - dead[..., np.searchsorted(days, grid, side="right")]
+    values = alive / sizes[..., None]
+    weights = sizes.sum(axis=0) / int(sizes.sum())
+    p = np.empty((2, len(grid)))
     for arm in (0, 1):
         # fixed evaluation order per day keeps the curve monotone in fp too
-        p[arm] = table.values[arm].T @ weights
+        p[arm] = values[arm].T @ weights
     np.clip(p, 0.0, 1.0, out=p)  # trim fp dust; the true values are in [0, 1]
-    counts = p * np.array([[arm_sizes[0]], [arm_sizes[1]]], dtype=np.float64)
+    arm_sizes = sizes.sum(axis=1)
+    counts = p * arm_sizes[:, None]
     return AdjustedCurve(
-        table.grid, p, counts, arm_sizes, frozenset(members), table.t_max
+        grid, p, counts, dict(enumerate(arm_sizes.tolist())), frozenset(members), int(days[-1])
     )
 
 
-def adjust_curve(
-    cohort: CohortDataset,
-    matrix: SurvivalMatrix,
-    z: AdjustmentSet,
-    laplace: float = 0.0,
-) -> AdjustedCurve:
+def adjust_curve(cohort: CohortDataset, trials: DailyTrials, z: AdjustmentSet) -> AdjustedCurve:
     """Apply the backdoor adjustment day by day for both arms.
 
+    ``trials`` are the daily trials of ``cohort`` stratified by the
+    members of ``z``; every quantity is read from their count table.
     Requires a valid adjustment set and positivity (every (arm, stratum)
     cell occupied).  The resulting per-arm curve is non-increasing because
     every stratum curve is and the weights do not depend on the day.
-    ``laplace`` is passed through to the per-stratum estimator; the
-    default 0 is the plain plug-in.
     """
     if not z.valid:
         raise InvalidAdjustmentSet(
             f"set {sorted(z.variables)!r} does not satisfy the backdoor criterion "
             f"for ({z.treatment!r}, {z.outcome!r})"
         )
-    table = daily_survival_proportions(matrix, cohort, z.variables, laplace=laplace)
-    return _curve_from_proportions(table, cohort, z.variables)
+    if trials.covariates != tuple(sorted(z.variables)):
+        raise ValueError(f"trials are stratified by {trials.covariates!r}, not by the set")
+    return _curve(trials.counts, trials.days, trials.strata, z.variables)
 
 
-def unadjusted_curve(cohort: CohortDataset, matrix: SurvivalMatrix) -> AdjustedCurve:
-    """Crude per-arm survival proportions on the same grid (no adjustment)."""
-    table = daily_survival_proportions(matrix, cohort, ())
-    return _curve_from_proportions(table, cohort, ())
+def unadjusted_curve(cohort: CohortDataset, trials: DailyTrials) -> AdjustedCurve:
+    """Crude per-arm survival proportions (no adjustment), summed over strata."""
+    return _curve(trials.counts.sum(axis=1, keepdims=True), trials.days, ((),), ())

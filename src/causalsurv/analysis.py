@@ -8,6 +8,12 @@ curves -> three Cox fits:
 * traditional  — treatment plus adjustment covariates, original cohort;
 * adjusted     — treatment only, on the reconstructed pseudo-cohort.
 
+After identification no stage looks at single subjects.  The daily trials
+are one (arm, stratum, day, event) count table; the adjusted curve, the
+unadjusted Kaplan-Meier curves and the crude and traditional fits all read
+its occupied cells as count rows, which fit exactly as the subjects they
+stand for would.
+
 Outputs are a versioned report.json, a curves.csv of both Kaplan-Meier
 step curves, and optionally an SVG plot.  Fixed inputs must produce
 byte-identical outputs: floats are serialized with Python's
@@ -16,6 +22,7 @@ Warnings are data, not logs; they live inside report.json.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import NormalDist
@@ -23,15 +30,11 @@ from statistics import NormalDist
 import numpy as np
 
 from .adjust import adjust_curve
-from .cohort import (
-    CohortDataset,
-    drop_early_censored,
-    load_cohort,
-    truncate_followup,
-)
+from .cohort import drop_early_censored, load_cohort, truncate_followup
 from .errors import (
     EstimationError,
     InvalidAdjustmentSet,
+    NonFiniteEstimate,
     NotIdentifiable,
     UnknownCovariate,
 )
@@ -123,31 +126,32 @@ def _z_for(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
-def _dummy_columns(cohort: CohortDataset, names):
-    """One-hot column blocks (first level dropped) for categorical covariates."""
-    blocks = []
-    for name in sorted(names):
-        levels = np.arange(1, len(cohort.covariate_levels[name]))
-        blocks.append((cohort.codes[name][:, None] == levels).astype(np.float64))
-    return blocks
-
-
 def _fit_entry(fit_callable, z_alpha) -> FitEntry:
-    entry = FitEntry()
     try:
         fit = fit_callable()
+        beta, se = float(fit.beta[0]), float(fit.se[0])
+        with np.errstate(over="ignore"):  # an infinite bound is refused below
+            hr = float(np.exp(beta))
+            ci = (float(np.exp(beta - z_alpha * se)), float(np.exp(beta + z_alpha * se)))
+        if not all(map(math.isfinite, (hr, *ci, se))):
+            raise NonFiniteEstimate(
+                f"beta {beta!r} with standard error {se!r} gives no finite "
+                "hazard ratio and interval"
+            )
     except EstimationError as exc:
-        entry.error = f"{type(exc).__name__}: {exc}"
-        return entry
-    beta = float(fit.beta[0])
-    se = float(fit.se[0])
-    entry.hr = float(np.exp(beta))
-    entry.ci = (float(np.exp(beta - z_alpha * se)), float(np.exp(beta + z_alpha * se)))
-    entry.beta = beta
-    entry.se = se
-    entry.converged = bool(fit.converged)
-    entry.iterations = int(fit.iterations)
-    return entry
+        return FitEntry(error=f"{type(exc).__name__}: {exc}")
+    return FitEntry(hr, ci, beta, se, bool(fit.converged), int(fit.iterations))
+
+
+def not_identifiable(dag, treatment, outcome) -> NotIdentifiable:
+    """The error for a pair no observed set adjusts, naming an open backdoor path."""
+    path = find_open_backdoor_path(dag, treatment, outcome)
+    detail = f"; open backdoor path: {format_path(dag, path)}" if path else ""
+    return NotIdentifiable(
+        "no observed set satisfies the backdoor criterion for "
+        f"({treatment!r}, {outcome!r}){detail}",
+        open_path=path,
+    )
 
 
 def _select_adjustment(dag, options, cohort):
@@ -157,15 +161,7 @@ def _select_adjustment(dag, options, cohort):
     if options.adjustment == "auto":
         sets = minimal_backdoor_sets(dag, treatment_node, outcome_node)
         if not sets:
-            path = find_open_backdoor_path(dag, treatment_node, outcome_node)
-            detail = (
-                f"; open backdoor path: {format_path(dag, path)}" if path else ""
-            )
-            raise NotIdentifiable(
-                "no observed set satisfies the backdoor criterion for "
-                f"({treatment_node!r}, {outcome_node!r}){detail}",
-                open_path=path,
-            )
+            raise not_identifiable(dag, treatment_node, outcome_node)
         if len(sets) > 1:
             listed = ", ".join(
                 "{" + ", ".join(s.sorted_members()) + "}" for s in sets
@@ -232,34 +228,33 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
     adjset, select_warnings = _select_adjustment(dag, options, cohort)
     warnings.extend(select_warnings)
 
-    matrix = to_daily_trials(cohort)
-    curve = adjust_curve(cohort, matrix, adjset)
-    pseudo = from_adjusted_counts(curve, cohort.arm_sizes())
+    trials = to_daily_trials(cohort, adjset.variables)
+    curve = adjust_curve(cohort, trials, adjset)
+    pseudo = from_adjusted_counts(curve, curve.arm_sizes)
 
-    km_unadj = km_fit(cohort.time, cohort.event, cohort.treatment)
+    arm, _, day, event, count = trials.cells(by_stratum=False)
+    km_unadj = km_fit(day, event, arm, counts=count)
     km_adj = km_fit(pseudo.day, pseudo.event, pseudo.arm, counts=pseudo.count)
 
     z_alpha = _z_for(options.alpha)
-    treatment = cohort.treatment.astype(np.float64)
     report = AnalysisReport(
         n=cohort.n,
         t_max=cohort.t_max,
-        arms=cohort.arm_sizes(),
+        arms=curve.arm_sizes,
         adjustment_set=adjset.sorted_members(),
         alpha=options.alpha,
         ties=options.ties,
     )
     report.crude = _fit_entry(
         lambda: cox_fit(
-            treatment[:, None], cohort.time, cohort.event, ties=options.ties
+            arm[:, None].astype(np.float64), day, event, counts=count, ties=options.ties
         ),
         z_alpha,
     )
-    trad_cols = [treatment] + _dummy_columns(cohort, adjset.variables)
+    arm_z, stratum, day_z, event_z, count_z = trials.cells()
+    x_z = np.column_stack([arm_z, *trials.dummies(stratum)]).astype(np.float64)
     report.traditional = _fit_entry(
-        lambda: cox_fit(
-            np.column_stack(trad_cols), cohort.time, cohort.event, ties=options.ties
-        ),
+        lambda: cox_fit(x_z, day_z, event_z, counts=count_z, ties=options.ties),
         z_alpha,
     )
     report.adjusted = _fit_entry(
@@ -291,7 +286,7 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
                 np.concatenate((group.times, [0, cohort.t_max]))
             ).astype(np.int64)
             survival = np.asarray(group.survival_at(days), dtype=np.float64)
-            counts = survival * cohort.arm_sizes()[arm]
+            counts = survival * curve.arm_sizes[arm]
             curves.append((variant, arm, days, survival, counts))
     artifacts = {
         "curves": curves,
@@ -310,7 +305,7 @@ def write_outputs(report, artifacts, out_dir, svg: bool = False) -> dict[str, Pa
 
     report_path = out / "report.json"
     report_path.write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n", encoding="utf-8"
     )
     paths["report"] = report_path
 

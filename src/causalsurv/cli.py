@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .analysis import AnalysisOptions, run_analysis, write_outputs
+from .analysis import AnalysisOptions, not_identifiable, run_analysis, write_outputs
 from .cohort import save_cohort, stratum_counts
 from .errors import (
     CausalSurvError,
@@ -138,8 +138,7 @@ def _cmd_backdoor(args) -> int:
     dag = load_graph(args.graph)
     sets = minimal_backdoor_sets(dag, args.treatment, args.outcome)
     if not sets:
-        print("NOT IDENTIFIABLE (backdoor)")
-        return EXIT_NOT_IDENTIFIABLE
+        raise not_identifiable(dag, args.treatment, args.outcome)
     for s in sets:
         print("{" + ", ".join(s.sorted_members()) + "}")
     return EXIT_OK
@@ -174,7 +173,8 @@ def _cmd_simulate(args) -> int:
 
 def _error_payload(exc: Exception, code: int) -> str:
     return json.dumps(
-        {"error": {"type": type(exc).__name__, "message": str(exc), "exit": code}}
+        {"error": {"type": type(exc).__name__, "message": str(exc), "exit": code}},
+        allow_nan=False,
     )
 
 

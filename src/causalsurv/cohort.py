@@ -292,30 +292,17 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
 def save_cohort(cohort: CohortDataset, destination) -> None:
     """Write the canonical cohort CSV: id, treatment, time, event, covariates."""
     covs = cohort.covariate_names()
+    labels = [np.array(cohort.covariate_levels[c], object)[cohort.codes[c]] for c in covs]
+    columns = [cohort.treatment, cohort.time, cohort.event, *labels]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", "treatment", "time", "event", *covs])
-    for s in cohort.subjects:
-        writer.writerow(
-            [s.id, s.treatment, s.survival_time, s.event]
-            + [s.covariates[c] for c in covs]
-        )
+    writer.writerows(zip(map(str, cohort.ids.tolist()), *(c.tolist() for c in columns)))
     text = buffer.getvalue()
     if hasattr(destination, "write"):
         destination.write(text)
     else:
         Path(destination).write_text(text, encoding="utf-8")
-
-
-SAVED_COLUMN_MAP = {"id": "id", "treatment": "treatment", "time": "time", "event": "event"}
-
-
-def load_saved_cohort(csv_source, covariates=None) -> CohortDataset:
-    """Read a CSV produced by :func:`save_cohort`."""
-    column_map = dict(SAVED_COLUMN_MAP)
-    if covariates is not None:
-        column_map["covariates"] = list(covariates)
-    return load_cohort(csv_source, column_map)
 
 
 @dataclass(frozen=True, eq=False)

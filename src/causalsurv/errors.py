@@ -143,6 +143,10 @@ class SingularHessian(EstimationError):
     pass
 
 
+class NonFiniteEstimate(EstimationError):
+    """A fit's hazard ratio, interval bound or standard error is not finite."""
+
+
 class NotConverged(EstimationError):
     pass
 

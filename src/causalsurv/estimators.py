@@ -215,8 +215,9 @@ def cox_fit(
             converged = True
 
     se = _standard_errors(info, p)
-    hr = np.exp(beta)
-    ci = (np.exp(beta - Z_95 * se), np.exp(beta + Z_95 * se))
+    with np.errstate(over="ignore"):  # a huge se gives an infinite bound, not a warning
+        hr = np.exp(beta)
+        ci = (np.exp(beta - Z_95 * se), np.exp(beta + Z_95 * se))
     return CoxFit(beta, se, hr, ci, float(ll), iterations, converged, ties)
 
 

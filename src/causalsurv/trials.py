@@ -7,114 +7,80 @@ count as alive on every day (their event was never observed).  That is the
 contract, and it overstates survival when censoring is heavy; the strict
 mode in :mod:`causalsurv.cohort` is the opt-in alternative.
 
+A subject's whole row of daily outcomes is fixed by their arm, stratum,
+last follow-up day and event flag, so the trials are held as one count
+table over those four: the number alive in an (arm, stratum) cell at day i
+is the cell's size minus its deaths on days up to i.  The table has one
+column per distinct follow-up day, so its size scales with the number of
+distinct days, not with t_max or the number of subjects.  Every stage
+after identification reads it: the adjusted curve, Kaplan-Meier and the
+crude and traditional Cox fits.
+
 Backward: per-arm per-day adjusted survival counts are turned back into a
 pseudo-cohort, held as count rows, whose deaths fall on the first day each
 count drops and whose survivors are censored at the horizon.
-
-Every per-day quantity here is a step function that can only change on a
-day somebody dies, so values are stored on the compressed grid of those
-days; cost scales with the number of distinct death days, not with t_max.
-Dense per-day arrays are available on demand for horizons that fit in
-memory.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import CohortDataset, stratum_counts
-from .errors import NonMonotoneCounts, PositivityViolation
+from .cohort import CohortDataset, stratum_assignments
+from .errors import NonMonotoneCounts
 
-__all__ = [
-    "SurvivalMatrix",
-    "DailyProportions",
-    "AdjustedCohort",
-    "to_daily_trials",
-    "daily_survival_proportions",
-    "from_adjusted_counts",
-]
-
-_DENSE_CELL_CAP = 200_000_000
+__all__ = ["DailyTrials", "AdjustedCohort", "to_daily_trials", "from_adjusted_counts"]
 
 
-@dataclass(frozen=True)
-class SurvivalMatrix:
-    """Per-subject daily survival indicators, stored as each death day.
+@dataclass(frozen=True, eq=False)
+class DailyTrials:
+    """The daily trials as subjects per (arm, stratum, day, event) cell.
 
-    ``death_day[j]`` is the first day subject j counts as dead, or -1 if
-    the subject stays alive through the whole window (censored subjects
-    always do).  The dense matrix y[day, subject] is materialized on
-    demand.
+    ``counts[arm, s, g, e]`` is the number of subjects in arm ``arm`` and
+    stratum ``strata[s]`` whose follow-up ends on day ``days[g]`` with
+    event flag ``e``.  Strata are the level combinations of ``covariates``
+    (sorted names), ``shape`` levels each, in the order of
+    :func:`~causalsurv.cohort.stratum_assignments`; ``days`` are the
+    distinct follow-up days, ascending, so the last is t_max.
     """
 
-    death_day: np.ndarray
-    t_max: int
-    n: int
-
-    def dense(self) -> np.ndarray:
-        cells = (self.t_max + 1) * self.n
-        if cells > _DENSE_CELL_CAP:
-            raise MemoryError(
-                f"dense matrix would hold {cells} cells; use the compressed accessors"
-            )
-        days = np.arange(self.t_max + 1)[:, None]
-        dd = self.death_day[None, :]
-        return ((dd < 0) | (days < dd)).view(np.uint8)
-
-    def event_grid(self) -> np.ndarray:
-        """Days where any survival value can change, plus both endpoints."""
-        days = self.death_day[self.death_day >= 0]
-        return np.unique(np.concatenate((days, [0, self.t_max]))).astype(np.int64)
-
-
-def to_daily_trials(cohort: CohortDataset) -> SurvivalMatrix:
-    """Break the study into daily trials: dead at day i iff event and time <= i."""
-    death_day = np.where(cohort.event == 1, cohort.time, -1).astype(np.int64)
-    return SurvivalMatrix(death_day, cohort.t_max, cohort.n)
-
-
-@dataclass(frozen=True)
-class DailyProportions:
-    """Empirical P(alive at day | arm, stratum) on the compressed day grid."""
-
+    covariates: tuple[str, ...]
     strata: tuple[tuple[str, ...], ...]
-    grid: np.ndarray
-    values: np.ndarray  # shape (2, n_strata, len(grid))
-    marginals: dict[tuple[str, ...], int]
-    t_max: int
+    shape: tuple[int, ...]
+    days: np.ndarray
+    counts: np.ndarray  # int64, shape (2, len(strata), len(days), 2)
 
-    def at(self, arm: int, stratum_index: int, day) -> np.ndarray:
-        day = np.asarray(day)
-        idx = np.searchsorted(self.grid, day, side="right") - 1
-        return self.values[arm, stratum_index, idx]
+    def cells(self, by_stratum: bool = True):
+        """Occupied cells as count rows: arm, stratum, day, event and count arrays.
+
+        ``by_stratum=False`` sums over the strata first, and every stratum
+        index is then 0.
+        """
+        table = self.counts if by_stratum else self.counts.sum(axis=1, keepdims=True)
+        arm, stratum, g, event = np.nonzero(table)
+        return arm, stratum, self.days[g], event, table[arm, stratum, g, event]
+
+    def dummies(self, stratum) -> list[np.ndarray]:
+        """0/1 column blocks of each covariate's levels but the first, per stratum index."""
+        if not self.shape:
+            return []
+        codes = np.unravel_index(stratum, self.shape)
+        return [c[:, None] == np.arange(1, k) for c, k in zip(codes, self.shape)]
 
 
-def daily_survival_proportions(
-    matrix: SurvivalMatrix, cohort: CohortDataset, stratify_by, laplace: float = 0.0
-) -> DailyProportions:
-    """Fraction alive per day within each (arm, stratum) cell.
+def to_daily_trials(cohort: CohortDataset, covariates) -> DailyTrials:
+    """Break the study into daily trials, counted per (arm, stratum, day, event).
 
-    Raises :class:`PositivityViolation` naming the first empty cell; the
-    plug-in adjustment downstream needs every cell occupied.  ``laplace``
-    adds a pseudocount to each cell's alive/dead tallies, (alive + a) /
-    (size + 2a), steadying near-empty strata; 0 is the plain plug-in and
-    0.5 is the conventional smoothing value.
+    Strata are the level combinations of ``covariates``; one bincount
+    over the cell key fills the table.
     """
-    index = stratum_counts(cohort, stratify_by)
-    empty = [cell for cell, count in index.counts.items() if count == 0]
-    if empty:
-        raise PositivityViolation(*empty[0])
-    grid = matrix.event_grid()
-    # deaths per (arm, stratum, grid day) cell, then alive = size - deaths so far
-    n_strata = len(index.strata)
-    dead = matrix.death_day >= 0
-    cell = (cohort.treatment * n_strata + index.assign)[dead] * len(grid)
-    cell += np.searchsorted(grid, matrix.death_day[dead])
-    deaths = np.bincount(cell, minlength=2 * n_strata * len(grid))
-    sizes = np.reshape(list(index.counts.values()), (n_strata, 2)).T[:, :, None]
-    alive = sizes - np.cumsum(deaths.reshape(2, n_strata, len(grid)), axis=2)
-    values = (alive + laplace) / (sizes + 2.0 * laplace)
-    return DailyProportions(index.strata, grid, values, index.marginals, matrix.t_max)
+    covs, strata, assign = stratum_assignments(cohort, covariates)
+    days, g = np.unique(cohort.time, return_inverse=True)
+    shape = (2, len(strata), len(days), 2)
+    key = ((cohort.treatment * len(strata) + assign) * len(days) + g) * 2 + cohort.event
+    counts = np.bincount(key, minlength=math.prod(shape)).reshape(shape)
+    levels = tuple(len(cohort.covariate_levels[c]) for c in covs)
+    return DailyTrials(covs, strata, levels, days, counts)
 
 
 @dataclass(frozen=True)

@@ -269,14 +269,16 @@ def expand(pseudo):
 
 # --- long-form interventional survival ----------------------------------------
 
-def brute_force_do(cohort, matrix, z, day, arm):
+def brute_force_do(cohort, z, day, arm):
     """Long-form interventional survival at one day.
 
     Sums the empirical joint probability of every observed daily outcome
     history (Y_0, ..., Y_day) whose final entry is alive, stratum by
-    stratum, weighted by the empirical stratum frequency.  Strata come from
-    the per-subject covariate dicts of ``cohort.subjects``, not from the
-    cohort's level codes.  Small cohorts only; cost grows with day * n.
+    stratum, weighted by the empirical stratum frequency.  Strata and death
+    days come from the per-subject records of ``cohort.subjects`` (a
+    subject dies on its survival time when its event is 1), not from the
+    cohort's level codes or the daily-trials table.  Small cohorts only;
+    cost grows with day * n.
     """
     if not z.valid:
         raise InvalidAdjustmentSet("adjustment set is not valid")
@@ -286,7 +288,7 @@ def brute_force_do(cohort, matrix, z, day, arm):
     covs = sorted(z.variables)
     keys = [tuple(s.covariates[c] for c in covs) for s in subjects]
     levels = [sorted({s.covariates[c] for s in subjects}) for c in covs]
-    death_day = matrix.death_day
+    death_day = [s.survival_time if s.event == 1 else -1 for s in subjects]
     n = len(subjects)
 
     total = 0.0

@@ -49,8 +49,8 @@ def warm_kernel():
 
 
 def _three_way(cohort, adjustment=ZSET):
-    matrix = cs.to_daily_trials(cohort)
-    curve = cs.adjust_curve(cohort, matrix, adjustment)
+    trials = cs.to_daily_trials(cohort, adjustment.variables)
+    curve = cs.adjust_curve(cohort, trials, adjustment)
     pseudo = cs.from_adjusted_counts(curve, cohort.arm_sizes())
     crude = cs.cox_fit(
         cohort.treatment.astype(float)[:, None], cohort.time, cohort.event
@@ -157,12 +157,12 @@ def _random_small_cohort(rng):
         edges = [(c, "x") for c in cov_names] + [(c, "t") for c in cov_names]
         dag = validate_dag(nodes, edges + [("x", "t")])
         adjustment = satisfies_backdoor(dag, set(cov_names), "x", "t")
-        matrix = cs.to_daily_trials(cohort)
+        trials = cs.to_daily_trials(cohort, adjustment.variables)
         try:
-            curve = cs.adjust_curve(cohort, matrix, adjustment)
+            curve = cs.adjust_curve(cohort, trials, adjustment)
         except errors.PositivityViolation:
             continue
-        return cohort, matrix, curve, adjustment
+        return cohort, curve, adjustment
 
 
 def test_criterion_3_adjustment_route_equivalence():
@@ -170,11 +170,11 @@ def test_criterion_3_adjustment_route_equivalence():
     rng = np.random.default_rng(20240)
     worst = 0.0
     for _ in range(1000):
-        cohort, matrix, curve, adjustment = _random_small_cohort(rng)
+        cohort, curve, adjustment = _random_small_cohort(rng)
         for arm in (0, 1):
             direct = curve.p_at(arm, np.arange(cohort.t_max + 1))
             for day in range(cohort.t_max + 1):
-                long_form = brute_force_do(cohort, matrix, adjustment, day, arm)
+                long_form = brute_force_do(cohort, adjustment, day, arm)
                 worst = max(worst, abs(float(direct[day]) - long_form))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-12 and elapsed <= 30.0
@@ -262,9 +262,9 @@ def test_criterion_7_no_bias_no_op():
         cohort = cs.generate_cohort(
             cs.SimConfig(seed=seed, p_treat_given_z={0: 0.5, 1: 0.5})
         )
-        matrix = cs.to_daily_trials(cohort)
-        adjusted_curve = cs.adjust_curve(cohort, matrix, ZSET)
-        crude_curve = cs.unadjusted_curve(cohort, matrix)
+        trials = cs.to_daily_trials(cohort, ZSET.variables)
+        adjusted_curve = cs.adjust_curve(cohort, trials, ZSET)
+        crude_curve = cs.unadjusted_curve(cohort, trials)
         arms = cohort.arm_sizes()
         for arm in (0, 1):
             gap = float(

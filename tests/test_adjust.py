@@ -30,7 +30,7 @@ def test_weighted_sum_hand_example():
     rows += [(1, 9, 1, "1")] * 2 + [(1, 1, 1, "1")] * 3  # 2/5 alive at day 5
     rows += [(0, 9, 1, "0")] * 5 + [(0, 9, 1, "1")] * 5
     cohort = _cohort(rows)
-    curve = adjust_curve(cohort, to_daily_trials(cohort), ZSET)
+    curve = adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
     assert curve.p_at(1, 5) == pytest.approx(0.8 * 0.5 + 0.4 * 0.5, abs=1e-15)
 
 
@@ -42,9 +42,9 @@ def test_exact_balance_matches_crude():
         for j, t in enumerate(times):
             rows.append((1 if j % 2 == 0 else 0, t, 1, z))
     cohort = _cohort(rows)
-    matrix = to_daily_trials(cohort)
-    adjusted = adjust_curve(cohort, matrix, ZSET)
-    crude = unadjusted_curve(cohort, matrix)
+    trials = to_daily_trials(cohort, {"z"})
+    adjusted = adjust_curve(cohort, trials, ZSET)
+    crude = unadjusted_curve(cohort, trials)
     for arm in (0, 1):
         assert np.max(np.abs(adjusted.p[arm] - crude.p_at(arm, adjusted.grid))) <= 1e-12
 
@@ -52,9 +52,9 @@ def test_exact_balance_matches_crude():
 def test_empty_set_equals_crude():
     rows = [(1, 3, 1, "0"), (1, 6, 1, "1"), (0, 4, 1, "0"), (0, 9, 1, "1")]
     cohort = _cohort(rows)
-    matrix = to_daily_trials(cohort)
-    adjusted = adjust_curve(cohort, matrix, EMPTY_SET)
-    crude = unadjusted_curve(cohort, matrix)
+    trials = to_daily_trials(cohort, ())
+    adjusted = adjust_curve(cohort, trials, EMPTY_SET)
+    crude = unadjusted_curve(cohort, trials)
     assert np.array_equal(adjusted.p, crude.p)
 
 
@@ -66,21 +66,21 @@ def test_invalid_set_rejected():
         [SubjectRecord(f"s{i}", x, t, s, {"m": "0"}) for i, (x, t, s, _) in enumerate(rows)]
     )
     with pytest.raises(errors.InvalidAdjustmentSet):
-        adjust_curve(cohort, to_daily_trials(cohort), bad)
+        adjust_curve(cohort, to_daily_trials(cohort, bad.variables), bad)
 
 
 def test_positivity_violation_names_stratum():
     rows = [(1, 3, 1, "0"), (0, 2, 1, "0"), (0, 4, 1, "1")]
     cohort = _cohort(rows)
     with pytest.raises(errors.PositivityViolation):
-        adjust_curve(cohort, to_daily_trials(cohort), ZSET)
+        adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
 
 
 def test_curve_bounds_and_monotonicity():
     rng = np.random.default_rng(23)
     for _ in range(30):
         cohort = _random_cohort(rng)
-        curve = adjust_curve(cohort, to_daily_trials(cohort), ZSET)
+        curve = adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
         assert np.all(curve.p >= 0.0)
         assert np.all(curve.p <= 1.0)
         assert np.all(np.diff(curve.p, axis=1) <= 0.0)
@@ -105,45 +105,36 @@ def _random_cohort(rng, max_n=30, max_day=10, n_cov=1):
             )
         try:
             cohort = _cohort(rows)
-            to_daily = to_daily_trials(cohort)
-            adjust_curve(cohort, to_daily, ZSET)  # positivity probe
+            adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)  # positivity probe
             return cohort
         except (errors.EmptyArm, errors.PositivityViolation):
             continue
 
 
-def test_laplace_smoothing_shrinks_toward_half():
+def test_plug_in_with_singleton_strata():
     rows = [(1, 9, 1, "0"), (1, 1, 1, "0"), (0, 9, 1, "0")]
     rows += [(1, 9, 1, "1"), (0, 9, 1, "1")]
     cohort = _cohort(rows)
-    matrix = to_daily_trials(cohort)
-    plain = adjust_curve(cohort, matrix, ZSET)
-    smoothed = adjust_curve(cohort, matrix, ZSET, laplace=0.5)
-    # stratum (x=1, z=0) has one of two dead by day 5: plug-in 1/2 stays,
-    # the singleton strata shrink from 1 toward (1+0.5)/(1+1);
-    # stratum weights are 3/5 and 2/5
+    plain = adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
+    # stratum (x=1, z=0) has one of two dead by day 5, the singleton
+    # stratum (x=1, z=1) none; stratum weights are 3/5 and 2/5
     assert plain.p_at(1, 5) == pytest.approx(0.5 * 0.6 + 1.0 * 0.4, abs=1e-15)
-    assert smoothed.p_at(1, 5) == pytest.approx(
-        ((1 + 0.5) / 3.0) * 0.6 + ((1 + 0.5) / 2.0) * 0.4, abs=1e-15
-    )
-    assert np.all(smoothed.p >= 0.0) and np.all(smoothed.p <= 1.0)
-    assert np.all(np.diff(smoothed.p, axis=1) <= 0.0)
+    assert np.all(plain.p >= 0.0) and np.all(plain.p <= 1.0)
+    assert np.all(np.diff(plain.p, axis=1) <= 0.0)
 
 
 def test_brute_force_day_zero_all_alive():
     rows = [(1, 3, 1, "0"), (0, 2, 1, "0"), (1, 4, 1, "1"), (0, 4, 1, "1")]
     cohort = _cohort(rows)
-    matrix = to_daily_trials(cohort)
-    assert brute_force_do(cohort, matrix, ZSET, 0, 1) == pytest.approx(1.0, abs=1e-12)
+    assert brute_force_do(cohort, ZSET, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_brute_force_single_stratum_equals_crude():
     rows = [(1, 3, 1, "0"), (0, 2, 1, "0"), (1, 5, 1, "0"), (0, 6, 1, "0")]
     cohort = _cohort(rows)
-    matrix = to_daily_trials(cohort)
-    crude = unadjusted_curve(cohort, matrix)
+    crude = unadjusted_curve(cohort, to_daily_trials(cohort, ()))
     for day in range(cohort.t_max + 1):
-        got = brute_force_do(cohort, matrix, EMPTY_SET, day, 1)
+        got = brute_force_do(cohort, EMPTY_SET, day, 1)
         assert got == pytest.approx(float(crude.p_at(1, day)), abs=1e-12)
 
 
@@ -153,10 +144,9 @@ def test_adjustment_routes_agree():
     rng = np.random.default_rng(99)
     for _ in range(40):
         cohort = _random_cohort(rng)
-        matrix = to_daily_trials(cohort)
-        curve = adjust_curve(cohort, matrix, ZSET)
+        curve = adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
         for arm in (0, 1):
             for day in range(0, cohort.t_max + 1, 3):
                 direct = float(curve.p_at(arm, day))
-                long_form = brute_force_do(cohort, matrix, ZSET, day, arm)
+                long_form = brute_force_do(cohort, ZSET, day, arm)
                 assert abs(direct - long_form) <= 1e-12

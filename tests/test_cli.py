@@ -150,7 +150,7 @@ def test_long_latent_backdoor_path_is_not_identifiable(tmp_path, capsys):
     assert payload["error"]["message"].endswith("-> u1499 -> time")
     code = main(["backdoor", "--graph", str(graph), "--treatment", "treatment", "--outcome", "time"])
     assert code == 4
-    assert capsys.readouterr().out.strip() == "NOT IDENTIFIABLE (backdoor)"
+    assert json.loads(capsys.readouterr().out, parse_constant=pytest.fail) == payload
 
 
 def test_analyze_explicit_invalid_set(tmp_path, capsys):
@@ -291,7 +291,32 @@ def test_backdoor_front_door_not_identifiable(tmp_path, capsys):
     graph.write_text(json.dumps(FRONT_DOOR_GRAPH))
     code = main(["backdoor", "--graph", str(graph), "--treatment", "treatment", "--outcome", "time"])
     assert code == 4
-    assert capsys.readouterr().out.strip() == "NOT IDENTIFIABLE (backdoor)"
+    payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert payload == {
+        "error": {
+            "type": "NotIdentifiable",
+            "message": "no observed set satisfies the backdoor criterion for "
+            "('treatment', 'time'); open backdoor path: treatment <- z -> time",
+            "exit": 4,
+        }
+    }
+
+
+def test_analyze_non_finite_fit_is_an_error_entry(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(CONFOUNDED_GRAPH))
+    data = tmp_path / "cohort.csv"
+    rows = ["1,0,1,0", "1,1,1,1", "1,0,0,0", "1,1,1,1", "0,2,1,0",
+            "1,0,1,0", "0,2,0,1", "0,0,0,0", "0,1,1,0"]
+    data.write_text("treatment,time,event,z\n" + "\n".join(rows) + "\n")
+    assert main(_analyze_args(tmp_path, graph, data)) == 0
+    assert "traditional: failed (NonFiniteEstimate" in capsys.readouterr().out
+    text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    report = json.loads(text, parse_constant=pytest.fail)
+    assert set(report["traditional"]) == {"error"}
+    assert report["traditional"]["error"].startswith("NonFiniteEstimate: ")
+    assert "traditional fit failed: NonFiniteEstimate: " in "\n".join(report["warnings"])
+    assert "hr" in report["crude"] and "hr" in report["adjusted"]
 
 
 def test_simulate_writes_deterministic_csv(tmp_path):

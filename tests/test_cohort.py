@@ -9,7 +9,6 @@ from causalsurv.cohort import (
     build_cohort,
     drop_early_censored,
     load_cohort,
-    load_saved_cohort,
     save_cohort,
     stratum_assignments,
     stratum_counts,
@@ -92,7 +91,8 @@ def test_save_load_roundtrip(tmp_path):
     cohort = load_cohort(_csv(["0,5,1,0", "1,3,0,1", "0,8,1,0", "1,2,1,1"]), MAP)
     out = tmp_path / "cohort.csv"
     save_cohort(cohort, out)
-    again = load_saved_cohort(out, covariates=["z"])
+    columns = ("id", "treatment", "time", "event")
+    again = load_cohort(out, {**dict(zip(columns, columns)), "covariates": ["z"]})
     assert again.subjects == cohort.subjects
     assert again.t_max == cohort.t_max
     # serialization is canonical: a second save is byte-identical

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalsurv import errors
-from causalsurv.adjust import AdjustedCurve, unadjusted_curve
+from causalsurv.adjust import AdjustedCurve, adjust_curve, unadjusted_curve
 from causalsurv.cohort import SubjectRecord, build_cohort
-from causalsurv.trials import (
-    daily_survival_proportions,
-    from_adjusted_counts,
-    to_daily_trials,
-)
+from causalsurv.estimators import cox_fit, km_fit
+from causalsurv.graph import satisfies_backdoor, validate_dag
+from causalsurv.trials import from_adjusted_counts, to_daily_trials
 
 from oracles import expand
+
+CONFOUNDED = validate_dag(["z", "x", "t"], [("z", "x"), ("z", "t"), ("x", "t")])
+ZSET = satisfies_backdoor(CONFOUNDED, {"z"}, "x", "t")
 
 
 def _cohort(rows):
@@ -23,26 +26,26 @@ def _cohort(rows):
     )
 
 
-def _column(cohort, matrix, j):
-    return matrix.dense()[:, j].tolist()
+def _alive_per_day(trials, arm):
+    """Alive in ``arm`` on each day 0..t_max: its size less deaths at or before the day."""
+    table = trials.counts[arm].sum(axis=0)  # (day, event)
+    days = range(int(trials.days[-1]) + 1)
+    return [int(table.sum() - table[trials.days <= d, 1].sum()) for d in days]
 
 
 def test_event_subject_dies_at_its_day():
     cohort = _cohort([(1, 2, 1, "0"), (0, 3, 1, "0")])
-    matrix = to_daily_trials(cohort)
-    assert _column(cohort, matrix, 0) == [1, 1, 0, 0]
+    assert _alive_per_day(to_daily_trials(cohort, ()), 1) == [1, 1, 0, 0]
 
 
 def test_censored_subject_stays_alive():
     cohort = _cohort([(1, 2, 0, "0"), (0, 3, 1, "0")])
-    matrix = to_daily_trials(cohort)
-    assert _column(cohort, matrix, 0) == [1, 1, 1, 1]
+    assert _alive_per_day(to_daily_trials(cohort, ()), 1) == [1, 1, 1, 1]
 
 
 def test_day_zero_death():
     cohort = _cohort([(1, 0, 1, "0"), (0, 3, 1, "0")])
-    matrix = to_daily_trials(cohort)
-    assert _column(cohort, matrix, 0) == [0, 0, 0, 0]
+    assert _alive_per_day(to_daily_trials(cohort, ()), 1) == [0, 0, 0, 0]
 
 
 def test_matrix_is_monotone_and_column_sums_match():
@@ -61,18 +64,20 @@ def test_matrix_is_monotone_and_column_sums_match():
         rows[0] = (1, rows[0][1], rows[0][2], "0")
         rows[-1] = (0, rows[-1][1], rows[-1][2], "0")
         cohort = _cohort(rows)
-        y = to_daily_trials(cohort).dense()
-        assert np.all(np.diff(y.astype(int), axis=0) <= 0)
+        trials = to_daily_trials(cohort, ())
+        assert trials.counts.sum() == cohort.n
+        alive = np.array([_alive_per_day(trials, arm) for arm in (0, 1)])
+        assert np.all(np.diff(alive, axis=1) <= 0)
         for i in range(cohort.t_max + 1):
             dead = sum(1 for (_, t, s, _) in rows if s == 1 and t <= i)
-            assert y[i].sum() == cohort.n - dead
+            assert alive[:, i].sum() == cohort.n - dead
 
 
 def test_proportions_all_alive():
     cohort = _cohort([(1, 5, 0, "0"), (0, 5, 0, "0"), (1, 5, 0, "1"), (0, 5, 0, "1")])
-    matrix = to_daily_trials(cohort)
-    table = daily_survival_proportions(matrix, cohort, {"z"})
-    assert np.all(table.values == 1.0)
+    trials = to_daily_trials(cohort, {"z"})
+    assert trials.counts[..., 1].sum() == 0
+    assert np.all(adjust_curve(cohort, trials, ZSET).p == 1.0)
 
 
 def test_proportions_direct_count():
@@ -80,17 +85,80 @@ def test_proportions_direct_count():
     rows = [(1, 3, 1, "0"), (1, 9, 1, "0"), (1, 9, 1, "0"), (1, 9, 1, "0")]
     rows += [(0, 9, 1, "0"), (1, 9, 1, "1"), (0, 9, 1, "1")]
     cohort = _cohort(rows)
-    table = daily_survival_proportions(to_daily_trials(cohort), cohort, {"z"})
-    z0 = table.strata.index(("0",))
-    assert table.at(1, z0, 3) == 0.75
-    assert table.at(1, z0, 2) == 1.0
+    trials = to_daily_trials(cohort, {"z"})
+    cell = trials.counts[1, trials.strata.index(("0",))]
+    size = cell.sum()
+    assert (size - cell[trials.days <= 3, 1].sum()) / size == 0.75
+    assert (size - cell[trials.days <= 2, 1].sum()) / size == 1.0
 
 
 def test_proportions_positivity_violation():
     cohort = _cohort([(1, 3, 1, "0"), (0, 2, 1, "0"), (0, 4, 1, "1")])
     with pytest.raises(errors.PositivityViolation) as exc:
-        daily_survival_proportions(to_daily_trials(cohort), cohort, {"z"})
+        adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
     assert "arm=1" in str(exc.value)
+
+
+@st.composite
+def small_cohorts(draw):
+    """A cohort of 2-25 subjects over days 0-8 with 0-2 covariates of 1-3 levels."""
+    n = draw(st.integers(2, 25))
+    levels = draw(st.lists(st.integers(1, 3), max_size=2))
+    records = [
+        SubjectRecord(
+            f"s{i}",
+            draw(st.integers(0, 1)),
+            draw(st.integers(0, 8)),
+            draw(st.integers(0, 1)),
+            {f"c{k}": str(draw(st.integers(0, m - 1))) for k, m in enumerate(levels)},
+        )
+        for i in range(n)
+    ]
+    try:
+        return build_cohort(records)
+    except errors.EmptyArm:
+        return draw(st.nothing())
+
+
+def _fit_outcome(fit, *args, **kwargs):
+    """A fit's bits (beta, se, loglik, iterations, converged), or its error."""
+    try:
+        f = fit(*args, **kwargs)
+    except errors.EstimationError as exc:
+        return type(exc).__name__, str(exc)
+    return f.beta.tobytes(), f.se.tobytes(), f.loglik, f.iterations, f.converged
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_cohorts())
+def test_count_rows_fit_exactly_as_subjects(cohort):
+    covariates = cohort.covariate_names()
+    trials = to_daily_trials(cohort, covariates)
+    treatment = cohort.treatment.astype(np.float64)
+    dummies = [
+        cohort.codes[c][:, None] == np.arange(1, len(cohort.covariate_levels[c]))
+        for c in covariates
+    ]
+    x_subjects = np.column_stack([treatment, *dummies]).astype(np.float64)
+    arm, _, day, event, count = trials.cells(by_stratum=False)
+    arm_z, stratum, day_z, event_z, count_z = trials.cells()
+    x_cells = np.column_stack([arm_z, *trials.dummies(stratum)]).astype(np.float64)
+    for ties in ("efron", "breslow"):
+        crude = _fit_outcome(cox_fit, treatment[:, None], cohort.time, cohort.event, ties=ties)
+        assert crude == _fit_outcome(
+            cox_fit, arm[:, None].astype(np.float64), day, event, counts=count, ties=ties
+        )
+        traditional = _fit_outcome(cox_fit, x_subjects, cohort.time, cohort.event, ties=ties)
+        assert traditional == _fit_outcome(
+            cox_fit, x_cells, day_z, event_z, counts=count_z, ties=ties
+        )
+    by_subject = km_fit(cohort.time, cohort.event, cohort.treatment)
+    by_cell = km_fit(day, event, arm, counts=count)
+    assert by_subject.groups.keys() == by_cell.groups.keys()
+    for arm_label, group in by_subject.groups.items():
+        other = by_cell.groups[arm_label]
+        for name in ("times", "at_risk", "events", "survival"):
+            assert getattr(group, name).tobytes() == getattr(other, name).tobytes()
 
 
 def _curve(days, counts0, counts1, sizes):
@@ -192,8 +260,7 @@ def test_round_trip_identity_without_censoring():
         rows[0] = (1, rows[0][1], 1, "0")
         rows[-1] = (0, rows[-1][1], 1, "0")
         cohort = _cohort(rows)
-        matrix = to_daily_trials(cohort)
-        curve = unadjusted_curve(cohort, matrix)
+        curve = unadjusted_curve(cohort, to_daily_trials(cohort, ()))
         pseudo = from_adjusted_counts(curve, cohort.arm_sizes())
         for arm in (0, 1):
             orig = sorted(
