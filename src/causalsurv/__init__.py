@@ -11,13 +11,11 @@ from .adjust import AdjustedCurve, adjust_curve, unadjusted_curve
 from .analysis import AnalysisOptions, AnalysisReport, run_analysis, write_outputs
 from .cohort import (
     CohortDataset,
-    StratumIndex,
     SubjectRecord,
     build_cohort,
     drop_early_censored,
     load_cohort,
     save_cohort,
-    stratum_counts,
     truncate_followup,
 )
 from .estimators import CoxFit, KmCurve, cox_fit, hr_report, km_fit
@@ -56,7 +54,6 @@ __all__ = [
     "DailyTrials",
     "KmCurve",
     "SimConfig",
-    "StratumIndex",
     "SubjectRecord",
     "adjust_curve",
     "build_cohort",
@@ -76,7 +73,6 @@ __all__ = [
     "run_analysis",
     "satisfies_backdoor",
     "save_cohort",
-    "stratum_counts",
     "to_daily_trials",
     "truncate_followup",
     "unadjusted_curve",

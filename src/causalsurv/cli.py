@@ -12,8 +12,10 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .analysis import AnalysisOptions, not_identifiable, run_analysis, write_outputs
-from .cohort import save_cohort, stratum_counts
+from .cohort import save_cohort
 from .errors import (
     CausalSurvError,
     EstimationError,
@@ -156,12 +158,13 @@ def _cmd_simulate(args) -> int:
     else:
         save_cohort(cohort, sys.stdout)
     arms = cohort.arm_sizes()
-    counts = stratum_counts(cohort, {"z"})
-    summary = {}
-    for level in cohort.covariate_levels["z"]:
-        total = counts.marginals[(level,)]
-        treated = counts.counts[(1, (level,))]
-        summary[level] = treated / total if total else float("nan")
+    levels = cohort.covariate_levels["z"]
+    # subjects per (z level, arm); every level has a subject
+    table = np.bincount(cohort.codes["z"] * 2 + cohort.treatment, minlength=2 * len(levels))
+    summary = {
+        level: treated / (control + treated)
+        for level, (control, treated) in zip(levels, table.reshape(-1, 2).tolist())
+    }
     bias = ", ".join(f"P(x=1|z={lvl})={p:.3f}" for lvl, p in sorted(summary.items()))
     print(
         f"n={cohort.n} arms: control={arms[0]} treated={arms[1]} "

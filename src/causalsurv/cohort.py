@@ -1,4 +1,4 @@
-"""Cohort ingestion, validation, and stratum indexing.
+"""Cohort ingestion and validation.
 
 A cohort is a set of subjects with a binary treatment, an integer survival
 time in days, a binary event flag (1 = event at that time, 0 = censored at
@@ -8,10 +8,20 @@ transformation downstream stays unambiguous.  Continuous covariates are
 likewise rejected in spirit: every covariate column is treated as a label,
 and users must pre-discretize numeric ones.
 
+``load_cohort`` reads the CSV whole as bytes and checks UTF-8 first.  Bytes
+with no quote, no NUL and no carriage return outside a CRLF pair are
+tokenized with numpy in newline-aligned chunks: delimiter positions come
+from byte compares, each cell's bytes become an integer key, and one
+``np.unique`` per column leaves only the distinct cells to decode.  Other
+bytes go through ``csv.reader``.  Both readers and ``build_cohort`` hand
+each column to one validator as distinct raw cells plus one index per
+row, so checks, stripping and level sorting run once per distinct value.
+
 Datasets are columnar, immutable after load and safe for shared
-concurrent reads.  CSV cells and subject records pass one validator.
+concurrent reads.
 """
 
+import codecs
 import csv
 import io
 from dataclasses import dataclass, field, replace
@@ -22,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    AmbiguousColumn,
     CohortError,
     EmptyArm,
     MissingColumn,
@@ -37,11 +48,9 @@ from .errors import (
 __all__ = [
     "SubjectRecord",
     "CohortDataset",
-    "StratumIndex",
     "build_cohort",
     "load_cohort",
     "save_cohort",
-    "stratum_counts",
     "truncate_followup",
     "drop_early_censored",
 ]
@@ -119,18 +128,19 @@ def _dataset(ids, treatment, time, event, covariates) -> CohortDataset:
 
 
 def _encode(rows, j):
-    """Sorted distinct stripped values of column ``j``, and each row's code."""
-    distinct = set(map(itemgetter(j), rows))
-    levels = sorted({c.strip() for c in distinct})
-    position = {v: i for i, v in enumerate(levels)}
-    index = {c: position[c.strip()] for c in distinct}
-    cells = map(index.__getitem__, map(itemgetter(j), rows))
-    return tuple(levels), np.fromiter(cells, dtype=np.int64, count=len(rows))
+    """Distinct cells of column ``j`` in first-seen order, and each row's index into them."""
+    cells = list(map(itemgetter(j), rows))
+    index = {c: i for i, c in enumerate(dict.fromkeys(cells))}
+    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
+    return list(index), codes
 
 
 def _first(flagged, codes) -> int:
-    """Index of the first row whose level is flagged (one bool per level)."""
+    """Index of the first row whose cell is flagged (one bool per distinct cell)."""
     return int(np.argmax(np.array(flagged, dtype=bool)[codes]))
+
+
+_DAY_MAX = int(np.iinfo(np.int64).max)
 
 
 def _day_count(text):
@@ -145,52 +155,53 @@ def _day_count(text):
         if not day.is_integer():
             return 0, "is not a whole number of days (fractional times are rejected, not rounded)"
         day = int(day)
-    if day > np.iinfo(np.int64).max:
+    if day > _DAY_MAX:
         return 0, "is outside the 64-bit range of day counts"
     return day, None
 
 
-def _validated(rows, columns, ids, id_column, where, broken=None) -> CohortDataset:
-    """Check rows of raw text cells column by column and build the dataset.
+def _validated(columns, ids, where, broken=None) -> CohortDataset:
+    """Check cells column by column and build the dataset.
 
-    ``columns`` holds (name, position in a row) for treatment, time, event
-    and then each covariate; ``ids`` come from column ``id_column`` unless
-    it is None, and ``where(i)`` names row i in messages.  The earliest
-    failing row is reported; within a row an empty cell (in column order,
-    the id column last) comes first, then treatment, time, event.
-    ``broken``, a structural error just past ``rows``, is raised when every
+    ``columns`` holds (name, distinct raw cells, each row's index into
+    them) for treatment, time, event and then each covariate.  ``ids`` is
+    an id array, or such a triple for an id column, whose cells are
+    stripped and checked last.  ``where(i)`` names row i in messages.  The
+    earliest failing row is reported; within a row an empty cell (in
+    column order, the id column last) comes first, then treatment, time,
+    event.  Messages quote a cell as it was written, unstripped.
+    ``broken``, a structural error just past the rows, is raised when every
     row passes.
     """
-    encoded = [_encode(rows, j) for _, j in columns]
+    checked = columns + ([ids] if isinstance(ids, tuple) else [])
+    values = [[cell.strip() for cell in raw] for _, raw, _ in checked]
     failures = []
-    for (name, _), (levels, codes) in zip(columns, encoded):
-        if levels and levels[0] == "":  # "" sorts first
-            i = int(np.argmax(codes == 0))
+    for (name, _, index), stripped in zip(checked, values):
+        empty = [v == "" for v in stripped]
+        if any(empty):
+            i = _first(empty, index)
             failures.append((i, MissingValue(f"{where(i)}: column {name!r} is empty")))
-    if id_column is not None and np.any(ids == ""):
-        i = int(np.argmax(ids == ""))
-        failures.append((i, MissingValue(f"{where(i)}: column {id_column!r} is empty")))
 
     def binary(k, exc):
-        (name, j), (levels, codes) = columns[k], encoded[k]
-        bad = [v not in ("0", "1") for v in levels]
+        name, raw, index = columns[k]
+        bad = [v not in ("0", "1") for v in values[k]]
         if any(bad):
-            i = _first(bad, codes)
-            got = f"expected 0 or 1, got {rows[i][j]!r}"
+            i = _first(bad, index)
+            got = f"expected 0 or 1, got {raw[index[i]]!r}"
             failures.append((i, exc(f"{where(i)}, column {name!r}: {got}")))
-        return np.array([v == "1" for v in levels], dtype=np.int64)[codes]
+        return np.array([v == "1" for v in values[k]], dtype=np.int64)[index]
 
     treatment = binary(0, NonBinaryTreatment)
-    (name, j), (levels, codes) = columns[1], encoded[1]
-    parsed = [_day_count(v) for v in levels]
+    name, raw, index = columns[1]
+    parsed = [_day_count(v) for v in values[1]]
     bad = [reason is not None or day < 0 for day, reason in parsed]
     if any(bad):
-        i = _first(bad, codes)
-        day, reason = parsed[codes[i]]
+        i = _first(bad, index)
+        day, reason = parsed[index[i]]
         if reason is None:
             exc = NegativeTime(f"{where(i)}, column {name!r}: {day} is negative")
         else:
-            exc = NonIntegerTime(f"{where(i)}, column {name!r}: {rows[i][j]!r} {reason}")
+            exc = NonIntegerTime(f"{where(i)}, column {name!r}: {raw[index[i]]!r} {reason}")
         failures.append((i, exc))
     event = binary(2, NonBinaryEvent)
 
@@ -198,8 +209,15 @@ def _validated(rows, columns, ids, id_column, where, broken=None) -> CohortDatas
         raise min(failures, key=itemgetter(0))[1]
     if broken is not None:
         raise broken
-    time = np.array([day for day, _ in parsed], dtype=np.int64)[codes]
-    covariates = {name: enc for (name, _), enc in zip(columns[3:], encoded[3:])}
+    time = np.array([day for day, _ in parsed], dtype=np.int64)[index]
+    covariates = {}
+    for (name, _, index), stripped in zip(columns[3:], values[3:]):
+        levels = sorted(set(stripped))
+        position = {v: i for i, v in enumerate(levels)}
+        codes = np.array([position[v] for v in stripped], dtype=np.int64)[index]
+        covariates[name] = (tuple(levels), codes)
+    if isinstance(ids, tuple):
+        ids = np.array(values[-1], dtype=object)[ids[2]]
     return _dataset(ids, treatment, time, event, covariates)
 
 
@@ -219,74 +237,236 @@ def build_cohort(records) -> CohortDataset:
             )
         cells = (r.treatment, r.survival_time, r.event, *map(r.covariates.get, names))
         rows.append(tuple(map(str, cells)))
-    columns = [("treatment", 0), ("time", 1), ("event", 2)]
-    columns += [(c, 3 + k) for k, c in enumerate(names)]
+    columns = ["treatment", "time", "event", *names]
+    columns = [(name, *_encode(rows, k)) for k, name in enumerate(columns)]
     ids = np.array([r.id for r in records], dtype=object)
-    return _validated(rows, columns, ids, None, lambda i: f"subject {ids[i]!r}")
+    return _validated(columns, ids, lambda i: f"subject {ids[i]!r}")
+
+
+def _decoded(data) -> str:
+    """The text of UTF-8 bytes, without a leading byte-order mark."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CohortError(
+            f"CSV is not valid UTF-8: byte 0x{exc.object[exc.start]:02x} cannot be decoded"
+        ) from None
+
+
+def _read_bytes(csv_source) -> bytes:
+    if not hasattr(csv_source, "read"):
+        with open(csv_source, "rb") as handle:
+            return handle.read()
+    data = csv_source.read()
+    return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+
+
+def _positions(header, names) -> dict[str, int]:
+    """Each named column's position in the header; each must appear once."""
+    positions = {}
+    for name in names:
+        if name not in header:
+            raise MissingColumn(f"column {name!r} not found in header {header!r}")
+        j = header.index(name)
+        if name in header[j + 1 :]:
+            raise AmbiguousColumn(
+                f"column {name!r} appears more than once in header {header!r}, "
+                f"as fields {j + 1} and {header.index(name, j + 1) + 1}"
+            )
+        positions[name] = j
+    return positions
+
+
+def _parsed(reader, width, positions):
+    """Rows of a ``csv.reader`` up to the first ragged one, as for :func:`_tokenized`."""
+    rows, numbers, broken = [], [], None
+    for number, row in enumerate(reader, 2):
+        if row and len(row) != width:
+            broken = RaggedRow(f"row {number}: {len(row)} fields, header has {width}")
+            break
+        if row:
+            rows.append(row)
+            numbers.append(number)
+    columns = {j: _encode(rows, j) for j in positions}
+    return np.array(numbers, dtype=np.int64), columns, broken
+
+
+def _first_line(data):
+    """Header cells of quote-free CSV bytes, and the offset of the next line.
+
+    The header is None when there is no first line.
+    """
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if start == len(data):
+        return None, start
+    end = data.find(b"\n", start)
+    end = len(data) if end < 0 else end
+    line = data[start:end].decode()
+    header = line.split(",") if line else []
+    limit = csv.field_size_limit()
+    if any(len(cell) > limit for cell in header):
+        raise CohortError(f"line 1: field larger than field limit ({limit})")
+    return header, end + 1
+
+
+# Bytes tokenized at a time; a chunk runs on to the end of its last line.
+_CHUNK = 1 << 18
+# _MASK[w] keeps the first w bytes of a little-endian 8-byte word.
+_MASK = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype="<u8")
+# The narrowest key type that holds a cell of up to w bytes.
+_KEY_TYPE = ("<u1", "<u1", "<u2", "<u4", "<u4", "<u8", "<u8", "<u8", "<u8")
+
+
+def _cell_keys(words, start, width):
+    """Each cell's bytes as one integer, or as a row of 8-byte words if longer.
+
+    ``words[k]`` is the 8 bytes from offset k.  No cell holds a NUL byte,
+    so masking the bytes past a cell's end to zero keeps keys distinct.
+    """
+    top = int(width.max(initial=0))
+    if top <= 8:
+        return (words[start] & _MASK[width]).astype(_KEY_TYPE[top])
+    offsets = np.arange(0, top, 8)
+    at = np.minimum(start[:, None] + offsets, len(words) - 1)
+    return words[at] & _MASK[np.clip(width[:, None] - offsets, 0, 8)]
+
+
+def _distinct_cells(parts):
+    """Distinct texts of one column's keys, and each row's index into them."""
+    wide = max(part.shape[1] if part.ndim == 2 else 0 for part in parts)
+    if wide:
+        keys = np.zeros((sum(map(len, parts)), wide), dtype="<u8")
+        row = 0
+        for part in parts:
+            block = part[:, None] if part.ndim == 1 else part
+            keys[row : row + len(block), : block.shape[1]] = block
+            row += len(block)
+        values, index = np.unique(keys, axis=0, return_inverse=True)
+        raw = np.ascontiguousarray(values).view(f"S{8 * wide}")
+    else:
+        keys = np.concatenate(parts)
+        size = keys.dtype.itemsize
+        if size == 1 or size == 2 and len(keys) >= 1 << 16:  # a lookup beats a sort
+            seen = np.bincount(keys) > 0
+            values = np.flatnonzero(seen)
+            index = (np.cumsum(seen) - 1).astype(keys.dtype)[keys]
+        else:
+            values, index = np.unique(keys, return_inverse=True)
+        raw = values.astype(f"<u{size}").view(f"S{size}")
+    cells = raw.ravel().tolist()
+    # no cell holds a newline, so one decode serves them all
+    return (b"\n".join(cells).decode().split("\n") if cells else []), index.reshape(-1)
+
+
+def _tokenized(data, body, width, positions):
+    """Split quote-free CSV bytes, from offset ``body`` on, into rows.
+
+    Returns each row's number (its line, blank lines counted), a map from
+    each position in ``positions`` to (distinct raw cells, each row's index
+    into them), and the RaggedRow that stopped the read, if any.  Only
+    distinct cells become Python strings.
+    """
+    limit = csv.field_size_limit()
+    buf = np.frombuffer(data, dtype=np.uint8)
+    keys = {j: [np.zeros(0, dtype=np.uint8)] for j in positions}
+    numbers = [np.zeros(0, dtype=np.int64)]
+    line, lo, broken = 2, body, None
+    while lo < len(data) and broken is None:
+        hi = data.find(b"\n", lo + _CHUNK) + 1 or len(data)
+        if hi + 7 <= len(data):
+            chunk = buf[lo : hi + 7]  # room to read a word at every cell start
+            seg = chunk[: hi - lo]
+        else:  # pad the end, and end the last line if the file does not
+            chunk = np.zeros(hi - lo + 8, dtype=np.uint8)
+            chunk[: hi - lo] = buf[lo:hi]
+            seg = chunk[: hi - lo + (data[hi - 1] != 10)]
+            seg[-1] = 10
+        ends = np.flatnonzero(seg == 10)  # each line's end
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        cut = np.flatnonzero((seg == 44) | (seg == 10))  # each field's end
+        lines = len(ends)
+        blank = ends == starts
+        if not blank.any() and len(cut) == lines * width and (seg[cut[width - 1 :: width]] == 10).all():
+            rows = np.arange(lines)  # every line has the header's field count
+            grid = cut.reshape(lines, width)
+        else:
+            last = np.searchsorted(cut, ends)  # each line's last field
+            count = np.diff(last, prepend=-1)
+            ragged = np.flatnonzero((count != width) & ~blank)
+            if ragged.size:
+                lines = int(ragged[0])
+                broken = RaggedRow(f"row {line + lines}: {count[lines]} fields, header has {width}")
+            rows = np.flatnonzero(~blank[:lines])
+            grid = cut[(last[rows] - width + 1)[:, None] + np.arange(width)]
+        # the lines read, the ragged one included; a field fits when its line does
+        read = ends[: lines + (broken is not None)]
+        if read.size and (read - starts[: read.size]).max() > limit:
+            fields = cut[: np.searchsorted(cut, read[-1]) + 1]
+            size = np.diff(fields, prepend=-1) - 1
+            for f in np.flatnonzero(size > limit).tolist():
+                # the limit counts characters, so skip UTF-8 continuation bytes
+                cell = seg[fields[f] - size[f] : fields[f]]
+                if np.count_nonzero((cell & 0xC0) != 0x80) > limit:
+                    at = line + int(np.searchsorted(ends, fields[f]))
+                    raise CohortError(f"line {at}: field larger than field limit ({limit})")
+        numbers.append(line + rows)
+        words = np.ndarray((len(chunk) - 7,), dtype="<u8", buffer=chunk, strides=(1,))
+        for j, parts in keys.items():
+            begin = grid[:, j - 1] + 1 if j else starts[rows]
+            parts.append(_cell_keys(words, begin, grid[:, j] - begin))
+        line += len(ends)
+        lo = hi
+    columns = {j: _distinct_cells(keys.pop(j)) for j in positions}  # frees keys as it goes
+    return np.concatenate(numbers), columns, broken
 
 
 def load_cohort(csv_source, column_map) -> CohortDataset:
     """Parse a cohort CSV (RFC 4180, UTF-8, header row required).
 
     ``column_map`` maps roles onto header names: ``treatment``, ``time``,
-    ``event``, an optional ``covariates`` list, and an optional ``id``.
-    Treatment and event accept only the literals 0 and 1; rows with empty
-    mapped cells are rejected.  Cells are stripped.  Rows are numbered
-    from 2, blank lines included; a subject's default id is its row
-    number minus 2.
-    """
-    if hasattr(csv_source, "read"):
-        handle = csv_source
-        close = False
-    else:
-        # utf-8-sig drops a leading byte-order mark, as spreadsheets write
-        handle = open(csv_source, "r", encoding="utf-8-sig", newline="")
-        close = True
-    try:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CohortError("CSV has no header row") from None
-        index = {name: i for i, name in enumerate(header)}
+    ``event``, an optional ``covariates`` list, and an optional ``id``;
+    each mapped name must appear once in the header.  Treatment and event
+    accept only the literals 0 and 1; rows with empty mapped cells are
+    rejected.  Cells are stripped.  Rows are numbered from 2, blank lines
+    included; a subject's default id is its row number minus 2.  A leading
+    byte-order mark is skipped.
 
-        covariates = list(column_map.get("covariates", []))
-        wanted = [column_map["treatment"], column_map["time"], column_map["event"]]
-        wanted += covariates
-        id_col = column_map.get("id")
-        for col in wanted + ([id_col] if id_col is not None else []):
-            if col not in index:
-                raise MissingColumn(f"column {col!r} not found in header {header!r}")
-        rows = list(reader)
-    except UnicodeDecodeError as exc:
-        # decoding runs ahead in blocks, so no line number is known here
-        raise CohortError(
-            f"CSV is not valid UTF-8: byte 0x{exc.object[exc.start]:02x} cannot be decoded"
-        ) from None
+    The source is read whole and checked as UTF-8 first.  Bytes with no
+    quote, NUL or lone carriage return are tokenized with numpy (CRLF line
+    ends become LF); others go through ``csv.reader``.
+    """
+    data = _read_bytes(csv_source)
+    quoted = b'"' in data or b"\0" in data
+    quoted = quoted or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    if quoted:
+        text = _decoded(data)
+    elif not data.isascii():
+        _decoded(data)  # only the check: the tokenizer decodes distinct cells
+    covariates = list(column_map.get("covariates", []))
+    wanted = [column_map["treatment"], column_map["time"], column_map["event"]]
+    wanted += covariates
+    id_col = column_map.get("id")
+    try:
+        if quoted:
+            reader = csv.reader(io.StringIO(text, newline=""))
+            header = next(reader, None)
+        else:
+            if b"\r" in data:
+                data = data.replace(b"\r\n", b"\n")
+            header, body = _first_line(data)
+        if header is None:
+            raise CohortError("CSV has no header row")
+        index = _positions(header, wanted + ([id_col] if id_col is not None else []))
+        positions = sorted(set(index.values()))
+        if quoted:
+            numbers, cells, broken = _parsed(reader, len(header), positions)
+        else:
+            numbers, cells, broken = _tokenized(data, body, len(header), positions)
     except csv.Error as exc:
         raise CohortError(f"line {reader.line_num}: {exc}") from None
-    finally:
-        if close:
-            handle.close()
-
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    row_nums = np.flatnonzero(lengths) + 2
-    rows = list(filter(None, rows))  # drop blank lines
-    lengths = lengths[lengths > 0]
-    ragged = np.flatnonzero(lengths != len(header))
-    broken = None
-    if ragged.size:
-        stop = int(ragged[0])
-        broken = RaggedRow(
-            f"row {row_nums[stop]}: {lengths[stop]} fields, header has {len(header)}"
-        )
-        rows = rows[:stop]
-    if id_col is None:
-        ids = row_nums[: len(rows)] - 2
-    else:
-        ids = np.array([row[index[id_col]].strip() for row in rows], dtype=object)
-    columns = [(col, index[col]) for col in wanted]
-    return _validated(rows, columns, ids, id_col, lambda i: f"row {row_nums[i]}", broken)
+    columns = [(col, *cells[index[col]]) for col in wanted]
+    ids = numbers - 2 if id_col is None else (id_col, *cells[index[id_col]])
+    return _validated(columns, ids, lambda i: f"row {numbers[i]}", broken)
 
 
 def save_cohort(cohort: CohortDataset, destination) -> None:
@@ -303,24 +483,6 @@ def save_cohort(cohort: CohortDataset, destination) -> None:
         destination.write(text)
     else:
         Path(destination).write_text(text, encoding="utf-8")
-
-
-@dataclass(frozen=True, eq=False)
-class StratumIndex:
-    """Counts per (arm, covariate-level combination), zero cells included.
-
-    ``counts`` runs stratum by stratum, arm 0 before arm 1; ``assign`` is
-    each subject's index into ``strata``.
-    """
-
-    covariates: tuple[str, ...]
-    strata: tuple[tuple[str, ...], ...]
-    counts: dict[tuple[int, tuple[str, ...]], int]
-    marginals: dict[tuple[str, ...], int]
-    assign: np.ndarray
-
-    def empty_cells(self) -> list[tuple[int, tuple[str, ...]]]:
-        return [key for key, c in sorted(self.counts.items()) if c == 0]
 
 
 def stratum_assignments(cohort: CohortDataset, covariates):
@@ -341,20 +503,6 @@ def stratum_assignments(cohort: CohortDataset, covariates):
         [cohort.codes[c] for c in covs], [len(levels) for levels in level_lists]
     )
     return covs, strata, assign
-
-
-def stratum_counts(cohort: CohortDataset, covariates) -> StratumIndex:
-    """Count subjects per arm within every covariate-level combination."""
-    covs, strata, assign = stratum_assignments(cohort, covariates)
-    table = np.bincount(assign * 2 + cohort.treatment, minlength=2 * len(strata))
-    table = table.reshape(-1, 2).tolist()
-    counts = {
-        (arm, combo): count
-        for combo, row in zip(strata, table)
-        for arm, count in enumerate(row)
-    }
-    marginals = {combo: row[0] + row[1] for combo, row in zip(strata, table)}
-    return StratumIndex(covs, strata, counts, marginals, assign)
 
 
 def truncate_followup(cohort: CohortDataset, t_max: int) -> CohortDataset:

@@ -68,6 +68,10 @@ class MissingColumn(CohortError):
     pass
 
 
+class AmbiguousColumn(CohortError):
+    """A mapped column name appears more than once in the header."""
+
+
 class NonBinaryTreatment(CohortError):
     pass
 

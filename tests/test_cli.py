@@ -1,12 +1,18 @@
 import ast
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalsurv.cli import main
 
@@ -369,6 +375,10 @@ LATIN1_GRAPH_BYTES = json.dumps(CONFOUNDED_GRAPH).replace('"z"', '"z\xe9"').enco
             "CohortError", "line 3: field larger than field limit", id="oversized-cell",
         ),
         pytest.param(
+            "analyze", _cohort_bytes().replace(b",z\n", b",treatment\n", 1), GRAPH_BYTES,
+            "AmbiguousColumn", "column 'treatment' appears more than once", id="duplicate-column",
+        ),
+        pytest.param(
             "analyze", _cohort_bytes(), LATIN1_GRAPH_BYTES,
             "GraphFileError", "byte 0xe9 at offset", id="latin1-graph",
         ),
@@ -414,3 +424,72 @@ def test_simulate_seed_7_analysis_matches_golden_outputs(tmp_path):
     golden = Path(__file__).parent / "fixtures" / "golden_seed7"
     for name in ("report.json", "curves.csv"):
         assert (tmp_path / "out" / name).read_bytes() == (golden / name).read_bytes()
+
+
+@st.composite
+def cohort_bytes(draw):
+    """Cohort CSV bytes for the confounded graph: mostly valid rows, and at
+    times blank lines, ragged rows, quoted cells, a BOM, CRLF or lone CR
+    line ends, and bytes that are not UTF-8."""
+    valid = {
+        "treatment": st.sampled_from(["0", "1", " 1"]),
+        "time": st.sampled_from(["0", "1", "2", "3", "5", "8", "13", "4.0"]),
+        "event": st.sampled_from(["1", "1", "0"]),
+        "z": st.sampled_from(["0", "1", " 1 "]),
+    }
+    invalid = {
+        "treatment": st.sampled_from(["2", ""]),
+        "time": st.sampled_from(["-1", "2.5", "x"]),
+        "event": st.sampled_from(["", "yes"]),
+        "z": st.sampled_from(["\xe9", ""]),
+    }
+    names = list(valid)
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["row"] * 80 + ["invalid", "blank", "ragged", "quoted"]))
+        pools = invalid if kind == "invalid" else valid
+        row = [draw(pools[name] | valid[name]) for name in names]
+        if kind == "ragged":
+            row = row[: draw(st.integers(1, 3))]
+        elif kind == "quoted":
+            row = [f'"{c}"' if draw(st.booleans()) else c for c in row]
+        lines.append("" if kind == "blank" else ",".join(row))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    data = (end.join(lines) + end).encode()
+    if draw(st.booleans()) and draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.booleans()) and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])) + data[at:]
+    return data
+
+
+@settings(max_examples=60)
+@given(cohort_bytes())
+def test_analyze_fuzzed_cohort_bytes_exit_contract(data):
+    # function-scoped fixtures do not mix with @given, so make files here
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(CONFOUNDED_GRAPH))
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_bytes(data)
+        runs = []
+        for _ in range(2):
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = main(_analyze_args(tmp_path, graph, cohort))
+            out = tmp_path / "out"
+            written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+            shutil.rmtree(out, ignore_errors=True)
+            runs.append((code, printed.getvalue(), written))
+    code, printed, written = runs[0]
+    assert code in {0, 3, 4, 5}
+    if code:
+        payload = json.loads(printed, parse_constant=pytest.fail)
+        assert payload["error"]["exit"] == code
+    else:
+        assert "report.json" in written
+    if "report.json" in written:
+        json.loads(written["report.json"], parse_constant=pytest.fail)
+    assert runs[1] == runs[0]

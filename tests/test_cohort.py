@@ -1,8 +1,13 @@
+import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from causalsurv import cohort as cohort_module
 from causalsurv import errors
 from causalsurv.cohort import (
     SubjectRecord,
@@ -11,7 +16,6 @@ from causalsurv.cohort import (
     load_cohort,
     save_cohort,
     stratum_assignments,
-    stratum_counts,
     truncate_followup,
 )
 
@@ -115,18 +119,26 @@ def _balanced_cohort():
     return build_cohort(records)
 
 
+def _arm_counts(cohort, covariates):
+    """Subjects per (arm, stratum), zero cells included, from one bincount."""
+    _, strata, assign = stratum_assignments(cohort, covariates)
+    table = np.bincount(assign * 2 + cohort.treatment, minlength=2 * len(strata))
+    rows = table.reshape(-1, 2).tolist()
+    return strata, {(arm, combo): row[arm] for combo, row in zip(strata, rows) for arm in (0, 1)}
+
+
 def test_stratum_counts_biased_split():
-    counts = stratum_counts(_balanced_cohort(), {"z"})
-    assert counts.counts[(1, ("0",))] == 75
-    assert counts.counts[(1, ("1",))] == 25
-    assert counts.marginals[("0",)] == 100
+    _, counts = _arm_counts(_balanced_cohort(), {"z"})
+    assert counts[(1, ("0",))] == 75
+    assert counts[(1, ("1",))] == 25
+    assert counts[(0, ("0",))] + counts[(1, ("0",))] == 100
 
 
 def test_stratum_counts_empty_selection_is_single_stratum():
-    counts = stratum_counts(_balanced_cohort(), set())
-    assert counts.strata == ((),)
-    assert counts.counts[(1, ())] == 100
-    assert counts.counts[(0, ())] == 100
+    strata, counts = _arm_counts(_balanced_cohort(), set())
+    assert strata == ((),)
+    assert counts[(1, ())] == 100
+    assert counts[(0, ())] == 100
 
 
 def test_stratum_counts_records_zero_cells():
@@ -137,20 +149,20 @@ def test_stratum_counts_records_zero_cells():
             SubjectRecord("c", 0, 4, 1, {"z": "1"}),
         ]
     )
-    counts = stratum_counts(cohort, {"z"})
-    assert counts.counts[(1, ("1",))] == 0
-    assert counts.empty_cells() == [(1, ("1",))]
+    _, counts = _arm_counts(cohort, {"z"})
+    assert counts[(1, ("1",))] == 0
+    assert [key for key, c in sorted(counts.items()) if c == 0] == [(1, ("1",))]
 
 
 def test_stratum_counts_total_matches_subjects():
     cohort = _balanced_cohort()
-    counts = stratum_counts(cohort, {"z"})
-    assert sum(counts.counts.values()) == cohort.n
+    _, counts = _arm_counts(cohort, {"z"})
+    assert sum(counts.values()) == cohort.n
 
 
 def test_stratum_counts_unknown_covariate():
     with pytest.raises(errors.UnknownCovariate):
-        stratum_counts(_balanced_cohort(), {"w"})
+        stratum_assignments(_balanced_cohort(), {"w"})
 
 
 def test_truncate_followup():
@@ -301,3 +313,129 @@ def test_stratum_codes_match_per_subject_lookup():
         lookup = {combo: i for i, combo in enumerate(strata)}
         expected = [lookup[tuple(s.covariates[c] for c in names)] for s in records]
         assert assign.tolist() == expected
+
+
+def test_mapped_column_twice_in_header_is_an_error():
+    with pytest.raises(errors.AmbiguousColumn) as info:
+        load_cohort(_csv(["0,5,1,0,1", "1,3,1,1,0"], header="x,t,s,z,x"), MAP)
+    assert str(info.value).startswith("column 'x' appears more than once in header")
+    assert str(info.value).endswith("as fields 1 and 5")
+    # a duplicate that no role maps is allowed
+    cohort = load_cohort(_csv(["0,5,1,0,a,b", "1,3,1,1,c,d"], header="x,t,s,z,u,u"), MAP)
+    assert cohort.treatment.tolist() == [0, 1]
+
+
+@pytest.fixture
+def field_limit():
+    """Lower the csv module's field-size limit to 16 for one test."""
+    old = csv.field_size_limit(16)
+    yield 16
+    csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("char", ["a", "\xe9"])
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_field_size_limit_counts_characters(field_limit, quote, char):
+    def source(width, header="x,t,s,z"):
+        cell = quote + char * width + quote
+        return io.BytesIO(f"{header}\n0,5,1,0\n1,3,1,{cell}\n".encode())
+
+    cohort = load_cohort(source(field_limit), MAP)
+    assert cohort.covariate_levels["z"] == ("0", char * field_limit)
+    message = f"field larger than field limit ({field_limit})"
+    with pytest.raises(errors.CohortError) as info:
+        load_cohort(source(field_limit + 1), MAP)
+    assert str(info.value) == f"line 3: {message}"
+    with pytest.raises(errors.CohortError) as info:
+        load_cohort(source(1, header="x,t,s,z," + "h" * (field_limit + 1)), MAP)
+    assert str(info.value) == f"line 1: {message}"
+
+
+def test_quote_free_bytes_never_reach_csv_reader(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    data = "\ufeffid,x,t,s,z\r\n a ,1,5,1,\xe9\r\n\r\nb,0,3.0,0,zz\r\n".encode()
+    cohort = load_cohort(io.BytesIO(data), {**MAP, "id": "id"})
+    assert cohort.ids.tolist() == ["a", "b"]
+    assert cohort.time.tolist() == [5, 3]
+    assert cohort.covariate_levels == {"z": ("zz", "\xe9")}
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        load_cohort(io.BytesIO(b'x,t,s,z\n0,5,1,"a"\n'), MAP)
+
+
+# Cells a cohort CSV may hold, none with a comma, quote, CR, LF or NUL:
+# valid ones, then ones that fail a check.  Labels include non-ASCII text
+# and cells of 9 and 17+ bytes, which take more than one 8-byte word as keys.
+FREE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\x00'),
+    max_size=20,
+)
+LABELS = st.sampled_from(["a", "b", " a ", "\xe9", "日本", "abcdefghi", "abcdefghijklmnopq"])
+VALID = {
+    "x": st.sampled_from(["0", "1", " 1", "0 "]),
+    "t": st.sampled_from(["0", "3", "12", "5.0", " 7 "]),
+    "label": LABELS | FREE_TEXT.filter(str.strip),
+}
+INVALID = {
+    "x": st.sampled_from(["", "2", "yes", " "]),
+    "t": st.sampled_from(["", "-3", "5.5", "1e30", "99999999999999999999", "abc"]),
+    "label": st.sampled_from(["", "  "]) | FREE_TEXT,
+}
+
+
+@st.composite
+def plain_csv(draw):
+    """Quote-free CSV cells, line by line, and how the file is written.
+
+    Returns (lines, line end, final newline, BOM); each line is a list of
+    cells, and an empty list is a blank line.
+    """
+    names = draw(st.permutations(["id", "x", "t", "s", "z", *draw(st.sampled_from([[], ["u"]]))]))
+    role = {"x": "x", "s": "x", "t": "t"}
+    lines = [draw(st.sampled_from([names] * 7 + [[]]))]  # at times an empty first line
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(
+            st.sampled_from(["valid"] * 20 + ["invalid", "invalid", "blank", "blank", "short", "long", "lone"])
+        )
+        if kind in ("blank", "lone"):
+            lines.append([] if kind == "blank" else [draw(LABELS | st.just(" "))])
+            continue
+        pools = INVALID if kind == "invalid" else VALID
+        row = [draw(pools[role.get(name, "label")] | VALID[role.get(name, "label")]) for name in names]
+        if kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append(draw(LABELS))
+        lines.append(row)
+    return lines, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()), draw(st.booleans())
+
+
+def _write_csv(lines, end, final, bom, quote=""):
+    text = end.join(",".join(quote + c + quote for c in cells) for cells in lines)
+    return ("\ufeff" if bom else "") + text + (end if final else "")
+
+
+def _load_outcome(text, chunk=cohort_module._CHUNK):
+    try:
+        with mock.patch.object(cohort_module, "_CHUNK", chunk):
+            cohort = load_cohort(io.BytesIO(text.encode()), {**MAP, "id": "id"})
+    except errors.CohortError as exc:
+        return type(exc), str(exc)
+    return (
+        cohort.ids.dtype, cohort.ids.tolist(), cohort.treatment.tolist(),
+        cohort.time.tolist(), cohort.event.tolist(), cohort.covariate_levels,
+        {name: codes.tolist() for name, codes in cohort.codes.items()}, cohort.t_max,
+    )
+
+
+@settings(max_examples=200)
+@given(plain_csv(), st.sampled_from([1, 16, cohort_module._CHUNK]))
+def test_tokenizer_matches_csv_reader_on_quoted_twin(written, chunk):
+    plain = _write_csv(*written)
+    # every cell quoted: RFC 4180 gives the same cells, through csv.reader
+    twin = _write_csv(*written, quote='"')
+    assert '"' not in plain
+    # small chunks put the tokenizer's chunk boundaries between lines
+    assert _load_outcome(plain, chunk) == _load_outcome(twin)

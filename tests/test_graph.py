@@ -249,7 +249,7 @@ def dags_with_pair(draw):
     return dag, treatment, outcome
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(dags_with_pair())
 def test_minimal_sets_match_exhaustive_search(case):
     dag, treatment, outcome = case

@@ -129,7 +129,7 @@ def _fit_outcome(fit, *args, **kwargs):
     return f.beta.tobytes(), f.se.tobytes(), f.loglik, f.iterations, f.converged
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(small_cohorts())
 def test_count_rows_fit_exactly_as_subjects(cohort):
     covariates = cohort.covariate_names()
