@@ -254,6 +254,7 @@ def _decoded(data) -> str:
 
 
 def _read_bytes(csv_source) -> bytes:
+    """All of a path's or a file object's content; text is encoded as UTF-8."""
     if not hasattr(csv_source, "read"):
         with open(csv_source, "rb") as handle:
             return handle.read()
@@ -333,7 +334,7 @@ def _cell_keys(words, start, width):
 
 def _distinct_cells(parts):
     """Distinct texts of one column's keys, and each row's index into them."""
-    wide = max(part.shape[1] if part.ndim == 2 else 0 for part in parts)
+    wide = max((part.shape[1] for part in parts if part.ndim == 2), default=0)
     if wide:
         keys = np.zeros((sum(map(len, parts)), wide), dtype="<u8")
         row = 0
@@ -344,7 +345,7 @@ def _distinct_cells(parts):
         values, index = np.unique(keys, axis=0, return_inverse=True)
         raw = np.ascontiguousarray(values).view(f"S{8 * wide}")
     else:
-        keys = np.concatenate(parts)
+        keys = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0, np.uint8)])
         size = keys.dtype.itemsize
         if size == 1 or size == 2 and len(keys) >= 1 << 16:  # a lookup beats a sort
             seen = np.bincount(keys) > 0
@@ -368,7 +369,7 @@ def _tokenized(data, body, width, positions):
     """
     limit = csv.field_size_limit()
     buf = np.frombuffer(data, dtype=np.uint8)
-    keys = {j: [np.zeros(0, dtype=np.uint8)] for j in positions}
+    keys = {j: [] for j in positions}
     numbers = [np.zeros(0, dtype=np.int64)]
     line, lo, broken = 2, body, None
     while lo < len(data) and broken is None:
@@ -384,20 +385,16 @@ def _tokenized(data, body, width, positions):
         ends = np.flatnonzero(seg == 10)  # each line's end
         starts = np.concatenate(([0], ends[:-1] + 1))
         cut = np.flatnonzero((seg == 44) | (seg == 10))  # each field's end
-        lines = len(ends)
+        last = np.searchsorted(cut, ends)  # each line's last field
+        count = last - np.concatenate(([-1], last[:-1]))
         blank = ends == starts
-        if not blank.any() and len(cut) == lines * width and (seg[cut[width - 1 :: width]] == 10).all():
-            rows = np.arange(lines)  # every line has the header's field count
-            grid = cut.reshape(lines, width)
-        else:
-            last = np.searchsorted(cut, ends)  # each line's last field
-            count = np.diff(last, prepend=-1)
-            ragged = np.flatnonzero((count != width) & ~blank)
-            if ragged.size:
-                lines = int(ragged[0])
-                broken = RaggedRow(f"row {line + lines}: {count[lines]} fields, header has {width}")
-            rows = np.flatnonzero(~blank[:lines])
-            grid = cut[(last[rows] - width + 1)[:, None] + np.arange(width)]
+        ragged = np.flatnonzero((count != width) & ~blank)
+        lines = len(ends)
+        if ragged.size:
+            lines = int(ragged[0])
+            broken = RaggedRow(f"row {line + lines}: {count[lines]} fields, header has {width}")
+        rows = np.flatnonzero(~blank[:lines])
+        grid = cut[(last[rows] - width + 1)[:, None] + np.arange(width)]  # each row's field ends
         # the lines read, the ragged one included; a field fits when its line does
         read = ends[: lines + (broken is not None)]
         if read.size and (read - starts[: read.size]).max() > limit:
@@ -442,9 +439,8 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
         text = _decoded(data)
     elif not data.isascii():
         _decoded(data)  # only the check: the tokenizer decodes distinct cells
-    covariates = list(column_map.get("covariates", []))
     wanted = [column_map["treatment"], column_map["time"], column_map["event"]]
-    wanted += covariates
+    wanted += column_map.get("covariates", [])
     id_col = column_map.get("id")
     try:
         if quoted:

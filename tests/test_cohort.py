@@ -349,6 +349,11 @@ def test_field_size_limit_counts_characters(field_limit, quote, char):
     with pytest.raises(errors.CohortError) as info:
         load_cohort(source(1, header="x,t,s,z," + "h" * (field_limit + 1)), MAP)
     assert str(info.value) == f"line 1: {message}"
+    # the ragged row that ends the read is still read
+    ragged = f"x,t,s,z\n0,5,1,0\n{quote}{char * (field_limit + 1)}{quote}\n0,5,1,0\n"
+    with pytest.raises(errors.CohortError) as info:
+        load_cohort(io.BytesIO(ragged.encode()), MAP)
+    assert str(info.value) == f"line 3: {message}"
 
 
 def test_quote_free_bytes_never_reach_csv_reader(monkeypatch):
