@@ -137,7 +137,7 @@ def _encode(rows, j):
 
 def _first(flagged, codes) -> int:
     """Index of the first row whose cell is flagged (one bool per distinct cell)."""
-    return int(np.argmax(np.array(flagged, dtype=bool)[codes]))
+    return int(np.argmax(np.take(np.array(flagged, dtype=bool), codes)))
 
 
 _DAY_MAX = int(np.iinfo(np.int64).max)
@@ -189,7 +189,7 @@ def _validated(columns, ids, where, broken=None) -> CohortDataset:
             i = _first(bad, index)
             got = f"expected 0 or 1, got {raw[index[i]]!r}"
             failures.append((i, exc(f"{where(i)}, column {name!r}: {got}")))
-        return np.array([v == "1" for v in values[k]], dtype=np.int64)[index]
+        return np.take(np.array([v == "1" for v in values[k]], dtype=np.int64), index)
 
     treatment = binary(0, NonBinaryTreatment)
     name, raw, index = columns[1]
@@ -209,15 +209,15 @@ def _validated(columns, ids, where, broken=None) -> CohortDataset:
         raise min(failures, key=itemgetter(0))[1]
     if broken is not None:
         raise broken
-    time = np.array([day for day, _ in parsed], dtype=np.int64)[index]
+    time = np.take(np.array([day for day, _ in parsed], dtype=np.int64), index)
     covariates = {}
     for (name, _, index), stripped in zip(columns[3:], values[3:]):
         levels = sorted(set(stripped))
         position = {v: i for i, v in enumerate(levels)}
-        codes = np.array([position[v] for v in stripped], dtype=np.int64)[index]
+        codes = np.take(np.array([position[v] for v in stripped], dtype=np.int64), index)
         covariates[name] = (tuple(levels), codes)
     if isinstance(ids, tuple):
-        ids = np.array(values[-1], dtype=object)[ids[2]]
+        ids = np.take(np.array(values[-1], dtype=object), ids[2])
     return _dataset(ids, treatment, time, event, covariates)
 
 
@@ -343,7 +343,6 @@ def _distinct_cells(parts):
             keys[row : row + len(block), : block.shape[1]] = block
             row += len(block)
         values, index = np.unique(keys, axis=0, return_inverse=True)
-        raw = np.ascontiguousarray(values).view(f"S{8 * wide}")
     else:
         keys = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0, np.uint8)])
         size = keys.dtype.itemsize
@@ -353,10 +352,14 @@ def _distinct_cells(parts):
             index = (np.cumsum(seen) - 1).astype(keys.dtype)[keys]
         else:
             values, index = np.unique(keys, return_inverse=True)
-        raw = values.astype(f"<u{size}").view(f"S{size}")
-    cells = raw.ravel().tolist()
-    # no cell holds a newline, so one decode serves them all
-    return (b"\n".join(cells).decode().split("\n") if cells else []), index.reshape(-1)
+        values = values.astype(f"<u{size}")
+    # each distinct cell's bytes padded with NULs, then a newline; with the
+    # NULs dropped, one decode and split give every cell
+    cell = values[:1].nbytes
+    padded = np.zeros((len(values), cell + 1), dtype=np.uint8)
+    padded[:, :cell] = np.ascontiguousarray(values).view(np.uint8).reshape(len(values), cell)
+    padded[:, cell] = 10
+    return padded[padded != 0].tobytes().decode().split("\n")[:-1], index.reshape(-1)
 
 
 def _tokenized(data, body, width, positions):
@@ -394,7 +397,10 @@ def _tokenized(data, body, width, positions):
             lines = int(ragged[0])
             broken = RaggedRow(f"row {line + lines}: {count[lines]} fields, header has {width}")
         rows = np.flatnonzero(~blank[:lines])
-        grid = cut[(last[rows] - width + 1)[:, None] + np.arange(width)]  # each row's field ends
+        if len(cut) == len(rows) * width:  # no blank or ragged line
+            grid = cut.reshape(len(rows), width)  # each row's field ends
+        else:
+            grid = cut[(last[rows] - width + 1)[:, None] + np.arange(width)]
         # the lines read, the ragged one included; a field fits when its line does
         read = ends[: lines + (broken is not None)]
         if read.size and (read - starts[: read.size]).max() > limit:
