@@ -137,7 +137,7 @@ def _encode(rows, j):
 
 def _first(flagged, codes) -> int:
     """Index of the first row whose cell is flagged (one bool per distinct cell)."""
-    return int(np.argmax(np.take(np.array(flagged, dtype=bool), codes)))
+    return int(np.argmax(np.array(flagged, dtype=bool)[codes]))
 
 
 _DAY_MAX = int(np.iinfo(np.int64).max)
@@ -189,7 +189,7 @@ def _validated(columns, ids, where, broken=None) -> CohortDataset:
             i = _first(bad, index)
             got = f"expected 0 or 1, got {raw[index[i]]!r}"
             failures.append((i, exc(f"{where(i)}, column {name!r}: {got}")))
-        return np.take(np.array([v == "1" for v in values[k]], dtype=np.int64), index)
+        return np.array([v == "1" for v in values[k]], dtype=np.int64)[index]
 
     treatment = binary(0, NonBinaryTreatment)
     name, raw, index = columns[1]
@@ -209,15 +209,15 @@ def _validated(columns, ids, where, broken=None) -> CohortDataset:
         raise min(failures, key=itemgetter(0))[1]
     if broken is not None:
         raise broken
-    time = np.take(np.array([day for day, _ in parsed], dtype=np.int64), index)
+    time = np.array([day for day, _ in parsed], dtype=np.int64)[index]
     covariates = {}
     for (name, _, index), stripped in zip(columns[3:], values[3:]):
         levels = sorted(set(stripped))
         position = {v: i for i, v in enumerate(levels)}
-        codes = np.take(np.array([position[v] for v in stripped], dtype=np.int64), index)
+        codes = np.array([position[v] for v in stripped], dtype=np.int64)[index]
         covariates[name] = (tuple(levels), codes)
     if isinstance(ids, tuple):
-        ids = np.take(np.array(values[-1], dtype=object), ids[2])
+        ids = np.array(values[-1], dtype=object)[ids[2]]
     return _dataset(ids, treatment, time, event, covariates)
 
 
@@ -243,10 +243,9 @@ def build_cohort(records) -> CohortDataset:
     return _validated(columns, ids, lambda i: f"subject {ids[i]!r}")
 
 
-def _decoded(data) -> str:
-    """The text of UTF-8 bytes, without a leading byte-order mark."""
+def _check_utf8(data) -> None:
     try:
-        return data.decode("utf-8-sig")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CohortError(
             f"CSV is not valid UTF-8: byte 0x{exc.object[exc.start]:02x} cannot be decoded"
@@ -441,16 +440,15 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
     data = _read_bytes(csv_source)
     quoted = b'"' in data or b"\0" in data
     quoted = quoted or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
-    if quoted:
-        text = _decoded(data)
-    elif not data.isascii():
-        _decoded(data)  # only the check: the tokenizer decodes distinct cells
+    if not data.isascii():
+        _check_utf8(data)  # before any other error; the readers decode again
     wanted = [column_map["treatment"], column_map["time"], column_map["event"]]
     wanted += column_map.get("covariates", [])
     id_col = column_map.get("id")
     try:
         if quoted:
-            reader = csv.reader(io.StringIO(text, newline=""))
+            # utf-8-sig skips a leading byte-order mark, as spreadsheets write
+            reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))
             header = next(reader, None)
         else:
             if b"\r" in data:
