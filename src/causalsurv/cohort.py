@@ -244,6 +244,7 @@ def build_cohort(records) -> CohortDataset:
 
 
 def _check_utf8(data) -> None:
+    """Raise a CohortError naming the first byte that is not UTF-8."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
