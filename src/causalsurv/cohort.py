@@ -129,10 +129,9 @@ def _dataset(ids, treatment, time, event, covariates) -> CohortDataset:
 
 def _encode(rows, j):
     """Distinct cells of column ``j`` in first-seen order, and each row's index into them."""
-    cells = list(map(itemgetter(j), rows))
-    index = {c: i for i, c in enumerate(dict.fromkeys(cells))}
-    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
-    return list(index), codes
+    index = {c: i for i, c in enumerate(dict.fromkeys(map(itemgetter(j), rows)))}
+    cells = map(index.__getitem__, map(itemgetter(j), rows))
+    return list(index), np.fromiter(cells, dtype=np.int64, count=len(rows))
 
 
 def _first(flagged, codes) -> int:
@@ -280,16 +279,19 @@ def _positions(header, names) -> dict[str, int]:
 
 def _parsed(reader, width, positions):
     """Rows of a ``csv.reader`` up to the first ragged one, as for :func:`_tokenized`."""
-    rows, numbers, broken = [], [], None
+    rows, blank, broken = [], [], None
     for number, row in enumerate(reader, 2):
-        if row and len(row) != width:
+        if not row:
+            blank.append(number)
+        elif len(row) != width:
             broken = RaggedRow(f"row {number}: {len(row)} fields, header has {width}")
             break
-        if row:
+        else:
             rows.append(row)
-            numbers.append(number)
+    lines = np.arange(2, 2 + len(rows) + len(blank), dtype=np.int64)
+    numbers = np.delete(lines, np.array(blank, dtype=np.int64) - 2)
     columns = {j: _encode(rows, j) for j in positions}
-    return np.array(numbers, dtype=np.int64), columns, broken
+    return numbers, columns, broken
 
 
 def _first_line(data):
@@ -346,7 +348,7 @@ def _distinct_cells(parts):
     else:
         keys = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0, np.uint8)])
         size = keys.dtype.itemsize
-        if size == 1 or size == 2 and len(keys) >= 1 << 16:  # a lookup beats a sort
+        if size == 1:  # a lookup beats a sort
             seen = np.bincount(keys) > 0
             values = np.flatnonzero(seen)
             index = (np.cumsum(seen) - 1).astype(keys.dtype)[keys]
