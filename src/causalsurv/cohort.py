@@ -108,22 +108,17 @@ class CohortDataset:
 
 
 def _dataset(ids, treatment, time, event, covariates) -> CohortDataset:
-    """Check both arms are occupied; drop covariate levels nobody has.
+    """Check both arms are occupied.
 
-    ``covariates`` maps each name to (sorted levels, per-subject codes).
+    ``covariates`` maps each name to (sorted levels, per-subject codes), all in use.
     """
     if len(ids) == 0:
         raise EmptyArm("cohort is empty")
     for arm, count in enumerate(np.bincount(treatment, minlength=2).tolist()):
         if count == 0:
             raise EmptyArm(f"treatment arm {arm} has no subjects")
-    levels, codes = {}, {}
-    for name, (values, column) in sorted(covariates.items()):
-        present = np.bincount(column, minlength=len(values)) > 0
-        if not present.all():
-            column = (np.cumsum(present) - 1)[column]
-            values = tuple(compress(values, present.tolist()))
-        levels[name], codes[name] = values, column
+    levels = {name: covariates[name][0] for name in sorted(covariates)}
+    codes = {name: covariates[name][1] for name in sorted(covariates)}
     return CohortDataset(ids, treatment, time, event, levels, codes, int(time.max()))
 
 
@@ -538,9 +533,11 @@ def drop_early_censored(cohort: CohortDataset) -> tuple[CohortDataset, int]:
     dropped = cohort.n - int(keep.sum())
     if dropped == 0:
         return cohort, 0
-    covariates = {
-        name: (levels, cohort.codes[name][keep])
-        for name, levels in cohort.covariate_levels.items()
-    }
+    covariates = {}
+    for name, levels in cohort.covariate_levels.items():
+        column = cohort.codes[name][keep]
+        present = np.bincount(column, minlength=len(levels)) > 0  # drop levels nobody keeps
+        levels = tuple(compress(levels, present.tolist()))
+        covariates[name] = levels, (np.cumsum(present) - 1)[column]
     columns = (cohort.ids, cohort.treatment, cohort.time, cohort.event)
     return _dataset(*(column[keep] for column in columns), covariates), dropped

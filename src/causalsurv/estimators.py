@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._cox_kernels import cox_eval
+from ._cox_kernels import cox_eval, cox_layout
 from .errors import (
     ConstantCovariate,
     EmptyGroup,
@@ -171,10 +171,10 @@ def cox_fit(
         raise ValueError(f"ties must be 'efron' or 'breslow', got {ties!r}")
     x, t, d, counts = _prepare(covariate_matrix, times, events, counts)
     p = x.shape[1]
-    efron = ties == "efron"
+    layout = cox_layout(x, t, d, counts, ties == "efron")
 
     beta = np.zeros(p)
-    ll, grad, info = cox_eval(x, t, d, beta, efron, counts)
+    ll, grad, info = cox_eval(layout, beta)
     converged = False
     iterations = 0
     for _ in range(max_iter):
@@ -199,7 +199,7 @@ def cox_fit(
         scale = 1.0
         for _halving in range(10):
             cand = beta + scale * step
-            ll_new, grad_new, info_new = cox_eval(x, t, d, cand, efron, counts)
+            ll_new, grad_new, info_new = cox_eval(layout, cand)
             if np.isfinite(ll_new) and ll_new >= ll - 1e-10 * (abs(ll) + 1.0):
                 break
             scale *= 0.5
@@ -244,14 +244,6 @@ def _standard_errors(info, p):
         return np.sqrt(diag)
     except np.linalg.LinAlgError:
         return np.full(p, np.nan)
-
-
-def gradient_at(covariate_matrix, times, events, beta, *, ties="efron"):
-    """Gradient of the log partial likelihood at a fixed coefficient vector."""
-    x, t, d, counts = _prepare(covariate_matrix, times, events)
-    beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    _, grad, _ = cox_eval(x, t, d, beta, ties == "efron", counts)
-    return grad
 
 
 def hr_report(fit: CoxFit, treatment_index: int = 0) -> tuple[float, float, float]:

@@ -9,7 +9,8 @@ checked by golden-section search over a directly-evaluated log partial
 likelihood; the Cox kernel is checked against a scalar loop over
 subjects; the backdoor-adjusted curve is checked against a sum over whole
 daily outcome histories; and the pseudo-cohort's count rows can be
-expanded to one tuple per subject.
+expanded to one tuple per subject.  ``gradient_at`` is a helper, not an
+oracle: it reads the production kernel's gradient for the score checks.
 """
 
 import math
@@ -18,7 +19,9 @@ from itertools import combinations, product
 
 import numpy as np
 
+from causalsurv._cox_kernels import cox_eval, cox_layout
 from causalsurv.errors import InvalidAdjustmentSet, PositivityViolation
+from causalsurv.estimators import _prepare
 from causalsurv.graph import descendants, satisfies_backdoor
 
 
@@ -157,6 +160,14 @@ def golden_section_max(f, lo=-20.0, hi=20.0, iterations=80):
 
 def central_difference(f, beta, h=1e-5):
     return (f(beta + h) - f(beta - h)) / (2.0 * h)
+
+
+def gradient_at(covariate_matrix, times, events, beta, *, ties="efron"):
+    """Gradient of the log partial likelihood at a fixed coefficient vector."""
+    x, t, d, counts = _prepare(covariate_matrix, times, events)
+    beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
+    _, grad, _ = cox_eval(cox_layout(x, t, d, counts, ties == "efron"), beta)
+    return grad
 
 
 # --- scalar-loop Cox kernel (unit weights, Efron or Breslow) -------------------

@@ -19,7 +19,6 @@ import causalsurv as cs
 from causalsurv import errors
 from causalsurv.cli import main
 from causalsurv.cohort import SubjectRecord, build_cohort
-from causalsurv.estimators import gradient_at
 from causalsurv.graph import satisfies_backdoor, validate_dag
 
 from oracles import (
@@ -27,6 +26,7 @@ from oracles import (
     brute_force_do,
     central_difference,
     direct_loglik,
+    gradient_at,
     random_dag,
     random_tie_free_dataset,
 )

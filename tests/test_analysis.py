@@ -1,10 +1,11 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from causalsurv.analysis import AnalysisOptions, run_analysis
+from causalsurv.analysis import AnalysisOptions, _fit_entry, run_analysis
 from causalsurv.errors import UnknownCovariate
 
 
@@ -167,3 +168,13 @@ def test_registry_scale_tied_cohort_fits_converge(tmp_path):
     for entry in (report.crude, report.traditional, report.adjusted):
         assert entry.error is None
         assert entry.converged
+
+
+def test_fit_entry_refuses_a_non_finite_interval():
+    # a "converged" fit that ran off along a flat direction: exp overflows
+    fit = SimpleNamespace(
+        beta=np.array([38.34]), se=np.array([4.7e7]), converged=True, iterations=9
+    )
+    entry = _fit_entry(lambda: fit, 1.959964)
+    assert entry.error.startswith("NonFiniteEstimate: ")
+    assert entry.to_dict() == {"error": entry.error}

@@ -325,6 +325,25 @@ def test_analyze_non_finite_fit_is_an_error_entry(tmp_path, capsys):
     assert "hr" in report["crude"] and "hr" in report["adjusted"]
 
 
+def test_analyze_separated_covariate_is_a_monotone_error_entry(tmp_path, capsys):
+    # every z=1 subject dies before any z=0 subject, with the arms balanced
+    # within z: only the traditional fit's z coefficient runs off to infinity
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(CONFOUNDED_GRAPH))
+    data = tmp_path / "cohort.csv"
+    rows = ["0,1,1,1", "1,1,1,1", "0,2,1,1", "1,2,1,1", "0,3,1,0",
+            "1,3,1,0", "0,4,0,0", "1,4,1,0", "0,5,1,0", "1,5,0,0"]
+    data.write_text("treatment,time,event,z\n" + "\n".join(rows) + "\n")
+    assert main(_analyze_args(tmp_path, graph, data)) == 0
+    assert "traditional: failed (MonotoneLikelihood" in capsys.readouterr().out
+    text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    report = json.loads(text, parse_constant=pytest.fail)
+    assert set(report["traditional"]) == {"error"}
+    assert report["traditional"]["error"].startswith("MonotoneLikelihood: ")
+    assert "traditional fit failed: MonotoneLikelihood: " in "\n".join(report["warnings"])
+    assert "hr" in report["crude"] and "hr" in report["adjusted"]
+
+
 def test_simulate_writes_deterministic_csv(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["simulate", "--n", "200", "--seed", "42", "--out", str(a)]) == 0
