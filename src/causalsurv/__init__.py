@@ -11,8 +11,6 @@ from .adjust import AdjustedCurve, adjust_curve, unadjusted_curve
 from .analysis import AnalysisOptions, AnalysisReport, run_analysis, write_outputs
 from .cohort import (
     CohortDataset,
-    SubjectRecord,
-    build_cohort,
     drop_early_censored,
     load_cohort,
     save_cohort,
@@ -54,9 +52,7 @@ __all__ = [
     "DailyTrials",
     "KmCurve",
     "SimConfig",
-    "SubjectRecord",
     "adjust_curve",
-    "build_cohort",
     "cox_fit",
     "d_separated",
     "descendants",

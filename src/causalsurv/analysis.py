@@ -292,7 +292,6 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
         "curves": curves,
         "adjusted_curve": curve,
         "pseudo": pseudo,
-        "cohort": cohort,
     }
     return report, artifacts
 

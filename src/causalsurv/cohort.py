@@ -13,9 +13,11 @@ with no quote, no NUL and no carriage return outside a CRLF pair are
 tokenized with numpy in newline-aligned chunks: delimiter positions come
 from byte compares, each cell's bytes become an integer key, and one
 ``np.unique`` per column leaves only the distinct cells to decode.  Other
-bytes go through ``csv.reader``.  Both readers and ``build_cohort`` hand
-each column to one validator as distinct raw cells plus one index per
-row, so checks, stripping and level sorting run once per distinct value.
+bytes go through ``csv.reader``.  Both readers hand each column to one
+validator as distinct raw cells plus one index per row, so checks,
+stripping and level sorting run once per distinct value.  ``load_cohort``
+is the one validated way in: a Python caller passes a path or a text or
+bytes buffer such as ``io.StringIO``.
 
 Datasets are columnar, immutable after load and safe for shared
 concurrent reads.
@@ -24,7 +26,7 @@ concurrent reads.
 import codecs
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import compress, product
 from operator import itemgetter
 from pathlib import Path
@@ -46,23 +48,12 @@ from .errors import (
 )
 
 __all__ = [
-    "SubjectRecord",
     "CohortDataset",
-    "build_cohort",
     "load_cohort",
     "save_cohort",
     "truncate_followup",
     "drop_early_censored",
 ]
-
-
-@dataclass(frozen=True)
-class SubjectRecord:
-    id: str
-    treatment: int
-    survival_time: int
-    event: int
-    covariates: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,17 +78,6 @@ class CohortDataset:
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    @property
-    def subjects(self) -> tuple[SubjectRecord, ...]:
-        """One record per subject, built on each access."""
-        names = tuple(self.covariate_levels)
-        labels = [np.array(self.covariate_levels[c], object)[self.codes[c]] for c in names]
-        columns = [a.tolist() for a in (self.ids, self.treatment, self.time, self.event)]
-        return tuple(
-            SubjectRecord(str(i), x, t, e, dict(zip(names, values)))
-            for i, x, t, e, *values in zip(*columns, *labels)
-        )
 
     def arm_sizes(self) -> dict[int, int]:
         t = self.treatment
@@ -154,27 +134,27 @@ def _day_count(text):
     return day, None
 
 
-def _validated(columns, ids, where, broken=None) -> CohortDataset:
+def _validated(columns, id_column, numbers, broken) -> CohortDataset:
     """Check cells column by column and build the dataset.
 
     ``columns`` holds (name, distinct raw cells, each row's index into
-    them) for treatment, time, event and then each covariate.  ``ids`` is
-    an id array, or such a triple for an id column, whose cells are
-    stripped and checked last.  ``where(i)`` names row i in messages.  The
-    earliest failing row is reported; within a row an empty cell (in
-    column order, the id column last) comes first, then treatment, time,
-    event.  Messages quote a cell as it was written, unstripped.
-    ``broken``, a structural error just past the rows, is raised when every
-    row passes.
+    them) for treatment, time, event and then each covariate.
+    ``id_column``, such a triple or None, has its cells stripped and
+    checked last; without it a subject's id is its row number minus 2.
+    ``numbers[i]`` is row i's number in messages.  The earliest failing
+    row is reported; within a row an empty cell (in column order, the id
+    column last) comes first, then treatment, time, event.  Messages quote
+    a cell as it was written, unstripped.  ``broken``, a structural error
+    just past the rows, is raised when every row passes.
     """
-    checked = columns + ([ids] if isinstance(ids, tuple) else [])
+    checked = columns + ([id_column] if id_column is not None else [])
     values = [[cell.strip() for cell in raw] for _, raw, _ in checked]
     failures = []
     for (name, _, index), stripped in zip(checked, values):
         empty = [v == "" for v in stripped]
         if any(empty):
             i = _first(empty, index)
-            failures.append((i, MissingValue(f"{where(i)}: column {name!r} is empty")))
+            failures.append((i, MissingValue(f"row {numbers[i]}: column {name!r} is empty")))
 
     def binary(k, exc):
         name, raw, index = columns[k]
@@ -182,7 +162,7 @@ def _validated(columns, ids, where, broken=None) -> CohortDataset:
         if any(bad):
             i = _first(bad, index)
             got = f"expected 0 or 1, got {raw[index[i]]!r}"
-            failures.append((i, exc(f"{where(i)}, column {name!r}: {got}")))
+            failures.append((i, exc(f"row {numbers[i]}, column {name!r}: {got}")))
         return np.array([v == "1" for v in values[k]], dtype=np.int64)[index]
 
     treatment = binary(0, NonBinaryTreatment)
@@ -193,9 +173,9 @@ def _validated(columns, ids, where, broken=None) -> CohortDataset:
         i = _first(bad, index)
         day, reason = parsed[index[i]]
         if reason is None:
-            exc = NegativeTime(f"{where(i)}, column {name!r}: {day} is negative")
+            exc = NegativeTime(f"row {numbers[i]}, column {name!r}: {day} is negative")
         else:
-            exc = NonIntegerTime(f"{where(i)}, column {name!r}: {raw[index[i]]!r} {reason}")
+            exc = NonIntegerTime(f"row {numbers[i]}, column {name!r}: {raw[index[i]]!r} {reason}")
         failures.append((i, exc))
     event = binary(2, NonBinaryEvent)
 
@@ -210,31 +190,11 @@ def _validated(columns, ids, where, broken=None) -> CohortDataset:
         position = {v: i for i, v in enumerate(levels)}
         codes = np.array([position[v] for v in stripped], dtype=np.int64)[index]
         covariates[name] = (tuple(levels), codes)
-    if isinstance(ids, tuple):
-        ids = np.array(values[-1], dtype=object)[ids[2]]
+    if id_column is None:
+        ids = numbers - 2
+    else:
+        ids = np.array(values[-1], dtype=object)[id_column[2]]
     return _dataset(ids, treatment, time, event, covariates)
-
-
-def build_cohort(records) -> CohortDataset:
-    """Validate subject records and derive covariate levels and the horizon.
-
-    Records are checked as text cells, like :func:`load_cohort`'s, and all
-    must carry the covariate keys of the first.
-    """
-    records = tuple(records)
-    names = sorted(records[0].covariates) if records else []
-    rows = []
-    for r in records:
-        if r.covariates.keys() != set(names):
-            raise CohortError(
-                f"subject {r.id!r}: covariate keys differ from the first subject"
-            )
-        cells = (r.treatment, r.survival_time, r.event, *map(r.covariates.get, names))
-        rows.append(tuple(map(str, cells)))
-    columns = ["treatment", "time", "event", *names]
-    columns = [(name, *_encode(rows, k)) for k, name in enumerate(columns)]
-    ids = np.array([r.id for r in records], dtype=object)
-    return _validated(columns, ids, lambda i: f"subject {ids[i]!r}")
 
 
 def _check_utf8(data) -> None:
@@ -463,8 +423,8 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
     except csv.Error as exc:
         raise CohortError(f"line {reader.line_num}: {exc}") from None
     columns = [(col, *cells[index[col]]) for col in wanted]
-    ids = numbers - 2 if id_col is None else (id_col, *cells[index[id_col]])
-    return _validated(columns, ids, lambda i: f"row {numbers[i]}", broken)
+    id_column = None if id_col is None else (id_col, *cells[index[id_col]])
+    return _validated(columns, id_column, numbers, broken)
 
 
 def save_cohort(cohort: CohortDataset, destination) -> None:

@@ -71,10 +71,18 @@ class KmCurve:
 
 
 def _weights(counts, n):
-    """Per-row case weights as floats; None gives every row a weight of 1."""
-    c = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
+    """Per-row case weights as floats; None gives every row a weight of 1.
+
+    Counts must be non-negative whole numbers: the Efron correction gives a
+    failure time one term per weighted failure.
+    """
+    if counts is None:
+        return np.ones(n)
+    c = np.asarray(counts, dtype=np.float64)
     if c.shape != (n,):
         raise LengthMismatch("counts differs in length from times")
+    if not np.all((c >= 0) & (c == np.floor(c)) & np.isfinite(c)):
+        raise ValueError("counts must be non-negative whole numbers")
     return c
 
 

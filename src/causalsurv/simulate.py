@@ -21,11 +21,18 @@ an exponential survival profile whose rate is the cell's exponent.
 Subjects are laid out in index order as the z=0 block then the z=1 block,
 treated before controls within each block.
 
+The cohort is built as columns (ids ``p0``, ``p1``, ..., treatment, time,
+event and the codes of ``z`` over its levels in use), with no per-subject
+record and no round trip through text.  The ladder uses ``math.exp`` per
+subject: ``np.exp`` differs from it in the last bit for some arguments,
+which moves rounded times.
+
 Randomness contract: a single ``numpy.random.Generator`` seeded with
-``seed`` (PCG64, numpy's default bit generator), consumed as exactly one
-uniform noise draw per subject in index order.  Changing the generator,
-the draw order, or the assignment layout is a breaking change; golden
-tests depend on all three.
+``seed`` (PCG64, numpy's default bit generator), consumed as one uniform
+noise draw per subject in index order (drawn as one vector of n, the same
+stream as n scalar draws).  Changing the generator, the draw order, or
+the assignment layout is a breaking change; golden tests depend on all
+three.
 """
 
 import math
@@ -33,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import CohortDataset, SubjectRecord, build_cohort
+from .cohort import CohortDataset, _dataset
 from .errors import InvalidConfig
 
 __all__ = ["SimConfig", "generate_cohort"]
@@ -74,8 +81,11 @@ class SimConfig:
             raise InvalidConfig(f"noise bounds {self.noise} are not ordered")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+        # the ladder is monotone in k: its largest time is a (k = 0) or the
+        # cell's last member's
+        if self.a + hi >= 2.0**63:
+            raise InvalidConfig(f"a={self.a} leaves the 64-bit range of day counts")
         for z, x, size in self._cells():
-            # the cell's last member has the ladder's largest time
             try:
                 top = self._ladder(z, x, size - 1) + hi
             except OverflowError:
@@ -95,10 +105,6 @@ class SimConfig:
             cells += [(z, 1, treated), (z, 0, n_z - treated)]
         return cells
 
-    def assignment_plan(self) -> list[tuple[int, int]]:
-        """(z, x) per subject in index order."""
-        return [(z, x) for z, x, size in self._cells() for _ in range(size)]
-
     def _ladder(self, z: int, x: int, k: int) -> float:
         """Noise-free survival time of the k-th member of cell (z, x)."""
         return self.a * math.exp((self.b + self.c * z + self.d * x + self.e * z * x) * k)
@@ -107,21 +113,17 @@ class SimConfig:
 def generate_cohort(config: SimConfig) -> CohortDataset:
     """Draw a cohort; identical config and seed give identical output."""
     config.validate()
-    rng = np.random.default_rng(config.seed)
-    within = {}
-    records = []
-    for i, (z, x) in enumerate(config.assignment_plan()):
-        noise = rng.uniform(config.noise[0], config.noise[1])
-        k = within.get((z, x), 0)
-        within[(z, x)] = k + 1
-        raw = config._ladder(z, x, k) + noise
-        records.append(
-            SubjectRecord(
-                id=f"p{i}",
-                treatment=x,
-                survival_time=max(0, _half_up(raw)),
-                event=1,
-                covariates={"z": str(z)},
-            )
-        )
-    return build_cohort(records)
+    cells = config._cells()
+    noise = np.random.default_rng(config.seed).uniform(*config.noise, size=config.n).tolist()
+    ladder = [config._ladder(z, x, k) for z, x, size in cells for k in range(size)]
+    time = [max(0, _half_up(raw + e)) for raw, e in zip(ladder, noise)]
+    sizes = [size for _, _, size in cells]
+    z = np.repeat([z for z, _, _ in cells], sizes)
+    levels, codes = np.unique(z, return_inverse=True)
+    return _dataset(
+        np.array([f"p{i}" for i in range(config.n)], dtype=object),
+        np.repeat(np.array([x for _, x, _ in cells], dtype=np.int64), sizes),
+        np.array(time, dtype=np.int64),
+        np.ones(config.n, dtype=np.int64),
+        {"z": (tuple(map(str, levels.tolist())), codes.astype(np.int64))},
+    )

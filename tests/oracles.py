@@ -11,15 +11,20 @@ subjects; the backdoor-adjusted curve is checked against a sum over whole
 daily outcome histories; and the pseudo-cohort's count rows can be
 expanded to one tuple per subject.  ``gradient_at`` is a helper, not an
 oracle: it reads the production kernel's gradient for the score checks.
+Test cohorts are written as CSV text for ``load_cohort`` and decoded back
+to one tuple per subject by ``subjects``.
 """
 
+import functools
+import io
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import combinations, product
 
 import numpy as np
 
 from causalsurv._cox_kernels import cox_eval, cox_layout
+from causalsurv.cohort import load_cohort
 from causalsurv.errors import InvalidAdjustmentSet, PositivityViolation
 from causalsurv.estimators import _prepare
 from causalsurv.graph import descendants, satisfies_backdoor
@@ -265,6 +270,31 @@ def random_tie_free_dataset(rng, max_n=12):
             return x, t, beta_gs
 
 
+# --- cohorts as CSV text and as per-subject tuples -----------------------------
+
+def cohort_from_rows(rows, covariates=("z",)):
+    """``load_cohort`` on CSV text of (treatment, time, event, *covariate cells) rows."""
+    names = ["treatment", "time", "event", *covariates]
+    text = "".join(",".join(map(str, row)) + "\n" for row in [names, *rows])
+    column_map = {**{c: c for c in names[:3]}, "covariates": list(covariates)}
+    return load_cohort(io.StringIO(text), column_map)
+
+
+Subject = namedtuple("Subject", "id treatment survival_time event covariates")
+
+
+@functools.lru_cache(maxsize=1)  # brute_force_do asks once per (arm, day)
+def subjects(cohort):
+    """One ``Subject`` per row, decoded from the cohort's columns and level codes."""
+    names = sorted(cohort.covariate_levels)
+    labels = [[cohort.covariate_levels[c][k] for k in cohort.codes[c].tolist()] for c in names]
+    columns = [a.tolist() for a in (cohort.ids, cohort.treatment, cohort.time, cohort.event)]
+    return tuple(
+        Subject(str(i), x, t, e, dict(zip(names, values)))
+        for i, x, t, e, *values in zip(*columns, *labels)
+    )
+
+
 # --- pseudo-cohort ------------------------------------------------------------
 
 def expand(pseudo):
@@ -286,27 +316,26 @@ def brute_force_do(cohort, z, day, arm):
     Sums the empirical joint probability of every observed daily outcome
     history (Y_0, ..., Y_day) whose final entry is alive, stratum by
     stratum, weighted by the empirical stratum frequency.  Strata and death
-    days come from the per-subject records of ``cohort.subjects`` (a
+    days come from the per-subject tuples of ``subjects(cohort)`` (a
     subject dies on its survival time when its event is 1), not from the
-    cohort's level codes or the daily-trials table.  Small cohorts only;
-    cost grows with day * n.
+    daily-trials table.  Small cohorts only; cost grows with day * n.
     """
     if not z.valid:
         raise InvalidAdjustmentSet("adjustment set is not valid")
     if (day + 1) * cohort.n > 5_000_000:
         raise ValueError("oracle is meant for small cohorts and short horizons")
-    subjects = cohort.subjects
+    people = subjects(cohort)
     covs = sorted(z.variables)
-    keys = [tuple(s.covariates[c] for c in covs) for s in subjects]
-    levels = [sorted({s.covariates[c] for s in subjects}) for c in covs]
-    death_day = [s.survival_time if s.event == 1 else -1 for s in subjects]
-    n = len(subjects)
+    keys = [tuple(s.covariates[c] for c in covs) for s in people]
+    levels = [sorted({s.covariates[c] for s in people}) for c in covs]
+    death_day = [s.survival_time if s.event == 1 else -1 for s in people]
+    n = len(people)
 
     total = 0.0
     for combo in product(*levels):
         members = [j for j in range(n) if keys[j] == combo]
         weight = len(members) / n
-        idx = [j for j in members if subjects[j].treatment == arm]
+        idx = [j for j in members if people[j].treatment == arm]
         if not idx:
             raise PositivityViolation(arm, combo)
         histories = Counter()

@@ -18,13 +18,13 @@ import pytest
 import causalsurv as cs
 from causalsurv import errors
 from causalsurv.cli import main
-from causalsurv.cohort import SubjectRecord, build_cohort
 from causalsurv.graph import satisfies_backdoor, validate_dag
 
 from oracles import (
     brute_force_d_separated,
     brute_force_do,
     central_difference,
+    cohort_from_rows,
     direct_loglik,
     gradient_at,
     random_dag,
@@ -113,7 +113,7 @@ def test_criterion_2_ewing_fixture():
     )
     adjustment = satisfies_backdoor(dag, {"ldh"}, "treatment", "time")
     crude, adjusted, _, _ = _three_way(cohort, adjustment)
-    ldh = np.array([float(s.covariates["ldh"]) for s in cohort.subjects])
+    ldh = np.array(cohort.covariate_levels["ldh"], dtype=float)[cohort.codes["ldh"]]
     traditional = cs.cox_fit(
         np.column_stack([cohort.treatment.astype(float), ldh]),
         cohort.time,
@@ -139,18 +139,17 @@ def _random_small_cohort(rng):
     cov_names = [f"z{i}" for i in range(n_cov)]
     while True:
         n = int(rng.integers(10, 31))
-        records = [
-            SubjectRecord(
-                f"s{j}",
+        rows = [
+            (
                 int(rng.integers(0, 2)),
                 int(rng.integers(0, 11)),
                 int(rng.integers(0, 2)),
-                {c: str(rng.integers(0, 2)) for c in cov_names},
+                *(rng.integers(0, 2) for _ in cov_names),
             )
-            for j in range(n)
+            for _ in range(n)
         ]
         try:
-            cohort = build_cohort(records)
+            cohort = cohort_from_rows(rows, cov_names)
         except errors.EmptyArm:
             continue
         nodes = cov_names + ["x", "t"]

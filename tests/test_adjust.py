@@ -3,24 +3,14 @@ import pytest
 
 from causalsurv import errors
 from causalsurv.adjust import adjust_curve, unadjusted_curve
-from causalsurv.cohort import SubjectRecord, build_cohort
 from causalsurv.graph import AdjustmentSet, satisfies_backdoor, validate_dag
 from causalsurv.trials import to_daily_trials
 
-from oracles import brute_force_do
+from oracles import brute_force_do, cohort_from_rows
 
 CONFOUNDED = validate_dag(["z", "x", "t"], [("z", "x"), ("z", "t"), ("x", "t")])
 ZSET = satisfies_backdoor(CONFOUNDED, {"z"}, "x", "t")
 EMPTY_SET = AdjustmentSet(frozenset(), True, "x", "t")
-
-
-def _cohort(rows):
-    return build_cohort(
-        [
-            SubjectRecord(f"s{i}", x, t, s, {"z": z})
-            for i, (x, t, s, z) in enumerate(rows)
-        ]
-    )
 
 
 def test_weighted_sum_hand_example():
@@ -29,7 +19,7 @@ def test_weighted_sum_hand_example():
     rows += [(1, 9, 1, "0")] * 4 + [(1, 1, 1, "0")] * 1  # 4/5 alive at day 5
     rows += [(1, 9, 1, "1")] * 2 + [(1, 1, 1, "1")] * 3  # 2/5 alive at day 5
     rows += [(0, 9, 1, "0")] * 5 + [(0, 9, 1, "1")] * 5
-    cohort = _cohort(rows)
+    cohort = cohort_from_rows(rows)
     curve = adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
     assert curve.p_at(1, 5) == pytest.approx(0.8 * 0.5 + 0.4 * 0.5, abs=1e-15)
 
@@ -41,7 +31,7 @@ def test_exact_balance_matches_crude():
         times = [3, 5, 8, 11] if z == "0" else [2, 7, 9, 13]
         for j, t in enumerate(times):
             rows.append((1 if j % 2 == 0 else 0, t, 1, z))
-    cohort = _cohort(rows)
+    cohort = cohort_from_rows(rows)
     trials = to_daily_trials(cohort, {"z"})
     adjusted = adjust_curve(cohort, trials, ZSET)
     crude = unadjusted_curve(cohort, trials)
@@ -51,7 +41,7 @@ def test_exact_balance_matches_crude():
 
 def test_empty_set_equals_crude():
     rows = [(1, 3, 1, "0"), (1, 6, 1, "1"), (0, 4, 1, "0"), (0, 9, 1, "1")]
-    cohort = _cohort(rows)
+    cohort = cohort_from_rows(rows)
     trials = to_daily_trials(cohort, ())
     adjusted = adjust_curve(cohort, trials, EMPTY_SET)
     crude = unadjusted_curve(cohort, trials)
@@ -62,16 +52,14 @@ def test_invalid_set_rejected():
     mediator = validate_dag(["x", "m", "y"], [("x", "m"), ("m", "y")])
     bad = satisfies_backdoor(mediator, {"m"}, "x", "y")
     rows = [(1, 3, 1, "0"), (0, 4, 1, "0")]
-    cohort = build_cohort(
-        [SubjectRecord(f"s{i}", x, t, s, {"m": "0"}) for i, (x, t, s, _) in enumerate(rows)]
-    )
+    cohort = cohort_from_rows(rows, ["m"])
     with pytest.raises(errors.InvalidAdjustmentSet):
         adjust_curve(cohort, to_daily_trials(cohort, bad.variables), bad)
 
 
 def test_positivity_violation_names_stratum():
     rows = [(1, 3, 1, "0"), (0, 2, 1, "0"), (0, 4, 1, "1")]
-    cohort = _cohort(rows)
+    cohort = cohort_from_rows(rows)
     with pytest.raises(errors.PositivityViolation):
         adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
 
@@ -104,7 +92,7 @@ def _random_cohort(rng, max_n=30, max_day=10, n_cov=1):
                 )
             )
         try:
-            cohort = _cohort(rows)
+            cohort = cohort_from_rows(rows)
             adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)  # positivity probe
             return cohort
         except (errors.EmptyArm, errors.PositivityViolation):
@@ -114,7 +102,7 @@ def _random_cohort(rng, max_n=30, max_day=10, n_cov=1):
 def test_plug_in_with_singleton_strata():
     rows = [(1, 9, 1, "0"), (1, 1, 1, "0"), (0, 9, 1, "0")]
     rows += [(1, 9, 1, "1"), (0, 9, 1, "1")]
-    cohort = _cohort(rows)
+    cohort = cohort_from_rows(rows)
     plain = adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
     # stratum (x=1, z=0) has one of two dead by day 5, the singleton
     # stratum (x=1, z=1) none; stratum weights are 3/5 and 2/5
@@ -125,13 +113,13 @@ def test_plug_in_with_singleton_strata():
 
 def test_brute_force_day_zero_all_alive():
     rows = [(1, 3, 1, "0"), (0, 2, 1, "0"), (1, 4, 1, "1"), (0, 4, 1, "1")]
-    cohort = _cohort(rows)
+    cohort = cohort_from_rows(rows)
     assert brute_force_do(cohort, ZSET, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_brute_force_single_stratum_equals_crude():
     rows = [(1, 3, 1, "0"), (0, 2, 1, "0"), (1, 5, 1, "0"), (0, 6, 1, "0")]
-    cohort = _cohort(rows)
+    cohort = cohort_from_rows(rows)
     crude = unadjusted_curve(cohort, to_daily_trials(cohort, ()))
     for day in range(cohort.t_max + 1):
         got = brute_force_do(cohort, EMPTY_SET, day, 1)

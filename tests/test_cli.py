@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalsurv.cli import main
@@ -483,6 +483,39 @@ def cohort_bytes(draw):
     return data
 
 
+def _check_exit_contract(argv, out, codes):
+    """Run ``main(argv)`` twice and check the exit contract.
+
+    The code is in ``codes``.  Exit 2 (argparse) prints nothing to stdout
+    and writes nothing; 3, 4 and 5 print a strict JSON error naming the
+    code; 0 writes report.json.  Any report.json is strict JSON, and the
+    second run repeats the first byte for byte.
+    """
+    runs = []
+    for _ in range(2):
+        printed, errors_printed = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors_printed):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the options
+                code = exc.code
+        written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        shutil.rmtree(out, ignore_errors=True)
+        runs.append((code, printed.getvalue(), errors_printed.getvalue(), written))
+    code, printed, _, written = runs[0]
+    assert code in codes
+    if code == 2:
+        assert printed == "" and not written
+    elif code:
+        payload = json.loads(printed, parse_constant=pytest.fail)
+        assert payload["error"]["exit"] == code
+    else:
+        assert "report.json" in written
+    if "report.json" in written:
+        json.loads(written["report.json"], parse_constant=pytest.fail)
+    assert runs[1] == runs[0]
+
+
 @settings(max_examples=60)
 @given(cohort_bytes())
 def test_analyze_fuzzed_cohort_bytes_exit_contract(data):
@@ -493,22 +526,89 @@ def test_analyze_fuzzed_cohort_bytes_exit_contract(data):
         graph.write_text(json.dumps(CONFOUNDED_GRAPH))
         cohort = tmp_path / "cohort.csv"
         cohort.write_bytes(data)
-        runs = []
-        for _ in range(2):
-            printed = io.StringIO()
-            with contextlib.redirect_stdout(printed):
-                code = main(_analyze_args(tmp_path, graph, cohort))
-            out = tmp_path / "out"
-            written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
-            shutil.rmtree(out, ignore_errors=True)
-            runs.append((code, printed.getvalue(), written))
-    code, printed, written = runs[0]
-    assert code in {0, 3, 4, 5}
-    if code:
-        payload = json.loads(printed, parse_constant=pytest.fail)
-        assert payload["error"]["exit"] == code
-    else:
-        assert "report.json" in written
-    if "report.json" in written:
-        json.loads(written["report.json"], parse_constant=pytest.fail)
-    assert runs[1] == runs[0]
+        _check_exit_contract(_analyze_args(tmp_path, graph, cohort), tmp_path / "out", {0, 3, 4, 5})
+
+
+@st.composite
+def graph_bytes(draw):
+    """Graph JSON over the cohort's columns and a latent u: mostly DAGs of
+    random edges, and at times u confounding treatment and time, a cycle, a
+    malformed node, text that is not JSON, or bytes that are not UTF-8."""
+    names = ["z", "treatment", "time", "u"]
+    order = draw(st.permutations(names))
+    pairs = [[a, b] for a in order for b in order[order.index(a) + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=6))
+    nodes = [{"name": n, "observed": n != "u"} for n in names]
+    # sampled_from favours its ends, so a DAG sits at both
+    kinds = ["dag"] * 6 + ["latent", "cycle", "bad_node", "not_json", "not_utf8", "dag"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "latent":
+        edges += [e for e in (["u", "treatment"], ["u", "time"]) if e not in edges]
+    elif kind == "cycle":
+        edges += [["treatment", "time"], ["time", "treatment"]]
+    elif kind == "bad_node":
+        bad = draw(st.sampled_from([{"name": ""}, 7, {"name": "z", "observed": 1}]))
+        nodes[draw(st.integers(0, 3))] = bad
+    text = json.dumps({"nodes": nodes, "edges": edges})
+    if kind == "not_json":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    data = text.encode()
+    return b"\xff" + data if kind == "not_utf8" else data
+
+
+@st.composite
+def analyze_options(draw):
+    """analyze options; at times one more that overrides an earlier one with
+    a value outside what the parser or the pipeline accepts, or that lacks
+    its value."""
+    argv = [
+        "--covariates", draw(st.sampled_from(["z", "z", ""])),
+        "--adjustment-set", draw(st.sampled_from(["auto", "", "z", "auto"])),
+        "--ties", draw(st.sampled_from(["efron", "breslow"])),
+        "--alpha", draw(st.sampled_from(["0.05", "0.2"])),
+    ]
+    if draw(st.booleans()):
+        argv += ["--t-max", draw(st.sampled_from(["0", "4"]))]
+    if draw(st.booleans()):
+        argv.append("--strict-censoring")
+    bad = [
+        ("--alpha", "nan"), ("--alpha", "1"), ("--t-max", "x"), ("--t-max", "-1"),
+        ("--ties", "exact"), ("--covariates", "z,m"), ("--treatment",),
+    ]
+    return argv + list(draw(st.sampled_from([()] * 8 + bad)))
+
+
+def valid_cohort_bytes():
+    """Cohort CSV bytes of well-formed rows, one in each (treatment, z) cell first."""
+    row = st.tuples(st.integers(0, 1), st.integers(0, 8), st.integers(0, 1), st.integers(0, 1))
+    rows = st.lists(row, max_size=26)
+    head = "treatment,time,event,z\n0,3,1,0\n1,5,0,0\n0,4,1,1\n1,6,1,1\n"
+    return rows.map(lambda rs: (head + "".join("%d,%d,%d,%d\n" % r for r in rs)).encode())
+
+
+_GOOD_COHORT = b"treatment,time,event,z\n0,3,1,0\n1,5,0,0\n0,4,1,1\n1,6,1,1\n1,2,1,0\n0,7,1,1\n"
+_LATENT_GRAPH = {
+    "nodes": [{"name": "treatment"}, {"name": "time"}, {"name": "u", "observed": False}],
+    "edges": [["u", "treatment"], ["u", "time"], ["treatment", "time"]],
+}
+_CYCLIC_GRAPH = {**CONFOUNDED_GRAPH, "edges": CONFOUNDED_GRAPH["edges"] + [["time", "z"]]}
+
+
+# generated examples depend on the test's source, so one input per exit code
+# is pinned: 0, 2 (argparse), 3 (a cycle) and 4 (latent confounding)
+@settings(max_examples=30)
+@example(_GOOD_COHORT, json.dumps(CONFOUNDED_GRAPH).encode(), ["--covariates", "z"])
+@example(_GOOD_COHORT, json.dumps(CONFOUNDED_GRAPH).encode(), ["--alpha", "nan"])
+@example(_GOOD_COHORT, json.dumps(_CYCLIC_GRAPH).encode(), ["--covariates", "z"])
+@example(_GOOD_COHORT, json.dumps(_LATENT_GRAPH).encode(), ["--covariates", ""])
+@given(st.one_of(valid_cohort_bytes(), cohort_bytes()), graph_bytes(), analyze_options())
+def test_cli_fuzzed_inputs_exit_contract(data, graph, options):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        (tmp_path / "graph.json").write_bytes(graph)
+        (tmp_path / "cohort.csv").write_bytes(data)
+        # options name --covariates again, which overrides the default z
+        argv = _analyze_args(
+            tmp_path, tmp_path / "graph.json", tmp_path / "cohort.csv", extra=options
+        )
+        _check_exit_contract(argv, tmp_path / "out", {0, 2, 3, 4, 5})

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from causalsurv import cohort as cohort_module
 from causalsurv import errors
 from causalsurv.cohort import (
-    SubjectRecord,
-    build_cohort,
     drop_early_censored,
     load_cohort,
     save_cohort,
     stratum_assignments,
     truncate_followup,
 )
+
+from oracles import cohort_from_rows, subjects
 
 MAP = {"treatment": "x", "time": "t", "event": "s", "covariates": ["z"]}
 
@@ -56,7 +56,7 @@ def test_load_cohort_fractional_time():
 
 def test_load_cohort_integral_float_time_accepted():
     cohort = load_cohort(_csv(["0,5.0,1,0", "1,3,1,1"]), MAP)
-    assert cohort.subjects[0].survival_time == 5
+    assert subjects(cohort)[0].survival_time == 5
 
 
 def test_load_cohort_missing_column():
@@ -88,7 +88,7 @@ def test_quoted_fields_parse_per_rfc4180():
 
 def test_day_zero_event_allowed():
     cohort = load_cohort(_csv(["0,0,1,0", "1,3,1,1"]), MAP)
-    assert cohort.subjects[0].survival_time == 0
+    assert subjects(cohort)[0].survival_time == 0
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -97,7 +97,7 @@ def test_save_load_roundtrip(tmp_path):
     save_cohort(cohort, out)
     columns = ("id", "treatment", "time", "event")
     again = load_cohort(out, {**dict(zip(columns, columns)), "covariates": ["z"]})
-    assert again.subjects == cohort.subjects
+    assert subjects(again) == subjects(cohort)
     assert again.t_max == cohort.t_max
     # serialization is canonical: a second save is byte-identical
     out2 = tmp_path / "again.csv"
@@ -107,16 +107,11 @@ def test_save_load_roundtrip(tmp_path):
 
 def _balanced_cohort():
     # 100 subjects per z level; 75/25 treated split within each level
-    records = []
-    i = 0
+    rows = []
     for z in ("0", "1"):
         treated = 75 if z == "0" else 25
-        for k in range(100):
-            records.append(
-                SubjectRecord(f"s{i}", 1 if k < treated else 0, 5 + k, 1, {"z": z})
-            )
-            i += 1
-    return build_cohort(records)
+        rows += [(1 if k < treated else 0, 5 + k, 1, z) for k in range(100)]
+    return cohort_from_rows(rows)
 
 
 def _arm_counts(cohort, covariates):
@@ -142,13 +137,7 @@ def test_stratum_counts_empty_selection_is_single_stratum():
 
 
 def test_stratum_counts_records_zero_cells():
-    cohort = build_cohort(
-        [
-            SubjectRecord("a", 1, 3, 1, {"z": "0"}),
-            SubjectRecord("b", 0, 2, 1, {"z": "0"}),
-            SubjectRecord("c", 0, 4, 1, {"z": "1"}),
-        ]
-    )
+    cohort = cohort_from_rows([(1, 3, 1, "0"), (0, 2, 1, "0"), (0, 4, 1, "1")])
     _, counts = _arm_counts(cohort, {"z"})
     assert counts[(1, ("1",))] == 0
     assert [key for key, c in sorted(counts.items()) if c == 0] == [(1, ("1",))]
@@ -169,7 +158,7 @@ def test_truncate_followup():
     cohort = load_cohort(_csv(["0,5,1,0", "1,3,1,1", "0,8,1,0", "1,9,1,1"]), MAP)
     cut = truncate_followup(cohort, 6)
     assert cut.t_max == 6
-    assert [(s.survival_time, s.event) for s in cut.subjects] == [
+    assert [(s.survival_time, s.event) for s in subjects(cut)] == [
         (5, 1),
         (3, 1),
         (6, 0),
@@ -184,7 +173,7 @@ def test_drop_early_censored():
     assert dropped == 1
     assert strict.n == 3
     # censored exactly at the horizon is kept
-    assert any(s.event == 0 and s.survival_time == 8 for s in strict.subjects)
+    assert any(s.event == 0 and s.survival_time == 8 for s in subjects(strict))
 
 
 @pytest.mark.parametrize(
@@ -260,18 +249,18 @@ def test_error_messages_name_row_and_column(cell, exc):
 def test_cells_are_stripped():
     source = io.StringIO("id,x,t,s,z\n p1 , 1 , 5 , 1 , a \n p2 ,0,3.0 ,0, b\n")
     cohort = load_cohort(source, {**MAP, "id": "id"})
-    assert [s.id for s in cohort.subjects] == ["p1", "p2"]
+    assert [s.id for s in subjects(cohort)] == ["p1", "p2"]
     assert cohort.treatment.tolist() == [1, 0]
     assert cohort.time.tolist() == [5, 3]
     assert cohort.event.tolist() == [1, 0]
     assert cohort.covariate_levels == {"z": ("a", "b")}
-    assert [s.covariates for s in cohort.subjects] == [{"z": "a"}, {"z": "b"}]
+    assert [s.covariates for s in subjects(cohort)] == [{"z": "a"}, {"z": "b"}]
 
 
 def test_default_ids_follow_row_numbers():
     source = io.StringIO("x,t,s,z\n0,5,1,0\n\n1,3,1,1\n0,4,0,1\n")
     cohort = load_cohort(source, MAP)
-    assert [s.id for s in cohort.subjects] == ["0", "2", "3"]
+    assert [s.id for s in subjects(cohort)] == ["0", "2", "3"]
 
 
 def test_subjects_keep_ids_and_covariates_after_filters():
@@ -280,16 +269,16 @@ def test_subjects_keep_ids_and_covariates_after_filters():
         "a,0,5,0,0,p\nb,1,3,1,1,q\nc,0,8,1,0,q\nd,1,9,0,1,p\ne,1,2,0,2,p\n"
     )
     cohort = load_cohort(source, {**MAP, "id": "id", "covariates": ["z", "w"]})
-    before = {s.id: s.covariates for s in cohort.subjects}
+    before = {s.id: s.covariates for s in subjects(cohort)}
     cut = truncate_followup(cohort, 6)
-    assert [(s.id, s.survival_time, s.event) for s in cut.subjects] == [
+    assert [(s.id, s.survival_time, s.event) for s in subjects(cut)] == [
         ("a", 5, 0), ("b", 3, 1), ("c", 6, 0), ("d", 6, 0), ("e", 2, 0)
     ]
-    assert {s.id: s.covariates for s in cut.subjects} == before
+    assert {s.id: s.covariates for s in subjects(cut)} == before
     strict, dropped = drop_early_censored(cut)
     assert dropped == 2
-    assert [s.id for s in strict.subjects] == ["b", "c", "d"]
-    assert all(s.covariates == before[s.id] for s in strict.subjects)
+    assert [s.id for s in subjects(strict)] == ["b", "c", "d"]
+    assert all(s.covariates == before[s.id] for s in subjects(strict))
     # level "2" of z belonged only to a dropped subject
     assert strict.covariate_levels == {"w": ("p", "q"), "z": ("0", "1")}
 
@@ -297,21 +286,21 @@ def test_subjects_keep_ids_and_covariates_after_filters():
 def test_stratum_codes_match_per_subject_lookup():
     rng = np.random.default_rng(7)
     levels = {"a": ["u", "v", "w"], "b": ["0", "1"], "c": ["x", "y", "z", "zz"]}
-    records = [
-        SubjectRecord(
-            f"s{j}",
+    rows = [
+        (
             int(rng.integers(0, 2)),
             int(rng.integers(0, 30)),
             int(rng.integers(0, 2)),
-            {c: str(rng.choice(vals)) for c, vals in levels.items()},
+            *(str(rng.choice(vals)) for vals in levels.values()),
         )
-        for j in range(300)
+        for _ in range(300)
     ]
-    cohort = build_cohort(records)
+    cohort = cohort_from_rows(rows, list(levels))
+    cells = [dict(zip(levels, row[3:])) for row in rows]
     for covs in (("a",), ("c", "a"), ("a", "b", "c")):
         names, strata, assign = stratum_assignments(cohort, covs)
         lookup = {combo: i for i, combo in enumerate(strata)}
-        expected = [lookup[tuple(s.covariates[c] for c in names)] for s in records]
+        expected = [lookup[tuple(cell[c] for c in names)] for cell in cells]
         assert assign.tolist() == expected
 
 

@@ -124,6 +124,24 @@ def test_cox_constant_covariate():
         cox_fit(np.ones((4, 1)), [1, 2, 3, 4], [1, 1, 1, 1])
 
 
+@pytest.mark.parametrize(
+    "events, counts",
+    [
+        ([1, 0, 1, 0, 1, 1], [0.5, 1, 1, 1, 1, 1]),  # a failure time under one weighted failure
+        ([1, 1, 1, 0, 1, 1], [1.5, 2, 1, 1, 2, 1]),  # fractional
+        ([1, 0, 1, 0, 1, 1], [-1, 1, 1, 1, 1, 1]),  # negative
+        ([1, 0, 1, 0, 1, 1], [np.inf, 1, 1, 1, 1, 1]),  # not finite
+    ],
+)
+def test_counts_must_be_non_negative_whole_numbers(events, counts):
+    x = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])[:, None]
+    times = [1, 1, 2, 2, 3, 3]
+    with pytest.raises(ValueError, match="non-negative whole numbers"):
+        cox_fit(x, times, events, counts=counts)
+    with pytest.raises(ValueError, match="non-negative whole numbers"):
+        km_fit(times, events, counts=counts)
+
+
 def test_cox_collinear_columns_singular():
     x = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(errors.SingularHessian):

@@ -1,18 +1,25 @@
+import contextlib
+import hashlib
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from causalsurv import errors
+from causalsurv.cli import main
 from causalsurv.cohort import save_cohort
 from causalsurv.simulate import SimConfig, generate_cohort
+
+from oracles import subjects
 
 
 def test_first_group_member_survives_a_days():
     # zero noise isolates the ladder: the first member of every cell gets a=5
     cohort = generate_cohort(SimConfig(n=20, noise=(0.0, 0.0), seed=3))
     firsts = {}
-    for s in cohort.subjects:
+    for s in subjects(cohort):
         key = (s.covariates["z"], s.treatment)
         firsts.setdefault(key, s.survival_time)
     assert set(firsts.values()) == {5}
@@ -30,10 +37,11 @@ def test_group_index_ten_formula_value():
             seed=0,
         )
     )
-    eleventh = cohort.subjects[10]
+    people = subjects(cohort)
+    eleventh = people[10]
     assert (eleventh.treatment, eleventh.covariates["z"]) == (1, "1")
     assert eleventh.survival_time == 12
-    assert cohort.subjects[0].survival_time == 5
+    assert people[0].survival_time == 5
 
 
 def test_reproducible_byte_for_byte():
@@ -83,6 +91,7 @@ def test_times_are_nonnegative_integers():
         {"p_treat_given_z": {0: -0.1, 1: 0.5}},
         {"noise": (0.5, -0.5)},
         {"seed": -1},
+        {"a": 1e19, "b": -1.0},  # a falling ladder whose first day is past int64
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -100,3 +109,33 @@ def test_n_whose_ladder_leaves_the_day_range_rejected(n):
 def test_largest_n_within_the_day_range_is_simulated():
     cohort = generate_cohort(SimConfig(n=3740, seed=1))
     assert cohort.n == 3740
+
+
+# sha256 of ``causalsurv simulate --n N --seed SEED`` stdout; (3740, 196) is
+# a cohort whose rounded times move if the ladder uses np.exp for math.exp
+SIMULATE_SHA256 = {
+    (200, 1): "7e185ca62cfaaaa35c3fa6c423c051b599ae402f51b02beddb8264350f77ef7b",
+    (200, 7): "54cdbc636772e901b8e28cf9bb6e1ed4d9ef2cbbb88da01677c47be1b8f2366f",
+    (200, 42): "eacba950624b4bb5a62324416120ae2a6c5085be918a2e0c2a1739d34bc0ca27",
+    (3740, 196): "c299fc2521d6c03a3942e3e94e64e49c4ed0711041729b237a41d7fac30a3fcf",
+}
+
+
+def _simulate_csv(n, seed, bias=0.75):
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(io.StringIO()):
+        argv = ["simulate", "--n", str(n), "--seed", str(seed), "--bias", str(bias)]
+        assert main(argv) == 0
+    return printed.getvalue()
+
+
+def test_simulate_bytes_are_pinned():
+    for (n, seed), digest in SIMULATE_SHA256.items():
+        assert hashlib.sha256(_simulate_csv(n, seed).encode()).hexdigest() == digest
+    # the benchmark writes its paper_small cohorts without importing the package
+    path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for seed in (1, 2):
+        assert inputs.paper_cohort_csv(seed) == _simulate_csv(200, seed)

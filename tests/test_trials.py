@@ -5,25 +5,14 @@ from hypothesis import strategies as st
 
 from causalsurv import errors
 from causalsurv.adjust import AdjustedCurve, adjust_curve, unadjusted_curve
-from causalsurv.cohort import SubjectRecord, build_cohort
 from causalsurv.estimators import cox_fit, km_fit
 from causalsurv.graph import satisfies_backdoor, validate_dag
 from causalsurv.trials import from_adjusted_counts, to_daily_trials
 
-from oracles import expand
+from oracles import cohort_from_rows, expand
 
 CONFOUNDED = validate_dag(["z", "x", "t"], [("z", "x"), ("z", "t"), ("x", "t")])
 ZSET = satisfies_backdoor(CONFOUNDED, {"z"}, "x", "t")
-
-
-def _cohort(rows):
-    # rows: (treatment, time, event, z)
-    return build_cohort(
-        [
-            SubjectRecord(f"s{i}", x, t, s, {"z": z})
-            for i, (x, t, s, z) in enumerate(rows)
-        ]
-    )
 
 
 def _alive_per_day(trials, arm):
@@ -34,17 +23,17 @@ def _alive_per_day(trials, arm):
 
 
 def test_event_subject_dies_at_its_day():
-    cohort = _cohort([(1, 2, 1, "0"), (0, 3, 1, "0")])
+    cohort = cohort_from_rows([(1, 2, 1, "0"), (0, 3, 1, "0")])
     assert _alive_per_day(to_daily_trials(cohort, ()), 1) == [1, 1, 0, 0]
 
 
 def test_censored_subject_stays_alive():
-    cohort = _cohort([(1, 2, 0, "0"), (0, 3, 1, "0")])
+    cohort = cohort_from_rows([(1, 2, 0, "0"), (0, 3, 1, "0")])
     assert _alive_per_day(to_daily_trials(cohort, ()), 1) == [1, 1, 1, 1]
 
 
 def test_day_zero_death():
-    cohort = _cohort([(1, 0, 1, "0"), (0, 3, 1, "0")])
+    cohort = cohort_from_rows([(1, 0, 1, "0"), (0, 3, 1, "0")])
     assert _alive_per_day(to_daily_trials(cohort, ()), 1) == [0, 0, 0, 0]
 
 
@@ -63,7 +52,7 @@ def test_matrix_is_monotone_and_column_sums_match():
         ]
         rows[0] = (1, rows[0][1], rows[0][2], "0")
         rows[-1] = (0, rows[-1][1], rows[-1][2], "0")
-        cohort = _cohort(rows)
+        cohort = cohort_from_rows(rows)
         trials = to_daily_trials(cohort, ())
         assert trials.counts.sum() == cohort.n
         alive = np.array([_alive_per_day(trials, arm) for arm in (0, 1)])
@@ -74,7 +63,7 @@ def test_matrix_is_monotone_and_column_sums_match():
 
 
 def test_proportions_all_alive():
-    cohort = _cohort([(1, 5, 0, "0"), (0, 5, 0, "0"), (1, 5, 0, "1"), (0, 5, 0, "1")])
+    cohort = cohort_from_rows([(1, 5, 0, "0"), (0, 5, 0, "0"), (1, 5, 0, "1"), (0, 5, 0, "1")])
     trials = to_daily_trials(cohort, {"z"})
     assert trials.counts[..., 1].sum() == 0
     assert np.all(adjust_curve(cohort, trials, ZSET).p == 1.0)
@@ -84,7 +73,7 @@ def test_proportions_direct_count():
     # stratum (x=1, z=0) of size 4 with one death by day 3
     rows = [(1, 3, 1, "0"), (1, 9, 1, "0"), (1, 9, 1, "0"), (1, 9, 1, "0")]
     rows += [(0, 9, 1, "0"), (1, 9, 1, "1"), (0, 9, 1, "1")]
-    cohort = _cohort(rows)
+    cohort = cohort_from_rows(rows)
     trials = to_daily_trials(cohort, {"z"})
     cell = trials.counts[1, trials.strata.index(("0",))]
     size = cell.sum()
@@ -93,7 +82,7 @@ def test_proportions_direct_count():
 
 
 def test_proportions_positivity_violation():
-    cohort = _cohort([(1, 3, 1, "0"), (0, 2, 1, "0"), (0, 4, 1, "1")])
+    cohort = cohort_from_rows([(1, 3, 1, "0"), (0, 2, 1, "0"), (0, 4, 1, "1")])
     with pytest.raises(errors.PositivityViolation) as exc:
         adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
     assert "arm=1" in str(exc.value)
@@ -104,18 +93,17 @@ def small_cohorts(draw):
     """A cohort of 2-25 subjects over days 0-8 with 0-2 covariates of 1-3 levels."""
     n = draw(st.integers(2, 25))
     levels = draw(st.lists(st.integers(1, 3), max_size=2))
-    records = [
-        SubjectRecord(
-            f"s{i}",
+    rows = [
+        (
             draw(st.integers(0, 1)),
             draw(st.integers(0, 8)),
             draw(st.integers(0, 1)),
-            {f"c{k}": str(draw(st.integers(0, m - 1))) for k, m in enumerate(levels)},
+            *(draw(st.integers(0, m - 1)) for m in levels),
         )
-        for i in range(n)
+        for _ in range(n)
     ]
     try:
-        return build_cohort(records)
+        return cohort_from_rows(rows, [f"c{k}" for k in range(len(levels))])
     except errors.EmptyArm:
         return draw(st.nothing())
 
@@ -259,7 +247,7 @@ def test_round_trip_identity_without_censoring():
         ]
         rows[0] = (1, rows[0][1], 1, "0")
         rows[-1] = (0, rows[-1][1], 1, "0")
-        cohort = _cohort(rows)
+        cohort = cohort_from_rows(rows)
         curve = unadjusted_curve(cohort, to_daily_trials(cohort, ()))
         pseudo = from_adjusted_counts(curve, cohort.arm_sizes())
         for arm in (0, 1):
