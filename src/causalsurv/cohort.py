@@ -11,13 +11,16 @@ and users must pre-discretize numeric ones.
 ``load_cohort`` reads the CSV whole as bytes and checks UTF-8 first.  Bytes
 with no quote, no NUL and no carriage return outside a CRLF pair are
 tokenized with numpy in newline-aligned chunks: delimiter positions come
-from byte compares, each cell's bytes become an integer key, and one
-``np.unique`` per column leaves only the distinct cells to decode.  Other
-bytes go through ``csv.reader``.  Both readers hand each column to one
-validator as distinct raw cells plus one index per row, so checks,
-stripping and level sorting run once per distinct value.  ``load_cohort``
-is the one validated way in: a Python caller passes a path or a text or
-bytes buffer such as ``io.StringIO``.
+from byte compares, each cell's bytes become an integer key (by a byte
+gather in a column whose cells are at most 1 byte wide), and one
+``np.unique`` per column leaves only the distinct cells to decode.  The
+id column is not keyed: its bytes are decoded once, one string per row.
+Other bytes go through ``csv.reader``.  Both readers hand each mapped
+column to one validator as distinct raw cells plus one index per row, so
+checks, stripping and level sorting run once per distinct value, and the
+id column as one stripped string per row plus a mask of the empty ones.
+``load_cohort`` is the one validated way in: a Python caller passes a
+path or a text or bytes buffer such as ``io.StringIO``.
 
 Datasets are columnar, immutable after load and safe for shared
 concurrent reads.
@@ -139,21 +142,25 @@ def _validated(columns, id_column, numbers, broken) -> CohortDataset:
 
     ``columns`` holds (name, distinct raw cells, each row's index into
     them) for treatment, time, event and then each covariate.
-    ``id_column``, such a triple or None, has its cells stripped and
-    checked last; without it a subject's id is its row number minus 2.
-    ``numbers[i]`` is row i's number in messages.  The earliest failing
-    row is reported; within a row an empty cell (in column order, the id
-    column last) comes first, then treatment, time, event.  Messages quote
-    a cell as it was written, unstripped.  ``broken``, a structural error
-    just past the rows, is raised when every row passes.
+    ``id_column`` is None, and a subject's id its row number minus 2, or
+    (name, each row's stripped id, which rows have an empty id), checked
+    last.  ``numbers[i]`` is row i's number in messages.  The earliest
+    failing row is reported; within a row an empty cell (in column order,
+    the id column last) comes first, then treatment, time, event.
+    Messages quote a cell as it was written, unstripped.  ``broken``, a
+    structural error just past the rows, is raised when every row passes.
     """
-    checked = columns + ([id_column] if id_column is not None else [])
-    values = [[cell.strip() for cell in raw] for _, raw, _ in checked]
+    values = [[cell.strip() for cell in raw] for _, raw, _ in columns]
     failures = []
-    for (name, _, index), stripped in zip(checked, values):
+    for (name, _, index), stripped in zip(columns, values):
         empty = [v == "" for v in stripped]
         if any(empty):
             i = _first(empty, index)
+            failures.append((i, MissingValue(f"row {numbers[i]}: column {name!r} is empty")))
+    if id_column is not None:
+        name, _, empty = id_column
+        if empty.any():
+            i = int(np.argmax(empty))
             failures.append((i, MissingValue(f"row {numbers[i]}: column {name!r} is empty")))
 
     def binary(k, exc):
@@ -163,7 +170,7 @@ def _validated(columns, id_column, numbers, broken) -> CohortDataset:
             i = _first(bad, index)
             got = f"expected 0 or 1, got {raw[index[i]]!r}"
             failures.append((i, exc(f"row {numbers[i]}, column {name!r}: {got}")))
-        return np.array([v == "1" for v in values[k]], dtype=np.int64)[index]
+        return np.array([v == "1" for v in values[k]], dtype=np.int64).take(index)
 
     treatment = binary(0, NonBinaryTreatment)
     name, raw, index = columns[1]
@@ -183,17 +190,14 @@ def _validated(columns, id_column, numbers, broken) -> CohortDataset:
         raise min(failures, key=itemgetter(0))[1]
     if broken is not None:
         raise broken
-    time = np.array([day for day, _ in parsed], dtype=np.int64)[index]
+    time = np.array([day for day, _ in parsed], dtype=np.int64).take(index)
     covariates = {}
     for (name, _, index), stripped in zip(columns[3:], values[3:]):
         levels = sorted(set(stripped))
         position = {v: i for i, v in enumerate(levels)}
-        codes = np.array([position[v] for v in stripped], dtype=np.int64)[index]
+        codes = np.array([position[v] for v in stripped], dtype=np.int64).take(index)
         covariates[name] = (tuple(levels), codes)
-    if id_column is None:
-        ids = numbers - 2
-    else:
-        ids = np.array(values[-1], dtype=object)[id_column[2]]
+    ids = numbers - 2 if id_column is None else np.array(id_column[1], dtype=object)
     return _dataset(ids, treatment, time, event, covariates)
 
 
@@ -232,7 +236,7 @@ def _positions(header, names) -> dict[str, int]:
     return positions
 
 
-def _parsed(reader, width, positions):
+def _parsed(reader, width, positions, id_at):
     """Rows of a ``csv.reader`` up to the first ragged one, as for :func:`_tokenized`."""
     rows, blank, broken = [], [], None
     for number, row in enumerate(reader, 2):
@@ -246,7 +250,11 @@ def _parsed(reader, width, positions):
     lines = np.arange(2, 2 + len(rows) + len(blank), dtype=np.int64)
     numbers = np.delete(lines, np.array(blank, dtype=np.int64) - 2)
     columns = {j: _encode(rows, j) for j in positions}
-    return numbers, columns, broken
+    ids = None
+    if id_at is not None:
+        cells = [row[id_at].strip() for row in rows]
+        ids = cells, np.array([cell == "" for cell in cells], dtype=bool)
+    return numbers, columns, ids, broken
 
 
 def _first_line(data):
@@ -275,18 +283,59 @@ _MASK = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype="<u8")
 _KEY_TYPE = ("<u1", "<u1", "<u2", "<u4", "<u4", "<u8", "<u8", "<u8", "<u8")
 
 
-def _cell_keys(words, start, width):
+def _cell_keys(chunk, start, width):
     """Each cell's bytes as one integer, or as a row of 8-byte words if longer.
 
-    ``words[k]`` is the 8 bytes from offset k.  No cell holds a NUL byte,
-    so masking the bytes past a cell's end to zero keeps keys distinct.
+    A column whose cells are all at most 1 byte wide takes its keys by a
+    byte gather, one byte per cell; wider ones gather the 8-byte word at
+    each cell start.  No cell holds a NUL byte, so zeroing the bytes past
+    a cell's end keeps keys distinct.
     """
     top = int(width.max(initial=0))
+    if top <= 1:
+        keys = chunk[start]
+        keys[width == 0] = 0
+        return keys
+    words = np.ndarray((len(chunk) - 7,), dtype="<u8", buffer=chunk, strides=(1,))
     if top <= 8:
         return (words[start] & _MASK[width]).astype(_KEY_TYPE[top])
     offsets = np.arange(0, top, 8)
     at = np.minimum(start[:, None] + offsets, len(words) - 1)
     return words[at] & _MASK[np.clip(width[:, None] - offsets, 0, 8)]
+
+
+# Bytes that may begin or end a character str.strip removes: ASCII
+# whitespace (\x1c-\x1f included) and every byte of a non-ASCII character.
+_STRIPPABLE = np.zeros(256, dtype=bool)
+_STRIPPABLE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_STRIPPABLE[128:] = True
+
+
+def _cell_text(chunk, start, width):
+    """The cells' bytes, each followed by a newline, and two masks over the cells.
+
+    The first marks cells 0 bytes wide, the second cells whose first or
+    last byte may belong to a character ``str.strip`` removes.
+    """
+    size = width + 1
+    end = np.cumsum(size)
+    at = np.arange(int(end[-1]) if len(end) else 0) + np.repeat(start - end + size, size)
+    text = chunk[at]
+    text[end - 1] = 10
+    # a 0-byte cell reads its neighbours' bytes here, which the mask drops
+    edge = _STRIPPABLE[chunk[start]] | _STRIPPABLE[chunk[start + width - 1]]
+    empty = width == 0
+    return text, empty, edge & ~empty
+
+
+def _ids(text, empty, edge):
+    """Each row's stripped id, and which ids are empty, from :func:`_cell_text`."""
+    cells = text.tobytes().decode().split("\n")
+    cells.pop()  # after the last newline
+    for i in np.flatnonzero(edge).tolist():
+        cells[i] = cells[i].strip()
+        empty[i] = not cells[i]
+    return cells, empty
 
 
 def _distinct_cells(parts):
@@ -306,7 +355,7 @@ def _distinct_cells(parts):
         if size == 1:  # a lookup beats a sort
             seen = np.bincount(keys) > 0
             values = np.flatnonzero(seen)
-            index = (np.cumsum(seen) - 1).astype(keys.dtype)[keys]
+            index = (np.cumsum(seen) - 1).astype(keys.dtype).take(keys)
         else:
             values, index = np.unique(keys, return_inverse=True)
         values = values.astype(f"<u{size}")
@@ -319,17 +368,22 @@ def _distinct_cells(parts):
     return padded[padded != 0].tobytes().decode().split("\n")[:-1], index.reshape(-1)
 
 
-def _tokenized(data, body, width, positions):
+def _tokenized(data, body, width, positions, id_at):
     """Split quote-free CSV bytes, from offset ``body`` on, into rows.
 
     Returns each row's number (its line, blank lines counted), a map from
     each position in ``positions`` to (distinct raw cells, each row's index
-    into them), and the RaggedRow that stopped the read, if any.  Only
-    distinct cells become Python strings.
+    into them), the id column at position ``id_at`` as (each row's
+    stripped id, which ids are empty) or None, and the RaggedRow that
+    stopped the read, if any.  Keyed columns decode only their distinct
+    cells; a 1-byte column keys each cell by a byte gather.  The id column
+    is neither keyed nor deduplicated: its bytes are gathered per chunk
+    and decoded once, one string per row.
     """
     limit = csv.field_size_limit()
     buf = np.frombuffer(data, dtype=np.uint8)
     keys = {j: [] for j in positions}
+    ids = [(np.zeros(0, np.uint8), np.zeros(0, bool), np.zeros(0, bool))]  # _cell_text per chunk
     numbers = [np.zeros(0, dtype=np.int64)]
     line, lo, broken = 2, body, None
     while lo < len(data) and broken is None:
@@ -370,14 +424,17 @@ def _tokenized(data, body, width, positions):
                     at = line + int(np.searchsorted(ends, fields[f]))
                     raise CohortError(f"line {at}: field larger than field limit ({limit})")
         numbers.append(line + rows)
-        words = np.ndarray((len(chunk) - 7,), dtype="<u8", buffer=chunk, strides=(1,))
         for j, parts in keys.items():
             begin = grid[:, j - 1] + 1 if j else starts[rows]
-            parts.append(_cell_keys(words, begin, grid[:, j] - begin))
+            parts.append(_cell_keys(chunk, begin, grid[:, j] - begin))
+        if id_at is not None:
+            begin = grid[:, id_at - 1] + 1 if id_at else starts[rows]
+            ids.append(_cell_text(chunk, begin, grid[:, id_at] - begin))
         line += len(ends)
         lo = hi
     columns = {j: _distinct_cells(keys.pop(j)) for j in positions}  # frees keys as it goes
-    return np.concatenate(numbers), columns, broken
+    ids = None if id_at is None else _ids(*map(np.concatenate, zip(*ids)))
+    return np.concatenate(numbers), columns, ids, broken
 
 
 def load_cohort(csv_source, column_map) -> CohortDataset:
@@ -415,15 +472,16 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
         if header is None:
             raise CohortError("CSV has no header row")
         index = _positions(header, wanted + ([id_col] if id_col is not None else []))
-        positions = sorted(set(index.values()))
+        positions = sorted({index[col] for col in wanted})
+        id_at = index.get(id_col)
         if quoted:
-            numbers, cells, broken = _parsed(reader, len(header), positions)
+            numbers, cells, ids, broken = _parsed(reader, len(header), positions, id_at)
         else:
-            numbers, cells, broken = _tokenized(data, body, len(header), positions)
+            numbers, cells, ids, broken = _tokenized(data, body, len(header), positions, id_at)
     except csv.Error as exc:
         raise CohortError(f"line {reader.line_num}: {exc}") from None
     columns = [(col, *cells[index[col]]) for col in wanted]
-    id_column = None if id_col is None else (id_col, *cells[index[id_col]])
+    id_column = None if id_col is None else (id_col, *ids)
     return _validated(columns, id_column, numbers, broken)
 
 

@@ -411,10 +411,10 @@ def _write_csv(lines, end, final, bom, quote=""):
     return ("\ufeff" if bom else "") + text + (end if final else "")
 
 
-def _load_outcome(text, chunk=cohort_module._CHUNK):
+def _load_outcome(text, chunk=cohort_module._CHUNK, column_map=None):
     try:
         with mock.patch.object(cohort_module, "_CHUNK", chunk):
-            cohort = load_cohort(io.BytesIO(text.encode()), {**MAP, "id": "id"})
+            cohort = load_cohort(io.BytesIO(text.encode()), column_map or {**MAP, "id": "id"})
     except errors.CohortError as exc:
         return type(exc), str(exc)
     return (
@@ -433,3 +433,83 @@ def test_tokenizer_matches_csv_reader_on_quoted_twin(written, chunk):
     assert '"' not in plain
     # small chunks put the tokenizer's chunk boundaries between lines
     assert _load_outcome(plain, chunk) == _load_outcome(twin)
+
+
+# Characters str.strip removes that a quote-free id cell may hold: ASCII
+# whitespace, \x1c-\x1f, and non-ASCII spaces.
+STRIPPED = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000"]
+
+
+@pytest.mark.parametrize("chunk", [1, 16])
+@pytest.mark.parametrize("header", [["id", "x", "t", "s", "z"], ["x", "t", "id", "s", "z"]])
+def test_id_cells_match_csv_reader_on_quoted_twin(header, chunk):
+    cores = ["p1", "\xe9", "日本", "a\xa0b", "s\u3000t", "abcdefghijklmnopq", "\xe9t\xe9"]
+    ids = [pad + core + pad for pad in STRIPPED for core in cores] + ["q", "\x1cq", "q\x85"]
+    cells = {"x": "1", "t": "3", "s": "1", "z": "a"}
+    lines = [header] + [[i if name == "id" else cells[name] for name in header] for i in ids]
+    lines[1][header.index("x")] = "0"
+    outcome = _load_outcome(_write_csv(lines, "\n", True, False), chunk)
+    assert outcome == _load_outcome(_write_csv(lines, "\n", True, False, quote='"'))
+    assert outcome[0] == object
+    assert outcome[1] == [i.strip() for i in ids]
+    # an id that strips to nothing is empty, first seen in a later chunk
+    for blank in ["\xa0", "", " \u3000\x1f "]:
+        bad = lines + [[blank if name == "id" else cells[name] for name in header]]
+        outcome = _load_outcome(_write_csv(bad, "\n", True, False), chunk)
+        assert outcome == _load_outcome(_write_csv(bad, "\n", True, False, quote='"'))
+        assert outcome == (errors.MissingValue, f"row {len(bad)}: column 'id' is empty")
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_id_may_name_a_column_with_another_role(quote):
+    def load(role):
+        text = f"x,t,s,z\n0,5,1,{quote}a{quote}\n1,3,0,b\n"
+        return load_cohort(io.BytesIO(text.encode()), {**MAP, "id": role})
+
+    cohort = load("z")
+    assert cohort.ids.tolist() == ["a", "b"]
+    assert cohort.covariate_levels == {"z": ("a", "b")}
+    assert cohort.codes["z"].tolist() == [0, 1]
+    cohort = load("x")
+    assert cohort.ids.tolist() == ["0", "1"]
+    assert cohort.treatment.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_key_widths_may_differ_between_chunks(empty):
+    # in 28-byte chunks, z's cells are at most 1 byte wide in the first
+    # chunk (one may be empty), then at most 2, 9 and 17 bytes
+    zs = ["a", "b", "" if empty else "c", "a", "ab", "b", "ab", "a"]
+    zs += ["abcdefghi", "b", "c", "abcdefghijklmnopq", "ab"]
+    lines = [["x", "t", "s", "z"]] + [[str(k % 2), "3", "1", z] for k, z in enumerate(zs)]
+    cell_keys, parts = cohort_module._cell_keys, []
+
+    def spy(chunk, start, width):
+        parts.append(cell_keys(chunk, start, width))
+        return parts[-1]
+
+    with mock.patch.object(cohort_module, "_cell_keys", spy):
+        outcome = _load_outcome(_write_csv(lines, "\n", True, False), 28, MAP)
+    assert outcome == _load_outcome(_write_csv(lines, "\n", True, False, quote='"'), column_map=MAP)
+    # keys are made for x, t, s and z in turn
+    assert [(keys.dtype.str, keys.ndim) for keys in parts[3::4]] == [
+        ("|u1", 1), ("<u2", 1), ("<u8", 2), ("<u8", 2)
+    ]
+    if empty:
+        assert outcome == (errors.MissingValue, "row 4: column 'z' is empty")
+    else:
+        assert outcome[5] == {"z": ("a", "ab", "abcdefghi", "abcdefghijklmnopq", "b", "c")}
+        assert outcome[6] == {"z": [0, 4, 5, 0, 1, 4, 1, 0, 2, 4, 5, 3, 1]}
+
+
+@pytest.mark.parametrize("id_role", ["id", "z"])
+def test_quote_free_ids_never_reach_distinct_cells(id_role):
+    data = b"id,x,t,s,z,w\nu1,1,5,1,a,p\nu2,0,3,0,b,q\n"
+    column_map = {**MAP, "covariates": ["z", "w"], "id": id_role}
+    with mock.patch.object(
+        cohort_module, "_distinct_cells", wraps=cohort_module._distinct_cells
+    ) as distinct:
+        cohort = load_cohort(io.BytesIO(data), column_map)
+    # one call each for x, t, s, z and w; z still gets its keys when it is the id
+    assert distinct.call_count == 5
+    assert cohort.ids.tolist() == (["u1", "u2"] if id_role == "id" else ["a", "b"])
