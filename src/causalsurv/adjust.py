@@ -38,8 +38,6 @@ class AdjustedCurve:
     p: np.ndarray  # shape (2, len(grid))
     counts: np.ndarray
     arm_sizes: dict[int, int]
-    adjustment_set: frozenset[str]
-    t_max: int
 
     def p_at(self, arm: int, day) -> np.ndarray:
         day = np.asarray(day)
@@ -47,7 +45,7 @@ class AdjustedCurve:
         return self.p[arm, idx]
 
 
-def _curve(table, days, strata, members) -> AdjustedCurve:
+def _curve(table, days, strata) -> AdjustedCurve:
     """The adjusted curve from a (2, strata, days, 2) count table.
 
     Raises :class:`PositivityViolation` naming the first empty (arm,
@@ -74,9 +72,7 @@ def _curve(table, days, strata, members) -> AdjustedCurve:
     np.clip(p, 0.0, 1.0, out=p)  # trim fp dust; the true values are in [0, 1]
     arm_sizes = sizes.sum(axis=1)
     counts = p * arm_sizes[:, None]
-    return AdjustedCurve(
-        grid, p, counts, dict(enumerate(arm_sizes.tolist())), frozenset(members), int(days[-1])
-    )
+    return AdjustedCurve(grid, p, counts, dict(enumerate(arm_sizes.tolist())))
 
 
 def adjust_curve(cohort: CohortDataset, trials: DailyTrials, z: AdjustmentSet) -> AdjustedCurve:
@@ -95,9 +91,9 @@ def adjust_curve(cohort: CohortDataset, trials: DailyTrials, z: AdjustmentSet) -
         )
     if trials.covariates != tuple(sorted(z.variables)):
         raise ValueError(f"trials are stratified by {trials.covariates!r}, not by the set")
-    return _curve(trials.counts, trials.days, trials.strata, z.variables)
+    return _curve(trials.counts, trials.days, trials.strata)
 
 
 def unadjusted_curve(cohort: CohortDataset, trials: DailyTrials) -> AdjustedCurve:
     """Crude per-arm survival proportions (no adjustment), summed over strata."""
-    return _curve(trials.counts.sum(axis=1, keepdims=True), trials.days, ((),), ())
+    return _curve(trials.counts.sum(axis=1, keepdims=True), trials.days, ((),))

@@ -9,13 +9,17 @@ blocks every path into the treatment that reaches the outcome.  Latent
 nodes participate in paths but may never be adjusted for, which is what
 makes identifiability fail in latent-confounding shapes.
 
-The inclusion-minimal backdoor sets are the minimal treatment-outcome
-separators in the moral graph of the ancestors of {treatment, outcome},
-taken after the treatment's out-edges are removed and restricted to
-observed non-descendants of the treatment.  They are listed by branching
-over closest minimal separators (Takata 2010; van der Zander, Liśkiewicz
-& Textor 2019, LISTMINSEP), so the work grows with the number of sets
-found rather than with the number of candidate subsets.
+Every separation question is answered in one kind of graph: Z
+d-separates A from B iff Z separates them in the moral graph of
+An(A | B | Z) (Lauritzen, Dawid, Larsen & Leimer 1990).  One walk,
+``_reach``, finds every reachable set.  The inclusion-minimal backdoor
+sets are the minimal treatment-outcome separators in the moral graph of
+the ancestors of {treatment, outcome}, taken after the treatment's
+out-edges are removed and restricted to observed non-descendants of the
+treatment.  They are listed by branching over closest minimal separators
+(Takata 2010; van der Zander, Liśkiewicz & Textor 2019, LISTMINSEP), so
+the work grows with the number of sets found rather than with the number
+of candidate subsets.
 
 All graph values are immutable after validation and every operation is a
 pure function, so concurrent readers are safe.
@@ -86,10 +90,6 @@ class CausalDag:
         self._require(node)
         return self._children[node]
 
-    def is_observed(self, node: str) -> bool:
-        self._require(node)
-        return node in self.observed
-
     def observed_nodes(self) -> tuple[str, ...]:
         return tuple(v for v in self.nodes if v in self.observed)
 
@@ -136,8 +136,7 @@ def validate_dag(nodes, edges) -> CausalDag:
 
     edge_list: list[tuple[str, str]] = []
     edge_seen: set[tuple[str, str]] = set()
-    for pair in edges:
-        a, b = pair
+    for a, b in edges:
         for end in (a, b):
             if end not in seen:
                 raise UnknownNode(f"edge endpoint {end!r} is not a declared node")
@@ -148,98 +147,75 @@ def validate_dag(nodes, edges) -> CausalDag:
         edge_seen.add((a, b))
         edge_list.append((a, b))
 
-    _check_acyclic(names, edge_list)
-    return CausalDag(tuple(names), frozenset(observed), tuple(edge_list))
+    dag = CausalDag(tuple(names), frozenset(observed), tuple(edge_list))
+    _check_acyclic(dag)
+    return dag
 
 
-def _check_acyclic(names, edges):
-    children = {v: [] for v in names}
-    indeg = {v: 0 for v in names}
-    for a, b in edges:
-        children[a].append(b)
-        indeg[b] += 1
-    queue = deque(v for v in names if indeg[v] == 0)
-    emitted = 0
+def _check_acyclic(dag):
+    """Raise CycleDetected naming one cycle of ``dag``, if it has any."""
+    # Peel nodes with no parent left, then nodes with no child left: each
+    # node still left has a child left, so walking along them repeats one.
+    left = set(dag.nodes)
+    for links, back in ((dag._parents, dag._children), (dag._children, dag._parents)):
+        count = {v: len(left.intersection(links[v])) for v in left}
+        peel = [v for v, k in count.items() if not k]
+        for v in peel:  # the list grows while it is read
+            left.remove(v)
+            for w in back[v]:
+                if w in left:
+                    count[w] -= 1
+                    if not count[w]:
+                        peel.append(w)
+    if left:
+        trail, pos = [min(left)], {}
+        while trail[-1] not in pos:
+            pos[trail[-1]] = len(trail) - 1
+            trail.append(next(c for c in dag._children[trail[-1]] if c in left))
+        raise CycleDetected(trail[pos[trail[-1]]:])
+
+
+def _reach(neighbours, seeds, blocked=frozenset()):
+    """``seeds`` plus every node they reach without entering a ``blocked`` node."""
+    out = set(seeds)
+    queue = deque(out)
     while queue:
-        v = queue.popleft()
-        emitted += 1
-        for c in children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    if emitted == len(names):
-        return
-    # every remaining node lies on or leads into a cycle; walk until a repeat
-    remaining = {v for v in names if indeg[v] > 0}
-    start = sorted(remaining)[0]
-    trail, pos = [start], {start: 0}
-    while True:
-        nxt = min(c for c in children[trail[-1]] if c in remaining)
-        if nxt in pos:
-            cycle = trail[pos[nxt]:] + [nxt]
-            raise CycleDetected(cycle)
-        pos[nxt] = len(trail)
-        trail.append(nxt)
+        for w in neighbours[queue.popleft()]:
+            if w not in out and w not in blocked:
+                out.add(w)
+                queue.append(w)
+    return out
 
 
 def descendants(dag: CausalDag, node: str) -> set[str]:
     """All nodes reachable from ``node`` by directed paths, excluding itself."""
     dag._require(node)
-    out: set[str] = set()
-    queue = deque([node])
-    while queue:
-        v = queue.popleft()
-        for c in dag.children(v):
-            if c not in out:
-                out.add(c)
-                queue.append(c)
-    return out
+    return _reach(dag._children, [node]) - {node}
 
 
-def _ancestors_of(parents, targets):
-    """Targets plus every node with a directed path into a target."""
-    out = set(targets)
-    queue = deque(targets)
-    while queue:
-        v = queue.popleft()
-        for p in parents[v]:
-            if p not in out:
-                out.add(p)
-                queue.append(p)
-    return out
+def _moral_ancestral_graph(parents, targets):
+    """Undirected adjacency of the moral graph of the ancestors of ``targets``.
 
-
-def _d_separated(parents, children, a, b, given):
-    """Reachability test over (node, arrival-direction) states.
-
-    The ball travels every undirected path; a state records whether it
-    arrived through an edge pointing into the node ('down', from a parent)
-    or out of it ('up', from a child).  A non-collider in the conditioning
-    set stops the ball; a collider passes it back to parents only if the
-    collider or one of its descendants is conditioned on.
+    Z separates A from B in it iff Z d-separates them, when the targets are
+    A | B | Z, or are A | B with Z among their ancestors (Lauritzen et al.).
     """
-    collider_open = _ancestors_of(parents, given)
-    queue = deque((x, "up") for x in sorted(a))
-    seen = set(queue)
-    while queue:
-        v, direction = queue.popleft()
-        if v in b:
-            return False
-        moves = []
-        if direction == "up":
-            if v not in given:
-                moves.extend((p, "up") for p in parents[v])
-                moves.extend((c, "down") for c in children[v])
-        else:
-            if v not in given:
-                moves.extend((c, "down") for c in children[v])
-            if v in collider_open:
-                moves.extend((p, "up") for p in parents[v])
-        for state in moves:
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    return True
+    keep = _reach(parents, targets)
+    adjacent = {v: set() for v in keep}
+    for v in keep:
+        ps = parents[v]
+        for i, p in enumerate(ps):
+            adjacent[v].add(p)
+            adjacent[p].add(v)
+            for q in ps[i + 1:]:  # parents of a common child are married
+                adjacent[p].add(q)
+                adjacent[q].add(p)
+    return adjacent
+
+
+def _separated(parents, a, b, given):
+    """True iff ``given`` d-separates the disjoint sets ``a`` and ``b``."""
+    adjacent = _moral_ancestral_graph(parents, a | b | given)
+    return _reach(adjacent, a, given).isdisjoint(b)
 
 
 def _as_name_set(dag, value, label):
@@ -251,7 +227,10 @@ def _as_name_set(dag, value, label):
 
 
 def d_separated(dag: CausalDag, a, b, given) -> bool:
-    """True iff ``given`` blocks every path between the sets ``a`` and ``b``."""
+    """True iff ``given`` blocks every path between the sets ``a`` and ``b``.
+
+    The test is separation in the moral graph of An(a | b | given).
+    """
     a = _as_name_set(dag, a, "first set")
     b = _as_name_set(dag, b, "second set")
     given = _as_name_set(dag, given, "conditioning set")
@@ -259,9 +238,7 @@ def d_separated(dag: CausalDag, a, b, given) -> bool:
         overlap = x & y
         if overlap:
             raise OverlappingSets(f"sets overlap on {sorted(overlap)!r}")
-    if not a or not b:
-        return True
-    return _d_separated(dag._parents, dag._children, a, b, given)
+    return _separated(dag._parents, a, b, given)
 
 
 def _backdoor_parents(dag, treatment):
@@ -277,7 +254,8 @@ def satisfies_backdoor(dag: CausalDag, z, treatment: str, outcome: str) -> Adjus
 
     Valid iff every member is observed, none descends from the treatment,
     and ``z`` d-separates treatment from outcome once all edges out of the
-    treatment are removed.
+    treatment are removed, tested as separation in the moral graph of
+    An({treatment, outcome} | z) of that graph.
     """
     dag._require(treatment)
     dag._require(outcome)
@@ -289,43 +267,13 @@ def satisfies_backdoor(dag: CausalDag, z, treatment: str, outcome: str) -> Adjus
 
     valid = z <= dag.observed and not (z & descendants(dag, treatment))
     if valid:
-        children = dict(dag._children)
-        children[treatment] = ()
-        parents = _backdoor_parents(dag, treatment)
-        valid = _d_separated(parents, children, {treatment}, {outcome}, z)
+        valid = _separated(_backdoor_parents(dag, treatment), {treatment}, {outcome}, z)
     return AdjustmentSet(z, valid, treatment, outcome)
-
-
-def _moral_ancestral_graph(parents, targets):
-    """Undirected adjacency of the moral graph of the ancestors of ``targets``."""
-    keep = _ancestors_of(parents, targets)
-    adjacent = {v: set() for v in keep}
-    for v in keep:
-        ps = parents[v]
-        for i, p in enumerate(ps):
-            adjacent[v].add(p)
-            adjacent[p].add(v)
-            for q in ps[i + 1:]:  # parents of a common child are married
-                adjacent[p].add(q)
-                adjacent[q].add(p)
-    return adjacent
 
 
 def _boundary(adjacent, part):
     """Nodes outside ``part`` adjacent to some node in it."""
     return set().union(*(adjacent[v] for v in part)) - part
-
-
-def _component(adjacent, seeds, blocked):
-    """``seeds`` plus every node they reach without entering a ``blocked`` node."""
-    out = set(seeds)
-    queue = deque(out)
-    while queue:
-        for w in adjacent[queue.popleft()]:
-            if w not in out and w not in blocked:
-                out.add(w)
-                queue.append(w)
-    return out
 
 
 def minimal_backdoor_sets(dag: CausalDag, treatment: str, outcome: str) -> list[AdjustmentSet]:
@@ -363,12 +311,12 @@ def minimal_backdoor_sets(dag: CausalDag, treatment: str, outcome: str) -> list[
         s_side, barred = stack.pop()
         # nodes that may not be adjusted for cannot separate, so the s-side
         # takes in all it reaches through them, the outcome included
-        s_side = _component(adjacent, s_side, allowed)
+        s_side = _reach(adjacent, s_side, allowed)
         if outcome in s_side:
             continue
-        t_side = _component(adjacent, [outcome], s_side | _boundary(adjacent, s_side))
+        t_side = _reach(adjacent, [outcome], s_side | _boundary(adjacent, s_side))
         z = _boundary(adjacent, t_side)
-        s_component = _component(adjacent, [treatment], z)
+        s_component = _reach(adjacent, [treatment], z)
         if not barred.isdisjoint(s_component):
             continue
         free = sorted(z - barred)
@@ -451,6 +399,8 @@ def load_graph(source) -> CausalDag:
         raise GraphFileError(
             f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, or a huge integer
+        raise GraphFileError(f"{origin}: unreadable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphFileError(f"{origin}: top level must be an object")
 

@@ -2,9 +2,12 @@
 
 These deliberately avoid the package's production code paths: d-separation
 is checked by enumerating every simple undirected path and applying the
-blocking rules; the minimal backdoor sets are checked by trying every
-subset of the candidates with ``satisfies_backdoor`` (whose d-separation
-is itself checked against the path enumeration); the Cox coefficient is
+blocking rules; ``satisfies_backdoor`` is checked against the backdoor
+criterion applied directly (observed members, none among the treatment's
+descendants as ``_descendant_map`` finds them, and the path enumeration
+once the treatment's out-edges are removed); the minimal backdoor sets
+are checked by trying every subset of the candidates with
+``satisfies_backdoor``, which that oracle anchors; the Cox coefficient is
 checked by golden-section search over a directly-evaluated log partial
 likelihood; the Cox kernel is checked against a scalar loop over
 subjects; the backdoor-adjusted curve is checked against a sum over whole
@@ -95,6 +98,21 @@ def brute_force_d_separated(nodes, edges, a, b, given):
         if not blocked:
             return False
     return True
+
+
+def brute_force_satisfies_backdoor(nodes, edges, z, treatment, outcome):
+    """The backdoor criterion from its definition, by path enumeration.
+
+    ``nodes`` are (name, observed) pairs.  Valid iff every member of ``z``
+    is observed, none descends from the treatment, and ``z`` blocks every
+    path from treatment to outcome once the treatment's out-edges are gone.
+    """
+    names = [n for n, _ in nodes]
+    unobserved = {n for n, obs in nodes if not obs}
+    if set(z) & (unobserved | _descendant_map(names, edges)[treatment]):
+        return False
+    kept = [(a, b) for a, b in edges if a != treatment]
+    return brute_force_d_separated(names, kept, {treatment}, {outcome}, z)
 
 
 def random_dag(rng, max_nodes=8, edge_prob=0.35, latent_prob=0.0):

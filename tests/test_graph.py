@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsurv import errors
+from causalsurv.cli import main
 from causalsurv.graph import (
     d_separated,
     descendants,
@@ -18,8 +19,10 @@ from causalsurv.graph import (
 )
 
 from oracles import (
+    _descendant_map,
     brute_force_d_separated,
     brute_force_minimal_backdoor_sets,
+    brute_force_satisfies_backdoor,
     random_dag,
 )
 
@@ -56,7 +59,43 @@ def test_validate_dag_rejects_self_loop():
 def test_validate_dag_rejects_two_cycle():
     with pytest.raises(errors.CycleDetected) as exc:
         validate_dag(["A", "B"], [("A", "B"), ("B", "A")])
-    assert len(exc.value.cycle) >= 3  # closed walk lists the repeat
+    assert exc.value.cycle == ["A", "B", "A"]  # closed walk lists the repeat
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, cycle",
+    [
+        pytest.param(
+            ["E", "D", "C", "B", "A"],
+            [("E", "A"), ("D", "B"), ("C", "E"), ("B", "C"), ("A", "D"), ("C", "A"),
+             ("B", "E")],
+            ["A", "D", "B", "C", "A"],
+            id="edges-out-of-order",
+        ),
+        pytest.param(
+            ["A", "B", "C", "D", "Y", "Z"],
+            [("Y", "Z"), ("Z", "Y"), ("Z", "A"), ("A", "B"), ("B", "C"), ("C", "D"),
+             ("D", "B")],
+            ["B", "C", "D", "B"],
+            id="through-a-tail",
+        ),
+        pytest.param(
+            ["A", "B", "C", "D", "E", "F"],
+            [("C", "D"), ("D", "C"), ("A", "E"), ("E", "B"), ("B", "A"), ("F", "A")],
+            ["A", "E", "B", "A"],
+            id="two-disjoint-cycles",
+        ),
+        pytest.param(
+            # the first node left over lies below the cycle and has no child
+            ["A", "B", "C"], [("B", "C"), ("C", "B"), ("B", "A")], ["B", "C", "B"],
+            id="sink-below-cycle-sorts-first",
+        ),
+    ],
+)
+def test_validate_dag_names_the_cycle(nodes, edges, cycle):
+    with pytest.raises(errors.CycleDetected) as exc:
+        validate_dag(nodes, edges)
+    assert exc.value.cycle == cycle
 
 
 def test_validate_dag_rejects_duplicate_node():
@@ -135,20 +174,45 @@ def test_d_separated_rejects_overlap():
         d_separated(dag, {"A"}, {"A"}, set())
 
 
+def _separation_query(rng, names, max_side):
+    """Disjoint sets a and b of 1..max_side nodes each, and a conditioning set."""
+    picks = [str(v) for v in rng.permutation(names)]
+    ka = kb = 1
+    if max_side > 1:
+        ka = int(rng.integers(1, min(max_side, len(names) - 1) + 1))
+        kb = int(rng.integers(1, min(max_side, len(names) - ka) + 1))
+    end = ka + kb + int(rng.integers(0, len(names) - ka - kb + 1))
+    return set(picks[:ka]), set(picks[ka : ka + kb]), set(picks[ka + kb : end])
+
+
 def test_d_separated_matches_brute_force_and_is_symmetric():
     rng = np.random.default_rng(2024)
-    checked = 0
-    while checked < 150:
-        nodes, edges = random_dag(rng)
+    # single nodes on each side, then sets of 1-3 nodes on each side
+    for max_side in (1, 3):
+        for _ in range(150):
+            nodes, edges = random_dag(rng)
+            names = [n for n, _ in nodes]
+            a, b, given = _separation_query(rng, names, max_side)
+            dag = validate_dag(nodes, edges)
+            got = d_separated(dag, a, b, given)
+            assert got == brute_force_d_separated(names, edges, a, b, given)
+            assert got == d_separated(dag, b, a, given)
+
+
+def test_d_separated_matches_networkx_beyond_path_enumeration():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(31)
+    separated = 0
+    for _ in range(300):
+        nodes, edges = random_dag(rng, max_nodes=20, edge_prob=0.2, latent_prob=0.25)
         names = [n for n, _ in nodes]
-        picks = rng.permutation(names)
-        a, b = {picks[0]}, {picks[1]}
-        given = set(picks[2 : 2 + int(rng.integers(0, len(names) - 1))])
-        dag = validate_dag(nodes, edges)
-        got = d_separated(dag, a, b, given)
-        assert got == brute_force_d_separated(names, edges, a, b, given)
-        assert got == d_separated(dag, b, a, given)
-        checked += 1
+        a, b, given = _separation_query(rng, names, 3)
+        graph = nx.DiGraph(edges)
+        graph.add_nodes_from(names)
+        got = d_separated(validate_dag(nodes, edges), a, b, given)
+        assert got == nx.is_d_separator(graph, a, b, given)
+        separated += got
+    assert 30 < separated < 270
 
 
 def test_backdoor_confounder_is_valid(confounded):
@@ -165,6 +229,31 @@ def test_backdoor_mediator_member_invalid(mediator):
 
 def test_backdoor_unobserved_member_invalid(front_door):
     assert not satisfies_backdoor(front_door, {"Z"}, "X", "Y").valid
+
+
+def test_satisfies_backdoor_matches_independent_oracle():
+    rng = np.random.default_rng(47)
+    verdicts = []
+    for _ in range(300):
+        nodes, edges = random_dag(rng, edge_prob=0.5, latent_prob=0.25)
+        names = [n for n, _ in nodes]
+        treatment, outcome = (str(v) for v in rng.choice(names, 2, replace=False))
+        dag = validate_dag(nodes, edges)
+        latent = sorted(n for n, obs in nodes if not obs and n not in (treatment, outcome))
+        below = sorted(_descendant_map(names, edges)[treatment] - {outcome})
+        candidates = [n for n, obs in nodes
+                      if obs and n not in (treatment, outcome) and n not in below]
+        draws = [set()]
+        for _ in range(4 if candidates else 0):
+            size = rng.integers(0, len(candidates) + 1)
+            picked = {str(v) for v in rng.choice(candidates, size, replace=False)}
+            draws.append(picked)
+            draws += [picked | {str(rng.choice(extra))} for extra in (latent, below) if extra]
+        for z in draws:
+            got = satisfies_backdoor(dag, z, treatment, outcome).valid
+            assert got == brute_force_satisfies_backdoor(nodes, edges, z, treatment, outcome)
+            verdicts.append(got)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
 def test_backdoor_treatment_equals_outcome(confounded):
@@ -345,3 +434,23 @@ def test_load_graph_invalid_json_reports_position(tmp_path):
     with pytest.raises(errors.GraphFileError) as exc:
         load_graph(path)
     assert "line 1" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        pytest.param("[" * 200_000 + "]" * 200_000, "maximum recursion depth", id="deep"),
+        pytest.param('{"nodes": [], "edges": [], "n": ' + "9" * 5000 + "}",
+                     "Exceeds the limit", id="huge-integer"),
+    ],
+)
+def test_load_graph_unparsable_json_is_graph_file_error(tmp_path, capsys, text, detail):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(errors.GraphFileError) as exc:
+        load_graph(path)
+    assert detail in str(exc.value)
+    code = main(["backdoor", "--graph", str(path), "--treatment", "X", "--outcome", "Y"])
+    assert code == 3
+    payload = json.loads(capsys.readouterr().out)["error"]
+    assert payload["type"] == "GraphFileError" and detail in payload["message"]

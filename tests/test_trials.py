@@ -155,7 +155,7 @@ def _curve(days, counts0, counts1, sizes):
         [np.asarray(counts0, dtype=float), np.asarray(counts1, dtype=float)]
     )
     p = counts / np.array([[sizes[0]], [sizes[1]]], dtype=float)
-    return AdjustedCurve(days, p, counts, dict(sizes), frozenset(), int(days[-1]))
+    return AdjustedCurve(days, p, counts, dict(sizes))
 
 
 def _rows(pseudo, arm):
