@@ -29,18 +29,12 @@ from .graph import (
 )
 from .simulate import SimConfig, generate_cohort
 from .svg import CurveSeries, emit_svg
-from .trials import (
-    AdjustedCohort,
-    DailyTrials,
-    from_adjusted_counts,
-    to_daily_trials,
-)
+from .trials import DailyTrials, from_adjusted_counts, to_daily_trials
 from . import errors
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustedCohort",
     "AdjustedCurve",
     "AdjustmentSet",
     "AnalysisOptions",

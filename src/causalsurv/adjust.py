@@ -7,10 +7,11 @@ fractions:
     P(alive at day i | do(arm)) = sum_z P(alive at i | arm, z) * P(z)
 
 with both factors estimated as empirical frequencies, all read from the
-daily trials' (arm, stratum, day, event) count table: a cell's size is its
-sum over days and events, and the number alive at day i is that size less
-its deaths up to i.  An empty Z makes the adjusted curve the crude per-arm
-proportion.
+daily trials' (arm, stratum, day, event) count table, a
+:class:`~causalsurv.trials.DailyTrials`: a cell's size is its sum over
+days and events, and the number alive at day i is that size less its
+deaths up to i.  The unadjusted curve is the same computation on the
+pooled table, whose one stratum makes it the crude per-arm proportion.
 """
 
 from dataclasses import dataclass
@@ -45,18 +46,19 @@ class AdjustedCurve:
         return self.p[arm, idx]
 
 
-def _curve(table, days, strata) -> AdjustedCurve:
-    """The adjusted curve from a (2, strata, days, 2) count table.
+def _curve(trials: DailyTrials) -> AdjustedCurve:
+    """The adjusted curve of a daily-trials table, weighted over its strata.
 
     Raises :class:`PositivityViolation` naming the first empty (arm,
     stratum) cell, stratum by stratum and arm 0 first; the plug-in
     adjustment needs every cell occupied.
     """
+    table, days = trials.counts, trials.days
     sizes = table.sum(axis=(2, 3))
     empty = np.argwhere(sizes.T == 0)
     if empty.size:
         stratum, arm = empty[0].tolist()
-        raise PositivityViolation(arm, strata[stratum])
+        raise PositivityViolation(arm, trials.strata[stratum])
     deaths = table[..., 1]
     grid = np.union1d(days[deaths.any(axis=(0, 1))], [0, days[-1]])
     # deaths on or before each grid day, then alive = size - deaths so far
@@ -91,9 +93,9 @@ def adjust_curve(cohort: CohortDataset, trials: DailyTrials, z: AdjustmentSet) -
         )
     if trials.covariates != tuple(sorted(z.variables)):
         raise ValueError(f"trials are stratified by {trials.covariates!r}, not by the set")
-    return _curve(trials.counts, trials.days, trials.strata)
+    return _curve(trials)
 
 
 def unadjusted_curve(cohort: CohortDataset, trials: DailyTrials) -> AdjustedCurve:
-    """Crude per-arm survival proportions (no adjustment), summed over strata."""
-    return _curve(trials.counts.sum(axis=1, keepdims=True), trials.days, ((),))
+    """Crude per-arm survival proportions (no adjustment): the curve of ``trials.pooled()``."""
+    return _curve(trials.pooled())

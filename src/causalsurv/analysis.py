@@ -9,10 +9,13 @@ curves -> three Cox fits:
 * adjusted     — treatment only, on the reconstructed pseudo-cohort.
 
 After identification no stage looks at single subjects.  The daily trials
-are one (arm, stratum, day, event) count table; the adjusted curve, the
-unadjusted Kaplan-Meier curves and the crude and traditional fits all read
-its occupied cells as count rows, which fit exactly as the subjects they
-stand for would.
+and the pseudo-cohort are both (arm, stratum, day, event) count tables,
+:class:`~causalsurv.trials.DailyTrials`, and every estimate is one call
+on a table: Kaplan-Meier on the pooled trials and on the pseudo-cohort,
+and the crude, traditional and adjusted fits on the pooled trials, the
+stratified trials and the pseudo-cohort.  Each reads its table's occupied
+cells as count rows, which fit exactly as the subjects they stand for
+would.
 
 Outputs are a versioned report.json, a curves.csv of both Kaplan-Meier
 step curves, and optionally an SVG plot.  Fixed inputs must produce
@@ -126,9 +129,12 @@ def _z_for(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
-def _fit_entry(fit_callable, z_alpha) -> FitEntry:
+def _fit_entry(table, ties, z_alpha) -> FitEntry:
+    """Cox fit of treatment plus the table's stratum dummies, read from its cells."""
+    arm, stratum, day, event, count = table.cells()
+    x = np.column_stack([arm, *table.dummies(stratum)]).astype(np.float64)
     try:
-        fit = fit_callable()
+        fit = cox_fit(x, day, event, counts=count, ties=ties)
         beta, se = float(fit.beta[0]), float(fit.se[0])
         with np.errstate(over="ignore"):  # an infinite bound is refused below
             hr = float(np.exp(beta))
@@ -230,11 +236,21 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
 
     trials = to_daily_trials(cohort, adjset.variables)
     curve = adjust_curve(cohort, trials, adjset)
-    pseudo = from_adjusted_counts(curve, curve.arm_sizes)
+    pseudo = from_adjusted_counts(curve)
+    pooled = trials.pooled()
 
-    arm, _, day, event, count = trials.cells(by_stratum=False)
-    km_unadj = km_fit(day, event, arm, counts=count)
-    km_adj = km_fit(pseudo.day, pseudo.event, pseudo.arm, counts=pseudo.count)
+    curves = []
+    for variant, table in (("unadjusted", pooled), ("adjusted", pseudo)):
+        arms, _, day, event, count = table.cells()
+        km = km_fit(day, event, arms, counts=count)
+        for arm in (0, 1):
+            group = km.groups[arm]
+            days = np.unique(
+                np.concatenate((group.times, [0, cohort.t_max]))
+            ).astype(np.int64)
+            survival = np.asarray(group.survival_at(days), dtype=np.float64)
+            counts = survival * curve.arm_sizes[arm]
+            curves.append((variant, arm, days, survival, counts))
 
     z_alpha = _z_for(options.alpha)
     report = AnalysisReport(
@@ -245,49 +261,14 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
         alpha=options.alpha,
         ties=options.ties,
     )
-    report.crude = _fit_entry(
-        lambda: cox_fit(
-            arm[:, None].astype(np.float64), day, event, counts=count, ties=options.ties
-        ),
-        z_alpha,
-    )
-    arm_z, stratum, day_z, event_z, count_z = trials.cells()
-    x_z = np.column_stack([arm_z, *trials.dummies(stratum)]).astype(np.float64)
-    report.traditional = _fit_entry(
-        lambda: cox_fit(x_z, day_z, event_z, counts=count_z, ties=options.ties),
-        z_alpha,
-    )
-    report.adjusted = _fit_entry(
-        lambda: cox_fit(
-            pseudo.arm.astype(np.float64)[:, None],
-            pseudo.day,
-            pseudo.event,
-            counts=pseudo.count,
-            ties=options.ties,
-        ),
-        z_alpha,
-    )
-    for name, entry in (
-        ("crude", report.crude),
-        ("traditional", report.traditional),
-        ("adjusted", report.adjusted),
-    ):
+    for name, table in (("crude", pooled), ("traditional", trials), ("adjusted", pseudo)):
+        entry = _fit_entry(table, options.ties, z_alpha)
+        setattr(report, name, entry)
         if entry.error is not None:
             warnings.append(f"{name} fit failed: {entry.error}")
         elif entry.converged is False:
             warnings.append(f"{name} fit did not converge")
     report.warnings = warnings
-
-    curves = []
-    for variant, km in (("unadjusted", km_unadj), ("adjusted", km_adj)):
-        for arm in (0, 1):
-            group = km.groups[arm]
-            days = np.unique(
-                np.concatenate((group.times, [0, cohort.t_max]))
-            ).astype(np.int64)
-            survival = np.asarray(group.survival_at(days), dtype=np.float64)
-            counts = survival * curve.arm_sizes[arm]
-            curves.append((variant, arm, days, survival, counts))
     artifacts = {
         "curves": curves,
         "adjusted_curve": curve,

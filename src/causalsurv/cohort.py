@@ -13,8 +13,10 @@ with no quote, no NUL and no carriage return outside a CRLF pair are
 tokenized with numpy in newline-aligned chunks: delimiter positions come
 from byte compares, each cell's bytes become an integer key (by a byte
 gather in a column whose cells are at most 1 byte wide), and one
-``np.unique`` per column leaves only the distinct cells to decode.  The
-id column is not keyed: its bytes are decoded once, one string per row.
+``np.unique`` per column leaves only the distinct cells to decode.  A
+chunk with a cell wider than 8 bytes in a column is decoded instead and
+its cells deduplicated with a dict.  The id column is not keyed: its
+bytes are decoded once, one string per row.
 Other bytes go through ``csv.reader``.  Both readers hand each mapped
 column to one validator as distinct raw cells plus one index per row, so
 checks, stripping and level sorting run once per distinct value, and the
@@ -105,10 +107,10 @@ def _dataset(ids, treatment, time, event, covariates) -> CohortDataset:
     return CohortDataset(ids, treatment, time, event, levels, codes, int(time.max()))
 
 
-def _encode(rows, j):
-    """Distinct cells of column ``j`` in first-seen order, and each row's index into them."""
-    index = {c: i for i, c in enumerate(dict.fromkeys(map(itemgetter(j), rows)))}
-    cells = map(index.__getitem__, map(itemgetter(j), rows))
+def _encode(rows, get):
+    """Distinct cells ``get(row)`` in first-seen order, and each row's index into them."""
+    index = {c: i for i, c in enumerate(dict.fromkeys(map(get, rows)))}
+    cells = map(index.__getitem__, map(get, rows))
     return list(index), np.fromiter(cells, dtype=np.int64, count=len(rows))
 
 
@@ -249,7 +251,7 @@ def _parsed(reader, width, positions, id_at):
             rows.append(row)
     lines = np.arange(2, 2 + len(rows) + len(blank), dtype=np.int64)
     numbers = np.delete(lines, np.array(blank, dtype=np.int64) - 2)
-    columns = {j: _encode(rows, j) for j in positions}
+    columns = {j: _encode(rows, itemgetter(j)) for j in positions}
     ids = None
     if id_at is not None:
         cells = [row[id_at].strip() for row in rows]
@@ -284,24 +286,26 @@ _KEY_TYPE = ("<u1", "<u1", "<u2", "<u4", "<u4", "<u8", "<u8", "<u8", "<u8")
 
 
 def _cell_keys(chunk, start, width):
-    """Each cell's bytes as one integer, or as a row of 8-byte words if longer.
+    """Each cell's bytes as one integer, or a wide chunk's cells deduplicated.
 
     A column whose cells are all at most 1 byte wide takes its keys by a
-    byte gather, one byte per cell; wider ones gather the 8-byte word at
+    byte gather, one byte per cell; up to 8 bytes, by the 8-byte word at
     each cell start.  No cell holds a NUL byte, so zeroing the bytes past
-    a cell's end keeps keys distinct.
+    a cell's end keeps keys distinct.  A chunk with a wider cell would
+    need keys that wide for every row, so its cells are decoded and
+    deduplicated with a dict instead, as (distinct cells, each row's
+    index into them).
     """
     top = int(width.max(initial=0))
     if top <= 1:
         keys = chunk[start]
         keys[width == 0] = 0
         return keys
+    if top > 8:
+        text, _, _ = _cell_text(chunk, start, width)
+        return _encode(text.tobytes().decode().split("\n")[:-1], str)
     words = np.ndarray((len(chunk) - 7,), dtype="<u8", buffer=chunk, strides=(1,))
-    if top <= 8:
-        return (words[start] & _MASK[width]).astype(_KEY_TYPE[top])
-    offsets = np.arange(0, top, 8)
-    at = np.minimum(start[:, None] + offsets, len(words) - 1)
-    return words[at] & _MASK[np.clip(width[:, None] - offsets, 0, 8)]
+    return (words[start] & _MASK[width]).astype(_KEY_TYPE[top])
 
 
 # Bytes that may begin or end a character str.strip removes: ASCII
@@ -339,33 +343,41 @@ def _ids(text, empty, edge):
 
 
 def _distinct_cells(parts):
-    """Distinct texts of one column's keys, and each row's index into them."""
-    wide = max((part.shape[1] for part in parts if part.ndim == 2), default=0)
-    if wide:
-        keys = np.zeros((sum(map(len, parts)), wide), dtype="<u8")
-        row = 0
-        for part in parts:
-            block = part[:, None] if part.ndim == 1 else part
-            keys[row : row + len(block), : block.shape[1]] = block
-            row += len(block)
-        values, index = np.unique(keys, axis=0, return_inverse=True)
+    """Distinct texts of one column's cells, and each row's index into them.
+
+    ``parts`` holds :func:`_cell_keys` of each chunk in turn.  One sort
+    (a lookup for 1-byte keys) finds the distinct integer keys; a wide
+    chunk's cells are merged in by a dict over their texts.
+    """
+    narrow = [part for part in parts if isinstance(part, np.ndarray)]
+    keys = narrow[0] if len(narrow) == 1 else np.concatenate(narrow or [np.zeros(0, np.uint8)])
+    size = keys.dtype.itemsize
+    if size == 1:  # a lookup beats a sort
+        seen = np.bincount(keys) > 0
+        values = np.flatnonzero(seen)
+        index = (np.cumsum(seen) - 1).astype(keys.dtype).take(keys)
     else:
-        keys = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0, np.uint8)])
-        size = keys.dtype.itemsize
-        if size == 1:  # a lookup beats a sort
-            seen = np.bincount(keys) > 0
-            values = np.flatnonzero(seen)
-            index = (np.cumsum(seen) - 1).astype(keys.dtype).take(keys)
-        else:
-            values, index = np.unique(keys, return_inverse=True)
-        values = values.astype(f"<u{size}")
+        values, index = np.unique(keys, return_inverse=True)
+    values = values.astype(f"<u{size}")
     # each distinct cell's bytes padded with NULs, then a newline; with the
     # NULs dropped, one decode and split give every cell
-    cell = values[:1].nbytes
-    padded = np.zeros((len(values), cell + 1), dtype=np.uint8)
-    padded[:, :cell] = np.ascontiguousarray(values).view(np.uint8).reshape(len(values), cell)
-    padded[:, cell] = 10
-    return padded[padded != 0].tobytes().decode().split("\n")[:-1], index.reshape(-1)
+    padded = np.zeros((len(values), size + 1), dtype=np.uint8)
+    padded[:, :size] = values.view(np.uint8).reshape(len(values), size)
+    padded[:, size] = 10
+    texts = padded[padded != 0].tobytes().decode().split("\n")[:-1]
+    if len(narrow) == len(parts):
+        return texts, index
+    position = {text: i for i, text in enumerate(texts)}
+    pieces, row = [], 0
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            pieces.append(index[row : row + len(part)])
+            row += len(part)
+        else:
+            cells, local = part
+            merged = [position.setdefault(cell, len(position)) for cell in cells]
+            pieces.append(np.array(merged, dtype=np.int64)[local])
+    return list(position), np.concatenate(pieces)
 
 
 def _tokenized(data, body, width, positions, id_at):

@@ -12,13 +12,14 @@ last follow-up day and event flag, so the trials are held as one count
 table over those four: the number alive in an (arm, stratum) cell at day i
 is the cell's size minus its deaths on days up to i.  The table has one
 column per distinct follow-up day, so its size scales with the number of
-distinct days, not with t_max or the number of subjects.  Every stage
-after identification reads it: the adjusted curve, Kaplan-Meier and the
-crude and traditional Cox fits.
+distinct days, not with t_max or the number of subjects.
 
 Backward: per-arm per-day adjusted survival counts are turned back into a
-pseudo-cohort, held as count rows, whose deaths fall on the first day each
-count drops and whose survivors are censored at the horizon.
+pseudo-cohort, the same kind of table with one stratum on the curve's day
+grid: its deaths fall on the first day each count drops and its survivors
+are censored at the horizon.  Every stage after identification reads one
+of these tables: the adjusted curve, both Kaplan-Meier curves and all
+three Cox fits.
 """
 
 import math
@@ -29,7 +30,7 @@ import numpy as np
 from .cohort import CohortDataset, stratum_assignments
 from .errors import NonMonotoneCounts
 
-__all__ = ["DailyTrials", "AdjustedCohort", "to_daily_trials", "from_adjusted_counts"]
+__all__ = ["DailyTrials", "to_daily_trials", "from_adjusted_counts"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +41,8 @@ class DailyTrials:
     stratum ``strata[s]`` whose follow-up ends on day ``days[g]`` with
     event flag ``e``.  Strata are the level combinations of ``covariates``
     (sorted names), ``shape`` levels each, in the order of
-    :func:`~causalsurv.cohort.stratum_assignments`; ``days`` are the
-    distinct follow-up days, ascending, so the last is t_max.
+    :func:`~causalsurv.cohort.stratum_assignments`; ``days`` ascend, and
+    the last is t_max.
     """
 
     covariates: tuple[str, ...]
@@ -50,15 +51,18 @@ class DailyTrials:
     days: np.ndarray
     counts: np.ndarray  # int64, shape (2, len(strata), len(days), 2)
 
-    def cells(self, by_stratum: bool = True):
-        """Occupied cells as count rows: arm, stratum, day, event and count arrays.
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
 
-        ``by_stratum=False`` sums over the strata first, and every stratum
-        index is then 0.
-        """
-        table = self.counts if by_stratum else self.counts.sum(axis=1, keepdims=True)
-        arm, stratum, g, event = np.nonzero(table)
-        return arm, stratum, self.days[g], event, table[arm, stratum, g, event]
+    def pooled(self) -> "DailyTrials":
+        """The same subjects as one stratum, with no covariates."""
+        return DailyTrials((), ((),), (), self.days, self.counts.sum(axis=1, keepdims=True))
+
+    def cells(self):
+        """Occupied cells as count rows: arm, stratum, day, event and count arrays."""
+        arm, stratum, g, event = np.nonzero(self.counts)
+        return arm, stratum, self.days[g], event, self.counts[arm, stratum, g, event]
 
     def dummies(self, stratum) -> list[np.ndarray]:
         """0/1 column blocks of each covariate's levels but the first, per stratum index."""
@@ -83,23 +87,6 @@ def to_daily_trials(cohort: CohortDataset, covariates) -> DailyTrials:
     return DailyTrials(covs, strata, levels, days, counts)
 
 
-@dataclass(frozen=True)
-class AdjustedCohort:
-    """Pseudo-cohort as count rows: ``count`` subjects share (arm, day, event).
-
-    See :func:`from_adjusted_counts` for the rows; none has a count of zero.
-    """
-
-    arm: np.ndarray
-    day: np.ndarray
-    event: np.ndarray
-    count: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.count.sum())
-
-
 def _integerize_counts(counts, arm_size):
     """Round fractional alive-counts to integers, totals preserved exactly.
 
@@ -115,28 +102,25 @@ def _integerize_counts(counts, arm_size):
     return arm_size - rounded
 
 
-def from_adjusted_counts(adj, arm_sizes) -> AdjustedCohort:
-    """Rebuild the pseudo-cohort's count rows from adjusted per-day counts.
+def from_adjusted_counts(adj) -> DailyTrials:
+    """Rebuild the pseudo-cohort from an adjusted curve's per-day counts.
 
-    For each arm, a count drop of d at day i becomes a row of d events at
-    day i; the count remaining at the horizon becomes a row of that many
-    subjects censored there.  Rows of count zero are left out.  Per-arm
-    totals equal ``arm_sizes`` exactly.
+    The result is a one-stratum table on the curve's grid.  For each arm,
+    a count drop of d at grid day i becomes d deaths at i,
+    ``counts[arm, 0, i, 1]``; the count remaining at the horizon becomes
+    that many subjects censored there, ``counts[arm, 0, -1, 0]``.  Per-arm
+    totals equal the curve's arm sizes exactly.
     """
     days = np.asarray(adj.grid, dtype=np.int64)
-    row_days = np.append(days, days[-1])  # survivors row last
-    row_events = np.append(np.ones(len(days), dtype=np.int64), 0)
-    columns = []
+    table = np.zeros((2, 1, len(days), 2), dtype=np.int64)
     for arm in (0, 1):
-        size = int(arm_sizes[arm])
+        size = int(adj.arm_sizes[arm])
         counts = np.asarray(adj.counts[arm], dtype=np.float64)
         if np.any(np.diff(counts) > 1e-9 * max(size, 1)):
             raise NonMonotoneCounts(
                 f"arm {arm}: adjusted counts increase along the day grid"
             )
         ints = _integerize_counts(counts, size)
-        drops = np.maximum(-np.diff(ints, prepend=size), 0)
-        count = np.append(drops, ints[-1])
-        keep = count > 0
-        columns.append((np.full(keep.sum(), arm), row_days[keep], row_events[keep], count[keep]))
-    return AdjustedCohort(*(np.concatenate(col) for col in zip(*columns)))
+        table[arm, 0, :, 1] = np.maximum(-np.diff(ints, prepend=size), 0)
+        table[arm, 0, -1, 0] = ints[-1]
+    return DailyTrials((), ((),), (), days, table)

@@ -11,7 +11,7 @@ are checked by trying every subset of the candidates with
 checked by golden-section search over a directly-evaluated log partial
 likelihood; the Cox kernel is checked against a scalar loop over
 subjects; the backdoor-adjusted curve is checked against a sum over whole
-daily outcome histories; and the pseudo-cohort's count rows can be
+daily outcome histories; and the pseudo-cohort's count table can be
 expanded to one tuple per subject.  ``gradient_at`` is a helper, not an
 oracle: it reads the production kernel's gradient for the score checks.
 Test cohorts are written as CSV text for ``load_cohort`` and decoded back
@@ -316,13 +316,12 @@ def subjects(cohort):
 # --- pseudo-cohort ------------------------------------------------------------
 
 def expand(pseudo):
-    """Per-subject (arm, day, event) tuples of a count-row pseudo-cohort."""
+    """Per-subject (arm, day, event) tuples of a pseudo-cohort's count table."""
+    arm, _, day, event, count = pseudo.cells()
     return [
-        (arm, day, event)
-        for arm, day, event, count in zip(
-            pseudo.arm.tolist(), pseudo.day.tolist(), pseudo.event.tolist(), pseudo.count.tolist()
-        )
-        for _ in range(count)
+        (a, d, e)
+        for a, d, e, k in zip(arm.tolist(), day.tolist(), event.tolist(), count.tolist())
+        for _ in range(k)
     ]
 
 

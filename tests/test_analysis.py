@@ -5,8 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from causalsurv import analysis
 from causalsurv.analysis import AnalysisOptions, _fit_entry, run_analysis
 from causalsurv.errors import UnknownCovariate
+from causalsurv.trials import DailyTrials
 
 
 def _write_graph(path, nodes, edges):
@@ -170,11 +172,14 @@ def test_registry_scale_tied_cohort_fits_converge(tmp_path):
         assert entry.converged
 
 
-def test_fit_entry_refuses_a_non_finite_interval():
+def test_fit_entry_refuses_a_non_finite_interval(monkeypatch):
     # a "converged" fit that ran off along a flat direction: exp overflows
     fit = SimpleNamespace(
         beta=np.array([38.34]), se=np.array([4.7e7]), converged=True, iterations=9
     )
-    entry = _fit_entry(lambda: fit, 1.959964)
+    monkeypatch.setattr(analysis, "cox_fit", lambda *args, **kwargs: fit)
+    counts = np.ones((2, 1, 1, 2), dtype=np.int64)
+    table = DailyTrials((), ((),), (), np.array([3]), counts)
+    entry = _fit_entry(table, "efron", 1.959964)
     assert entry.error.startswith("NonFiniteEstimate: ")
     assert entry.to_dict() == {"error": entry.error}

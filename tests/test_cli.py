@@ -99,7 +99,8 @@ def test_analyze_adjusted_km_matches_adjusted_probabilities(workspace):
     report, artifacts = run_analysis(str(data), str(graph), options)
     curve = artifacts["adjusted_curve"]
     pseudo = artifacts["pseudo"]
-    km = km_fit(pseudo.day, pseudo.event, pseudo.arm, counts=pseudo.count)
+    arms, _, day, event, count = pseudo.cells()
+    km = km_fit(day, event, arms, counts=count)
     for arm in (0, 1):
         bound = 1.0 / (2.0 * curve.arm_sizes[arm]) + 1e-12
         km_vals = np.asarray(km.survival_at(arm, curve.grid))

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -478,28 +479,36 @@ def test_id_may_name_a_column_with_another_role(quote):
 @pytest.mark.parametrize("empty", [False, True])
 def test_key_widths_may_differ_between_chunks(empty):
     # in 28-byte chunks, z's cells are at most 1 byte wide in the first
-    # chunk (one may be empty), then at most 2, 9 and 17 bytes
+    # chunk (one may be empty), then at most 2, 9, 17 and 1 bytes: integer
+    # keys of two widths, two chunks deduplicated as text, then keys again
     zs = ["a", "b", "" if empty else "c", "a", "ab", "b", "ab", "a"]
-    zs += ["abcdefghi", "b", "c", "abcdefghijklmnopq", "ab"]
+    zs += ["abcdefghi", "b", "c", "abcdefghijklmnopq", "ab", "b", "a", "c", "b"]
     lines = [["x", "t", "s", "z"]] + [[str(k % 2), "3", "1", z] for k, z in enumerate(zs)]
-    cell_keys, parts = cohort_module._cell_keys, []
-
-    def spy(chunk, start, width):
-        parts.append(cell_keys(chunk, start, width))
-        return parts[-1]
-
-    with mock.patch.object(cohort_module, "_cell_keys", spy):
-        outcome = _load_outcome(_write_csv(lines, "\n", True, False), 28, MAP)
+    outcome = _load_outcome(_write_csv(lines, "\n", True, False), 28, MAP)
     assert outcome == _load_outcome(_write_csv(lines, "\n", True, False, quote='"'), column_map=MAP)
-    # keys are made for x, t, s and z in turn
-    assert [(keys.dtype.str, keys.ndim) for keys in parts[3::4]] == [
-        ("|u1", 1), ("<u2", 1), ("<u8", 2), ("<u8", 2)
-    ]
     if empty:
         assert outcome == (errors.MissingValue, "row 4: column 'z' is empty")
     else:
         assert outcome[5] == {"z": ("a", "ab", "abcdefghi", "abcdefghijklmnopq", "b", "c")}
-        assert outcome[6] == {"z": [0, 4, 5, 0, 1, 4, 1, 0, 2, 4, 5, 3, 1]}
+        assert outcome[6] == {"z": [0, 4, 5, 0, 1, 4, 1, 0, 2, 4, 5, 3, 1, 4, 0, 5, 4]}
+
+
+def test_a_wide_keyed_cell_stays_cheap():
+    # one 20 000-byte z cell among 5 000 short rows: a key as wide as that
+    # cell for every row of its chunk would take hundreds of MiB
+    lines = [["x", "t", "s", "z"]]
+    lines += [[str(k % 2), str(k % 7), "1", "ab"[k % 2]] for k in range(5000)]
+    lines[2501][3] = "z" * 20_000
+    plain = _write_csv(lines, "\n", True, False)
+    tracemalloc.start()
+    try:
+        outcome = _load_outcome(plain, column_map=MAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert outcome == _load_outcome(_write_csv(lines, "\n", True, False, quote='"'), column_map=MAP)
+    assert outcome[5] == {"z": ("a", "b", "z" * 20_000)}
 
 
 @pytest.mark.parametrize("id_role", ["id", "z"])

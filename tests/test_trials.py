@@ -128,7 +128,17 @@ def test_count_rows_fit_exactly_as_subjects(cohort):
         for c in covariates
     ]
     x_subjects = np.column_stack([treatment, *dummies]).astype(np.float64)
-    arm, _, day, event, count = trials.cells(by_stratum=False)
+    pooled = trials.pooled()
+    # the same subjects, days and per-(arm, day, event) sums in one stratum
+    assert pooled.n == trials.n == cohort.n
+    assert pooled.days.tolist() == trials.days.tolist()
+    assert (pooled.covariates, pooled.strata, pooled.shape) == ((), ((),), ())
+    by_hand = np.zeros((2, len(trials.days), 2), dtype=np.int64)
+    day_of = np.searchsorted(trials.days, cohort.time)
+    np.add.at(by_hand, (cohort.treatment, day_of, cohort.event), 1)
+    assert pooled.counts.shape == (2, 1, len(trials.days), 2)
+    assert pooled.counts[:, 0].tolist() == by_hand.tolist()
+    arm, _, day, event, count = pooled.cells()
     arm_z, stratum, day_z, event_z, count_z = trials.cells()
     x_cells = np.column_stack([arm_z, *trials.dummies(stratum)]).astype(np.float64)
     for ties in ("efron", "breslow"):
@@ -159,11 +169,10 @@ def _curve(days, counts0, counts1, sizes):
 
 
 def _rows(pseudo, arm):
-    """(day, event, count) rows of one arm, in pseudo-cohort order."""
-    mine = pseudo.arm == arm
-    return list(
-        zip(pseudo.day[mine].tolist(), pseudo.event[mine].tolist(), pseudo.count[mine].tolist())
-    )
+    """(day, event, count) cells of one arm by day, a day's deaths before its survivors."""
+    arms, _, day, event, count = pseudo.cells()
+    rows = zip(arms.tolist(), day.tolist(), event.tolist(), count.tolist())
+    return sorted(((d, e, k) for a, d, e, k in rows if a == arm), key=lambda r: (r[0], -r[1]))
 
 
 def _alive(pseudo, arm, days):
@@ -178,15 +187,19 @@ def _alive(pseudo, arm, days):
 
 def test_reconstruction_consecutive_differences():
     curve = _curve([0, 1, 2, 3], [100, 90, 90, 80], [100, 90, 90, 80], {0: 100, 1: 100})
-    pseudo = from_adjusted_counts(curve, {0: 100, 1: 100})
+    pseudo = from_adjusted_counts(curve)
     assert _rows(pseudo, 0) == [(1, 1, 10), (3, 1, 10), (3, 0, 80)]
     assert _rows(pseudo, 1) == _rows(pseudo, 0)
     assert pseudo.n == 200
+    # one stratum on the curve's grid: deaths at [arm, 0, g, 1], survivors at [arm, 0, -1, 0]
+    assert (pseudo.covariates, pseudo.strata, pseudo.shape) == ((), ((),), ())
+    assert pseudo.days.tolist() == [0, 1, 2, 3]
+    assert pseudo.counts[0, 0].tolist() == [[0, 0], [0, 10], [0, 0], [80, 10]]
 
 
 def test_reconstruction_constant_counts_all_censored():
     curve = _curve([0, 1, 2], [50, 50, 50], [50, 50, 50], {0: 50, 1: 50})
-    pseudo = from_adjusted_counts(curve, {0: 50, 1: 50})
+    pseudo = from_adjusted_counts(curve)
     assert _rows(pseudo, 0) == [(2, 0, 50)]
     assert _rows(pseudo, 1) == [(2, 0, 50)]
 
@@ -195,14 +208,14 @@ def test_reconstruction_fractional_counts_rounding():
     # arm of 10 with counts [10, 9.5, 8.5]: the tied .5 goes to the earlier
     # day, integerizing to [10, 9, 8]
     curve = _curve([0, 1, 2], [10, 9.5, 8.5], [10, 10, 10], {0: 10, 1: 10})
-    pseudo = from_adjusted_counts(curve, {0: 10, 1: 10})
+    pseudo = from_adjusted_counts(curve)
     assert _alive(pseudo, 0, [0, 1, 2]) == [10, 9, 8]
     assert _rows(pseudo, 0) == [(1, 1, 1), (2, 1, 1), (2, 0, 8)]
 
 
 def test_reconstruction_death_at_day_zero():
     curve = _curve([0, 1], [8, 5], [10, 10], {0: 10, 1: 10})
-    pseudo = from_adjusted_counts(curve, {0: 10, 1: 10})
+    pseudo = from_adjusted_counts(curve)
     assert _rows(pseudo, 0) == [(0, 1, 2), (1, 1, 3), (1, 0, 5)]
 
 
@@ -221,11 +234,11 @@ def test_reconstruction_preserves_arm_totals_and_stays_within_half():
             c = np.maximum(c, 0.0)
             counts.append(c)
         curve = _curve(days, counts[0], counts[1], sizes)
-        pseudo = from_adjusted_counts(curve, sizes)
-        assert np.all(pseudo.count > 0)
+        pseudo = from_adjusted_counts(curve)
+        assert all(count > 0 for _, _, count in _rows(pseudo, 0) + _rows(pseudo, 1))
         assert pseudo.n == sizes[0] + sizes[1]
         for arm in (0, 1):
-            assert int(pseudo.count[pseudo.arm == arm].sum()) == sizes[arm]
+            assert sum(count for _, _, count in _rows(pseudo, arm)) == sizes[arm]
             ints = np.array(_alive(pseudo, arm, days))
             assert np.all(np.abs(ints - counts[arm]) <= 0.5 + 1e-12)
             assert np.all(np.diff(ints) <= 0)
@@ -234,7 +247,7 @@ def test_reconstruction_preserves_arm_totals_and_stays_within_half():
 def test_reconstruction_rejects_increasing_counts():
     curve = _curve([0, 1], [5, 9], [10, 10], {0: 10, 1: 10})
     with pytest.raises(errors.NonMonotoneCounts):
-        from_adjusted_counts(curve, {0: 10, 1: 10})
+        from_adjusted_counts(curve)
 
 
 def test_round_trip_identity_without_censoring():
@@ -249,7 +262,8 @@ def test_round_trip_identity_without_censoring():
         rows[-1] = (0, rows[-1][1], 1, "0")
         cohort = cohort_from_rows(rows)
         curve = unadjusted_curve(cohort, to_daily_trials(cohort, ()))
-        pseudo = from_adjusted_counts(curve, cohort.arm_sizes())
+        assert curve.arm_sizes == cohort.arm_sizes()
+        pseudo = from_adjusted_counts(curve)
         for arm in (0, 1):
             orig = sorted(
                 t for (x, t, s, _) in rows if x == arm and s == 1
