@@ -96,6 +96,6 @@ def adjust_curve(cohort: CohortDataset, trials: DailyTrials, z: AdjustmentSet) -
     return _curve(trials)
 
 
-def unadjusted_curve(cohort: CohortDataset, trials: DailyTrials) -> AdjustedCurve:
+def unadjusted_curve(trials: DailyTrials) -> AdjustedCurve:
     """Crude per-arm survival proportions (no adjustment): the curve of ``trials.pooled()``."""
     return _curve(trials.pooled())

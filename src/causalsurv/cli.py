@@ -33,13 +33,15 @@ EXIT_NUMERICAL = 5
 
 
 def _alpha(text: str) -> float:
-    """argparse type for --alpha: a finite number strictly between 0 and 1."""
+    """argparse type for --alpha: a number strictly between 0 and 1 with 1 - alpha/2 < 1."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not 0.0 < value < 1.0:  # also false for nan
         raise argparse.ArgumentTypeError(f"{text!r} is not strictly between 0 and 1")
+    if 1.0 - value / 2.0 == 1.0:  # no normal quantile to take
+        raise argparse.ArgumentTypeError(f"{text!r} is too small: 1 - alpha/2 rounds to 1")
     return value
 
 

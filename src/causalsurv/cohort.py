@@ -15,12 +15,13 @@ from byte compares, each cell's bytes become an integer key (by a byte
 gather in a column whose cells are at most 1 byte wide), and one
 ``np.unique`` per column leaves only the distinct cells to decode.  A
 chunk with a cell wider than 8 bytes in a column is decoded instead and
-its cells deduplicated with a dict.  The id column is not keyed: its
-bytes are decoded once, one string per row.
-Other bytes go through ``csv.reader``.  Both readers hand each mapped
-column to one validator as distinct raw cells plus one index per row, so
-checks, stripping and level sorting run once per distinct value, and the
-id column as one stripped string per row plus a mask of the empty ones.
+its cells deduplicated with a dict.  Other bytes go through
+``csv.reader``.  Both readers hand each mapped column to one validator as
+distinct raw cells plus one index per row, so checks, stripping and level
+sorting run once per distinct value.  An id column is only checked: both
+readers reduce it to a mask of the rows whose id strips to nothing, and
+the quote-free one decodes only cells that may start or end in
+whitespace.  A subject is its row; no id is kept.
 ``load_cohort`` is the one validated way in: a Python caller passes a
 path or a text or bytes buffer such as ``io.StringIO``.
 
@@ -67,12 +68,10 @@ class CohortDataset:
 
     ``treatment``, ``time`` and ``event`` are int64 arrays; covariate
     ``name`` is int64 ``codes[name]`` into its sorted level tuple
-    ``covariate_levels[name]``, every level in use.  ``ids`` is an object
-    array of id strings, or int64 row numbers minus 2 for a CSV read
-    without an id column.
+    ``covariate_levels[name]``, every level in use.  Subjects are rows:
+    no column says who a subject is.
     """
 
-    ids: np.ndarray
     treatment: np.ndarray
     time: np.ndarray
     event: np.ndarray
@@ -82,7 +81,7 @@ class CohortDataset:
 
     @property
     def n(self) -> int:
-        return len(self.ids)
+        return len(self.treatment)
 
     def arm_sizes(self) -> dict[int, int]:
         t = self.treatment
@@ -92,19 +91,19 @@ class CohortDataset:
         return tuple(sorted(self.covariate_levels))
 
 
-def _dataset(ids, treatment, time, event, covariates) -> CohortDataset:
+def _dataset(treatment, time, event, covariates) -> CohortDataset:
     """Check both arms are occupied.
 
     ``covariates`` maps each name to (sorted levels, per-subject codes), all in use.
     """
-    if len(ids) == 0:
+    if len(treatment) == 0:
         raise EmptyArm("cohort is empty")
     for arm, count in enumerate(np.bincount(treatment, minlength=2).tolist()):
         if count == 0:
             raise EmptyArm(f"treatment arm {arm} has no subjects")
     levels = {name: covariates[name][0] for name in sorted(covariates)}
     codes = {name: covariates[name][1] for name in sorted(covariates)}
-    return CohortDataset(ids, treatment, time, event, levels, codes, int(time.max()))
+    return CohortDataset(treatment, time, event, levels, codes, int(time.max()))
 
 
 def _encode(rows, get):
@@ -144,8 +143,7 @@ def _validated(columns, id_column, numbers, broken) -> CohortDataset:
 
     ``columns`` holds (name, distinct raw cells, each row's index into
     them) for treatment, time, event and then each covariate.
-    ``id_column`` is None, and a subject's id its row number minus 2, or
-    (name, each row's stripped id, which rows have an empty id), checked
+    ``id_column`` is None or (name, which rows have an empty id), checked
     last.  ``numbers[i]`` is row i's number in messages.  The earliest
     failing row is reported; within a row an empty cell (in column order,
     the id column last) comes first, then treatment, time, event.
@@ -160,7 +158,7 @@ def _validated(columns, id_column, numbers, broken) -> CohortDataset:
             i = _first(empty, index)
             failures.append((i, MissingValue(f"row {numbers[i]}: column {name!r} is empty")))
     if id_column is not None:
-        name, _, empty = id_column
+        name, empty = id_column
         if empty.any():
             i = int(np.argmax(empty))
             failures.append((i, MissingValue(f"row {numbers[i]}: column {name!r} is empty")))
@@ -199,8 +197,7 @@ def _validated(columns, id_column, numbers, broken) -> CohortDataset:
         position = {v: i for i, v in enumerate(levels)}
         codes = np.array([position[v] for v in stripped], dtype=np.int64).take(index)
         covariates[name] = (tuple(levels), codes)
-    ids = numbers - 2 if id_column is None else np.array(id_column[1], dtype=object)
-    return _dataset(ids, treatment, time, event, covariates)
+    return _dataset(treatment, time, event, covariates)
 
 
 def _check_utf8(data) -> None:
@@ -252,11 +249,10 @@ def _parsed(reader, width, positions, id_at):
     lines = np.arange(2, 2 + len(rows) + len(blank), dtype=np.int64)
     numbers = np.delete(lines, np.array(blank, dtype=np.int64) - 2)
     columns = {j: _encode(rows, itemgetter(j)) for j in positions}
-    ids = None
+    empty = None
     if id_at is not None:
-        cells = [row[id_at].strip() for row in rows]
-        ids = cells, np.array([cell == "" for cell in cells], dtype=bool)
-    return numbers, columns, ids, broken
+        empty = np.array([not row[id_at].strip() for row in rows], dtype=bool)
+    return numbers, columns, empty, broken
 
 
 def _first_line(data):
@@ -302,8 +298,7 @@ def _cell_keys(chunk, start, width):
         keys[width == 0] = 0
         return keys
     if top > 8:
-        text, _, _ = _cell_text(chunk, start, width)
-        return _encode(text.tobytes().decode().split("\n")[:-1], str)
+        return _encode(_cell_text(chunk, start, width), str)
     words = np.ndarray((len(chunk) - 7,), dtype="<u8", buffer=chunk, strides=(1,))
     return (words[start] & _MASK[width]).astype(_KEY_TYPE[top])
 
@@ -316,30 +311,29 @@ _STRIPPABLE[128:] = True
 
 
 def _cell_text(chunk, start, width):
-    """The cells' bytes, each followed by a newline, and two masks over the cells.
-
-    The first marks cells 0 bytes wide, the second cells whose first or
-    last byte may belong to a character ``str.strip`` removes.
-    """
+    """The cells' texts, decoded at once."""
     size = width + 1
     end = np.cumsum(size)
     at = np.arange(int(end[-1]) if len(end) else 0) + np.repeat(start - end + size, size)
     text = chunk[at]
-    text[end - 1] = 10
+    text[end - 1] = 10  # each cell ends in a newline, which no cell holds
+    return text.tobytes().decode().split("\n")[:-1]
+
+
+def _empty_cells(chunk, start, width):
+    """Which cells strip to nothing.
+
+    A cell is empty when it is 0 bytes wide, or when its first or last
+    byte may belong to a character ``str.strip`` removes and its decoded
+    text strips to nothing; only those edge cells are decoded.
+    """
+    empty = width == 0
     # a 0-byte cell reads its neighbours' bytes here, which the mask drops
     edge = _STRIPPABLE[chunk[start]] | _STRIPPABLE[chunk[start + width - 1]]
-    empty = width == 0
-    return text, empty, edge & ~empty
-
-
-def _ids(text, empty, edge):
-    """Each row's stripped id, and which ids are empty, from :func:`_cell_text`."""
-    cells = text.tobytes().decode().split("\n")
-    cells.pop()  # after the last newline
-    for i in np.flatnonzero(edge).tolist():
-        cells[i] = cells[i].strip()
-        empty[i] = not cells[i]
-    return cells, empty
+    at = np.flatnonzero(edge & ~empty)
+    if at.size:
+        empty[at] = [not cell.strip() for cell in _cell_text(chunk, start[at], width[at])]
+    return empty
 
 
 def _distinct_cells(parts):
@@ -385,17 +379,16 @@ def _tokenized(data, body, width, positions, id_at):
 
     Returns each row's number (its line, blank lines counted), a map from
     each position in ``positions`` to (distinct raw cells, each row's index
-    into them), the id column at position ``id_at`` as (each row's
-    stripped id, which ids are empty) or None, and the RaggedRow that
-    stopped the read, if any.  Keyed columns decode only their distinct
-    cells; a 1-byte column keys each cell by a byte gather.  The id column
-    is neither keyed nor deduplicated: its bytes are gathered per chunk
-    and decoded once, one string per row.
+    into them), which rows have an empty cell at position ``id_at`` (None
+    when ``id_at`` is), and the RaggedRow that stopped the read, if any.
+    Keyed columns decode only their distinct cells; a 1-byte column keys
+    each cell by a byte gather.  The id column is only checked for empty
+    cells, one mask per chunk.
     """
     limit = csv.field_size_limit()
     buf = np.frombuffer(data, dtype=np.uint8)
     keys = {j: [] for j in positions}
-    ids = [(np.zeros(0, np.uint8), np.zeros(0, bool), np.zeros(0, bool))]  # _cell_text per chunk
+    empty = [np.zeros(0, dtype=bool)]
     numbers = [np.zeros(0, dtype=np.int64)]
     line, lo, broken = 2, body, None
     while lo < len(data) and broken is None:
@@ -441,12 +434,12 @@ def _tokenized(data, body, width, positions, id_at):
             parts.append(_cell_keys(chunk, begin, grid[:, j] - begin))
         if id_at is not None:
             begin = grid[:, id_at - 1] + 1 if id_at else starts[rows]
-            ids.append(_cell_text(chunk, begin, grid[:, id_at] - begin))
+            empty.append(_empty_cells(chunk, begin, grid[:, id_at] - begin))
         line += len(ends)
         lo = hi
     columns = {j: _distinct_cells(keys.pop(j)) for j in positions}  # frees keys as it goes
-    ids = None if id_at is None else _ids(*map(np.concatenate, zip(*ids)))
-    return np.concatenate(numbers), columns, ids, broken
+    empty = None if id_at is None else np.concatenate(empty)
+    return np.concatenate(numbers), columns, empty, broken
 
 
 def load_cohort(csv_source, column_map) -> CohortDataset:
@@ -456,9 +449,9 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
     ``event``, an optional ``covariates`` list, and an optional ``id``;
     each mapped name must appear once in the header.  Treatment and event
     accept only the literals 0 and 1; rows with empty mapped cells are
-    rejected.  Cells are stripped.  Rows are numbered from 2, blank lines
-    included; a subject's default id is its row number minus 2.  A leading
-    byte-order mark is skipped.
+    rejected.  Cells are stripped.  The id column is checked for empty
+    cells and then dropped.  Rows are numbered from 2, blank lines
+    included.  A leading byte-order mark is skipped.
 
     The source is read whole and checked as UTF-8 first.  Bytes with no
     quote, NUL or lone carriage return are tokenized with numpy (CRLF line
@@ -487,25 +480,28 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
         positions = sorted({index[col] for col in wanted})
         id_at = index.get(id_col)
         if quoted:
-            numbers, cells, ids, broken = _parsed(reader, len(header), positions, id_at)
+            numbers, cells, empty, broken = _parsed(reader, len(header), positions, id_at)
         else:
-            numbers, cells, ids, broken = _tokenized(data, body, len(header), positions, id_at)
+            numbers, cells, empty, broken = _tokenized(data, body, len(header), positions, id_at)
     except csv.Error as exc:
         raise CohortError(f"line {reader.line_num}: {exc}") from None
     columns = [(col, *cells[index[col]]) for col in wanted]
-    id_column = None if id_col is None else (id_col, *ids)
+    id_column = None if id_col is None else (id_col, empty)
     return _validated(columns, id_column, numbers, broken)
 
 
 def save_cohort(cohort: CohortDataset, destination) -> None:
-    """Write the canonical cohort CSV: id, treatment, time, event, covariates."""
+    """Write the canonical cohort CSV: id, treatment, time, event, covariates.
+
+    The id column holds the row labels ``p0``, ``p1``, ...
+    """
     covs = cohort.covariate_names()
     labels = [np.array(cohort.covariate_levels[c], object)[cohort.codes[c]] for c in covs]
     columns = [cohort.treatment, cohort.time, cohort.event, *labels]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", "treatment", "time", "event", *covs])
-    writer.writerows(zip(map(str, cohort.ids.tolist()), *(c.tolist() for c in columns)))
+    writer.writerows(zip((f"p{i}" for i in range(cohort.n)), *(c.tolist() for c in columns)))
     text = buffer.getvalue()
     if hasattr(destination, "write"):
         destination.write(text)
@@ -569,5 +565,5 @@ def drop_early_censored(cohort: CohortDataset) -> tuple[CohortDataset, int]:
         present = np.bincount(column, minlength=len(levels)) > 0  # drop levels nobody keeps
         levels = tuple(compress(levels, present.tolist()))
         covariates[name] = levels, (np.cumsum(present) - 1)[column]
-    columns = (cohort.ids, cohort.treatment, cohort.time, cohort.event)
+    columns = (cohort.treatment, cohort.time, cohort.event)
     return _dataset(*(column[keep] for column in columns), covariates), dropped

@@ -21,11 +21,12 @@ an exponential survival profile whose rate is the cell's exponent.
 Subjects are laid out in index order as the z=0 block then the z=1 block,
 treated before controls within each block.
 
-The cohort is built as columns (ids ``p0``, ``p1``, ..., treatment, time,
-event and the codes of ``z`` over its levels in use), with no per-subject
-record and no round trip through text.  The ladder uses ``math.exp`` per
-subject: ``np.exp`` differs from it in the last bit for some arguments,
-which moves rounded times.
+The cohort is built as columns (treatment, time, event and the codes of
+``z`` over its levels in use), with no per-subject record, no id and no
+round trip through text (``save_cohort`` writes the row labels ``p0``,
+``p1``, ... as ids).  The ladder uses ``math.exp`` per subject: ``np.exp``
+differs from it in the last bit for some arguments, which moves rounded
+times.
 
 Randomness contract: a single ``numpy.random.Generator`` seeded with
 ``seed`` (PCG64, numpy's default bit generator), consumed as one uniform
@@ -121,7 +122,6 @@ def generate_cohort(config: SimConfig) -> CohortDataset:
     z = np.repeat([z for z, _, _ in cells], sizes)
     levels, codes = np.unique(z, return_inverse=True)
     return _dataset(
-        np.array([f"p{i}" for i in range(config.n)], dtype=object),
         np.repeat(np.array([x for _, x, _ in cells], dtype=np.int64), sizes),
         np.array(time, dtype=np.int64),
         np.ones(config.n, dtype=np.int64),

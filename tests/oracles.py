@@ -303,13 +303,16 @@ Subject = namedtuple("Subject", "id treatment survival_time event covariates")
 
 @functools.lru_cache(maxsize=1)  # brute_force_do asks once per (arm, day)
 def subjects(cohort):
-    """One ``Subject`` per row, decoded from the cohort's columns and level codes."""
+    """One ``Subject`` per row, decoded from the cohort's columns and level codes.
+
+    A subject's id is its row position.
+    """
     names = sorted(cohort.covariate_levels)
     labels = [[cohort.covariate_levels[c][k] for k in cohort.codes[c].tolist()] for c in names]
-    columns = [a.tolist() for a in (cohort.ids, cohort.treatment, cohort.time, cohort.event)]
+    columns = [a.tolist() for a in (cohort.treatment, cohort.time, cohort.event)]
     return tuple(
-        Subject(str(i), x, t, e, dict(zip(names, values)))
-        for i, x, t, e, *values in zip(*columns, *labels)
+        Subject(i, x, t, e, dict(zip(names, values)))
+        for i, (x, t, e, *values) in enumerate(zip(*columns, *labels))
     )
 
 

@@ -263,7 +263,7 @@ def test_criterion_7_no_bias_no_op():
         )
         trials = cs.to_daily_trials(cohort, ZSET.variables)
         adjusted_curve = cs.adjust_curve(cohort, trials, ZSET)
-        crude_curve = cs.unadjusted_curve(cohort, trials)
+        crude_curve = cs.unadjusted_curve(trials)
         arms = cohort.arm_sizes()
         for arm in (0, 1):
             gap = float(

@@ -34,7 +34,7 @@ def test_exact_balance_matches_crude():
     cohort = cohort_from_rows(rows)
     trials = to_daily_trials(cohort, {"z"})
     adjusted = adjust_curve(cohort, trials, ZSET)
-    crude = unadjusted_curve(cohort, trials)
+    crude = unadjusted_curve(trials)
     for arm in (0, 1):
         assert np.max(np.abs(adjusted.p[arm] - crude.p_at(arm, adjusted.grid))) <= 1e-12
 
@@ -44,7 +44,7 @@ def test_empty_set_equals_crude():
     cohort = cohort_from_rows(rows)
     trials = to_daily_trials(cohort, ())
     adjusted = adjust_curve(cohort, trials, EMPTY_SET)
-    crude = unadjusted_curve(cohort, trials)
+    crude = unadjusted_curve(trials)
     assert np.array_equal(adjusted.p, crude.p)
 
 
@@ -120,7 +120,7 @@ def test_brute_force_day_zero_all_alive():
 def test_brute_force_single_stratum_equals_crude():
     rows = [(1, 3, 1, "0"), (0, 2, 1, "0"), (1, 5, 1, "0"), (0, 6, 1, "0")]
     cohort = cohort_from_rows(rows)
-    crude = unadjusted_curve(cohort, to_daily_trials(cohort, ()))
+    crude = unadjusted_curve(to_daily_trials(cohort, ()))
     for day in range(cohort.t_max + 1):
         got = brute_force_do(cohort, EMPTY_SET, day, 1)
         assert got == pytest.approx(float(crude.p_at(1, day)), abs=1e-12)

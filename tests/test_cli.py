@@ -228,7 +228,7 @@ def test_analyze_breslow_and_alpha_flags(workspace):
     assert lo < report["crude"]["hr"] < hi
 
 
-@pytest.mark.parametrize("alpha", ["2", "0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("alpha", ["2", "0", "-1", "nan", "inf", "1e-17", "5e-324"])
 def test_analyze_alpha_outside_unit_interval_is_usage_error(workspace, capsys, alpha):
     tmp_path, graph, data = workspace
     with pytest.raises(SystemExit) as exc:
@@ -572,9 +572,13 @@ def analyze_options(draw):
         argv += ["--t-max", draw(st.sampled_from(["0", "4"]))]
     if draw(st.booleans()):
         argv.append("--strict-censoring")
+    # an id column may be absent, share a column with another role, or be missing
+    id_column = draw(st.sampled_from([None, "z", "time", "pid"]))
+    if id_column is not None:
+        argv += ["--id", id_column]
     bad = [
-        ("--alpha", "nan"), ("--alpha", "1"), ("--t-max", "x"), ("--t-max", "-1"),
-        ("--ties", "exact"), ("--covariates", "z,m"), ("--treatment",),
+        ("--alpha", "nan"), ("--alpha", "1"), ("--alpha", "1e-17"), ("--t-max", "x"),
+        ("--t-max", "-1"), ("--ties", "exact"), ("--covariates", "z,m"), ("--treatment",),
     ]
     return argv + list(draw(st.sampled_from([()] * 8 + bad)))
 

@@ -250,7 +250,6 @@ def test_error_messages_name_row_and_column(cell, exc):
 def test_cells_are_stripped():
     source = io.StringIO("id,x,t,s,z\n p1 , 1 , 5 , 1 , a \n p2 ,0,3.0 ,0, b\n")
     cohort = load_cohort(source, {**MAP, "id": "id"})
-    assert [s.id for s in subjects(cohort)] == ["p1", "p2"]
     assert cohort.treatment.tolist() == [1, 0]
     assert cohort.time.tolist() == [5, 3]
     assert cohort.event.tolist() == [1, 0]
@@ -258,30 +257,31 @@ def test_cells_are_stripped():
     assert [s.covariates for s in subjects(cohort)] == [{"z": "a"}, {"z": "b"}]
 
 
-def test_default_ids_follow_row_numbers():
+def test_blank_lines_hold_no_subject():
     source = io.StringIO("x,t,s,z\n0,5,1,0\n\n1,3,1,1\n0,4,0,1\n")
     cohort = load_cohort(source, MAP)
-    assert [s.id for s in subjects(cohort)] == ["0", "2", "3"]
+    assert [(s.id, s.survival_time) for s in subjects(cohort)] == [(0, 5), (1, 3), (2, 4)]
 
 
-def test_subjects_keep_ids_and_covariates_after_filters():
+def test_subjects_keep_covariates_after_filters():
+    # u is unique to each subject, so it follows the subject through the filters
     source = io.StringIO(
-        "id,x,t,s,z,w\n"
-        "a,0,5,0,0,p\nb,1,3,1,1,q\nc,0,8,1,0,q\nd,1,9,0,1,p\ne,1,2,0,2,p\n"
+        "id,x,t,s,z,w,u\n"
+        "a,0,5,0,0,p,a\nb,1,3,1,1,q,b\nc,0,8,1,0,q,c\nd,1,9,0,1,p,d\ne,1,2,0,2,p,e\n"
     )
-    cohort = load_cohort(source, {**MAP, "id": "id", "covariates": ["z", "w"]})
-    before = {s.id: s.covariates for s in subjects(cohort)}
+    cohort = load_cohort(source, {**MAP, "id": "id", "covariates": ["z", "w", "u"]})
+    before = {s.covariates["u"]: s.covariates for s in subjects(cohort)}
     cut = truncate_followup(cohort, 6)
-    assert [(s.id, s.survival_time, s.event) for s in subjects(cut)] == [
+    assert [(s.covariates["u"], s.survival_time, s.event) for s in subjects(cut)] == [
         ("a", 5, 0), ("b", 3, 1), ("c", 6, 0), ("d", 6, 0), ("e", 2, 0)
     ]
-    assert {s.id: s.covariates for s in subjects(cut)} == before
+    assert {s.covariates["u"]: s.covariates for s in subjects(cut)} == before
     strict, dropped = drop_early_censored(cut)
     assert dropped == 2
-    assert [s.id for s in subjects(strict)] == ["b", "c", "d"]
-    assert all(s.covariates == before[s.id] for s in subjects(strict))
-    # level "2" of z belonged only to a dropped subject
-    assert strict.covariate_levels == {"w": ("p", "q"), "z": ("0", "1")}
+    assert [s.covariates["u"] for s in subjects(strict)] == ["b", "c", "d"]
+    assert all(s.covariates == before[s.covariates["u"]] for s in subjects(strict))
+    # level "2" of z, like levels a and e of u, belonged only to dropped subjects
+    assert strict.covariate_levels == {"u": ("b", "c", "d"), "w": ("p", "q"), "z": ("0", "1")}
 
 
 def test_stratum_codes_match_per_subject_lookup():
@@ -353,7 +353,6 @@ def test_quote_free_bytes_never_reach_csv_reader(monkeypatch):
     monkeypatch.setattr(csv, "reader", refuse)
     data = "\ufeffid,x,t,s,z\r\n a ,1,5,1,\xe9\r\n\r\nb,0,3.0,0,zz\r\n".encode()
     cohort = load_cohort(io.BytesIO(data), {**MAP, "id": "id"})
-    assert cohort.ids.tolist() == ["a", "b"]
     assert cohort.time.tolist() == [5, 3]
     assert cohort.covariate_levels == {"z": ("zz", "\xe9")}
     with pytest.raises(AssertionError, match="csv.reader called"):
@@ -419,8 +418,8 @@ def _load_outcome(text, chunk=cohort_module._CHUNK, column_map=None):
     except errors.CohortError as exc:
         return type(exc), str(exc)
     return (
-        cohort.ids.dtype, cohort.ids.tolist(), cohort.treatment.tolist(),
-        cohort.time.tolist(), cohort.event.tolist(), cohort.covariate_levels,
+        cohort.treatment.tolist(), cohort.time.tolist(), cohort.event.tolist(),
+        cohort.covariate_levels,
         {name: codes.tolist() for name, codes in cohort.codes.items()}, cohort.t_max,
     )
 
@@ -449,12 +448,14 @@ def test_id_cells_match_csv_reader_on_quoted_twin(header, chunk):
     cells = {"x": "1", "t": "3", "s": "1", "z": "a"}
     lines = [header] + [[i if name == "id" else cells[name] for name in header] for i in ids]
     lines[1][header.index("x")] = "0"
-    outcome = _load_outcome(_write_csv(lines, "\n", True, False), chunk)
+    plain = _write_csv(lines, "\n", True, False)
+    outcome = _load_outcome(plain, chunk)
     assert outcome == _load_outcome(_write_csv(lines, "\n", True, False, quote='"'))
-    assert outcome[0] == object
-    assert outcome[1] == [i.strip() for i in ids]
+    # no id is empty, so every row loads, as with no id mapped
+    assert outcome == _load_outcome(plain, chunk, MAP)
+    assert len(outcome[0]) == len(ids)
     # an id that strips to nothing is empty, first seen in a later chunk
-    for blank in ["\xa0", "", " \u3000\x1f "]:
+    for blank in ["", *STRIPPED, " \u3000\x1f "]:
         bad = lines + [[blank if name == "id" else cells[name] for name in header]]
         outcome = _load_outcome(_write_csv(bad, "\n", True, False), chunk)
         assert outcome == _load_outcome(_write_csv(bad, "\n", True, False, quote='"'))
@@ -463,17 +464,14 @@ def test_id_cells_match_csv_reader_on_quoted_twin(header, chunk):
 
 @pytest.mark.parametrize("quote", ["", '"'])
 def test_id_may_name_a_column_with_another_role(quote):
-    def load(role):
-        text = f"x,t,s,z\n0,5,1,{quote}a{quote}\n1,3,0,b\n"
-        return load_cohort(io.BytesIO(text.encode()), {**MAP, "id": role})
-
-    cohort = load("z")
-    assert cohort.ids.tolist() == ["a", "b"]
-    assert cohort.covariate_levels == {"z": ("a", "b")}
-    assert cohort.codes["z"].tolist() == [0, 1]
-    cohort = load("x")
-    assert cohort.ids.tolist() == ["0", "1"]
-    assert cohort.treatment.tolist() == [0, 1]
+    text = f"x,t,s,z\n0,5,1,{quote}a{quote}\n1,3,0,b\n"
+    outcome = _load_outcome(text, column_map={**MAP, "id": "z"})
+    assert outcome[3] == {"z": ("a", "b")}
+    assert outcome[4] == {"z": [0, 1]}
+    assert outcome == _load_outcome(text, column_map=MAP)
+    outcome = _load_outcome(text, column_map={**MAP, "id": "x"})
+    assert outcome[0] == [0, 1]
+    assert outcome == _load_outcome(text, column_map=MAP)
 
 
 @pytest.mark.parametrize("empty", [False, True])
@@ -489,8 +487,8 @@ def test_key_widths_may_differ_between_chunks(empty):
     if empty:
         assert outcome == (errors.MissingValue, "row 4: column 'z' is empty")
     else:
-        assert outcome[5] == {"z": ("a", "ab", "abcdefghi", "abcdefghijklmnopq", "b", "c")}
-        assert outcome[6] == {"z": [0, 4, 5, 0, 1, 4, 1, 0, 2, 4, 5, 3, 1, 4, 0, 5, 4]}
+        assert outcome[3] == {"z": ("a", "ab", "abcdefghi", "abcdefghijklmnopq", "b", "c")}
+        assert outcome[4] == {"z": [0, 4, 5, 0, 1, 4, 1, 0, 2, 4, 5, 3, 1, 4, 0, 5, 4]}
 
 
 def test_a_wide_keyed_cell_stays_cheap():
@@ -508,7 +506,7 @@ def test_a_wide_keyed_cell_stays_cheap():
         tracemalloc.stop()
     assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert outcome == _load_outcome(_write_csv(lines, "\n", True, False, quote='"'), column_map=MAP)
-    assert outcome[5] == {"z": ("a", "b", "z" * 20_000)}
+    assert outcome[3] == {"z": ("a", "b", "z" * 20_000)}
 
 
 @pytest.mark.parametrize("id_role", ["id", "z"])
@@ -521,4 +519,24 @@ def test_quote_free_ids_never_reach_distinct_cells(id_role):
         cohort = load_cohort(io.BytesIO(data), column_map)
     # one call each for x, t, s, z and w; z still gets its keys when it is the id
     assert distinct.call_count == 5
-    assert cohort.ids.tolist() == (["u1", "u2"] if id_role == "id" else ["a", "b"])
+    assert cohort.codes["z"].tolist() == [0, 1]
+
+
+def test_an_id_column_costs_no_object_per_row():
+    # 20 000 quote-free rows with 8-byte ids: strings or an object array
+    # per row would add about 2 MiB to the load's peak
+    lines = [["id", "x", "t", "s", "z"]]
+    lines += [[f"s{k:07d}", str(k % 2), str(k % 97), "1", "ab"[k % 3 % 2]] for k in range(20_000)]
+    data = _write_csv(lines, "\n", True, False).encode()
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, column_map in (("plain", MAP), ("id", {**MAP, "id": "id"})):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            cohort = load_cohort(io.BytesIO(data), column_map)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+            del cohort
+    finally:
+        tracemalloc.stop()
+    assert peaks["id"] - peaks["plain"] <= 2**18, peaks

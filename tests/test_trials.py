@@ -261,7 +261,7 @@ def test_round_trip_identity_without_censoring():
         rows[0] = (1, rows[0][1], 1, "0")
         rows[-1] = (0, rows[-1][1], 1, "0")
         cohort = cohort_from_rows(rows)
-        curve = unadjusted_curve(cohort, to_daily_trials(cohort, ()))
+        curve = unadjusted_curve(to_daily_trials(cohort, ()))
         assert curve.arm_sizes == cohort.arm_sizes()
         pseudo = from_adjusted_counts(curve)
         for arm in (0, 1):
