@@ -6,12 +6,12 @@ fractions:
 
     P(alive at day i | do(arm)) = sum_z P(alive at i | arm, z) * P(z)
 
-with both factors estimated as empirical frequencies, all read from the
-daily trials' (arm, stratum, day, event) count table, a
-:class:`~causalsurv.trials.DailyTrials`: a cell's size is its sum over
-days and events, and the number alive at day i is that size less its
-deaths up to i.  The unadjusted curve is the same computation on the
-pooled table, whose one stratum makes it the crude per-arm proportion.
+with both factors estimated as empirical frequencies from the daily
+trials' count table, :class:`~causalsurv.trials.DailyTrials`: a cell's
+size is its sum over days and events, the number alive at day i is that
+size less its deaths up to i, and a stratum is only an index into it.
+The unadjusted curve is the same computation on the pooled table, whose
+one stratum makes it the crude per-arm proportion.
 """
 
 from dataclasses import dataclass
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import CohortDataset
-from .errors import InvalidAdjustmentSet, PositivityViolation
+from .errors import InvalidAdjustmentSet
 from .graph import AdjustmentSet
-from .trials import DailyTrials
+from .trials import DailyTrials, require_positivity
 
 __all__ = ["AdjustedCurve", "adjust_curve", "unadjusted_curve"]
 
@@ -49,16 +49,12 @@ class AdjustedCurve:
 def _curve(trials: DailyTrials) -> AdjustedCurve:
     """The adjusted curve of a daily-trials table, weighted over its strata.
 
-    Raises :class:`PositivityViolation` naming the first empty (arm,
-    stratum) cell, stratum by stratum and arm 0 first; the plug-in
-    adjustment needs every cell occupied.
+    Raises :class:`PositivityViolation` at the first empty (arm, stratum)
+    cell; the plug-in adjustment needs every cell occupied.
     """
     table, days = trials.counts, trials.days
     sizes = table.sum(axis=(2, 3))
-    empty = np.argwhere(sizes.T == 0)
-    if empty.size:
-        stratum, arm = empty[0].tolist()
-        raise PositivityViolation(arm, trials.strata[stratum])
+    require_positivity(sizes, trials.levels)
     deaths = table[..., 1]
     grid = np.union1d(days[deaths.any(axis=(0, 1))], [0, days[-1]])
     # deaths on or before each grid day, then alive = size - deaths so far

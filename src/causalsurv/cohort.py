@@ -25,7 +25,8 @@ whitespace.  A subject is its row; no id is kept.
 ``load_cohort`` is the one validated way in: a Python caller passes a
 path or a text or bytes buffer such as ``io.StringIO``.
 
-Datasets are columnar, immutable after load and safe for shared
+Datasets are columnar (a covariate is its level codes; strata are formed
+in :mod:`causalsurv.trials`), immutable after load and safe for shared
 concurrent reads.
 """
 
@@ -33,7 +34,7 @@ import codecs
 import csv
 import io
 from dataclasses import dataclass, replace
-from itertools import compress, product
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 
@@ -50,7 +51,6 @@ from .errors import (
     NonBinaryTreatment,
     NonIntegerTime,
     RaggedRow,
-    UnknownCovariate,
 )
 
 __all__ = [
@@ -507,26 +507,6 @@ def save_cohort(cohort: CohortDataset, destination) -> None:
         destination.write(text)
     else:
         Path(destination).write_text(text, encoding="utf-8")
-
-
-def stratum_assignments(cohort: CohortDataset, covariates):
-    """Cross-product strata and each subject's stratum index.
-
-    Covariates are canonicalized to sorted name order; an empty selection
-    yields a single stratum holding everyone.
-    """
-    covs = tuple(sorted(covariates))
-    for c in covs:
-        if c not in cohort.covariate_levels:
-            raise UnknownCovariate(f"unknown covariate {c!r}")
-    if not covs:
-        return covs, ((),), np.zeros(cohort.n, dtype=np.int64)
-    level_lists = [cohort.covariate_levels[c] for c in covs]
-    strata = tuple(product(*level_lists))
-    assign = np.ravel_multi_index(
-        [cohort.codes[c] for c in covs], [len(levels) for levels in level_lists]
-    )
-    return covs, strata, assign
 
 
 def truncate_followup(cohort: CohortDataset, t_max: int) -> CohortDataset:

@@ -35,6 +35,11 @@ Z_95 = 1.959964
 # (complete separation): exp(50) is far beyond any meaningful hazard ratio.
 SEPARATION_BOUND = 50.0
 
+# Newton iterations before a fit returns converged=False, and the score
+# max-norm that, together with the step tolerance, defines convergence.
+MAX_ITER = 50
+GRAD_TOL = 1e-8
+
 # Newton step max-norm that, together with the gradient tolerance, defines
 # convergence.  A flat likelihood keeps proposing O(1) steps even once the
 # gradient underflows the tolerance, so requiring a small step lets complete
@@ -163,15 +168,13 @@ def _prepare(covariate_matrix, times, events, counts=None):
     return np.ascontiguousarray(rows[:, 2:]), rows[:, 0], rows[:, 1], counts
 
 
-def cox_fit(
-    covariate_matrix, times, events, *, counts=None, ties="efron", max_iter=50, tol=1e-8
-) -> CoxFit:
+def cox_fit(covariate_matrix, times, events, *, counts=None, ties="efron") -> CoxFit:
     """Maximize the log partial likelihood by Newton-Raphson.
 
     A row of ``counts`` k fits exactly as k copies of it would.
     Step-halving (up to 10 halvings per iteration) guards against
     log-likelihood decreases.  Standard errors come from the inverse of the
-    observed information at the optimum.  Exhausting ``max_iter`` returns a
+    observed information at the optimum.  Exhausting ``MAX_ITER`` returns a
     partial result with ``converged=False``; a coefficient running past
     +-50 raises :class:`MonotoneLikelihood` instead of being returned.
     """
@@ -185,7 +188,7 @@ def cox_fit(
     ll, grad, info = cox_eval(layout, beta)
     converged = False
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         try:
             step = _newton_step(info, grad)
         except SingularHessian:
@@ -193,14 +196,14 @@ def cox_fit(
             # the underflow end-state of a monotone likelihood: the walk to
             # +-infinity ran out of floating-point range before the |beta|
             # bound tripped.
-            if np.abs(grad).max() <= tol and np.abs(beta).max() > 1.0:
+            if np.abs(grad).max() <= GRAD_TOL and np.abs(beta).max() > 1.0:
                 raise MonotoneLikelihood(
                     "information matrix underflowed while a coefficient "
                     f"diverged (|beta| reached {np.abs(beta).max():.1f}); the "
                     "partial likelihood is monotone (complete separation)"
                 ) from None
             raise
-        if np.abs(grad).max() <= tol and np.abs(step).max() <= STEP_TOL:
+        if np.abs(grad).max() <= GRAD_TOL and np.abs(step).max() <= STEP_TOL:
             converged = True
             break
         iterations += 1
@@ -219,7 +222,7 @@ def cox_fit(
             )
     else:
         step = _newton_step(info, grad, allow_singular=True)
-        if step is not None and np.abs(grad).max() <= tol and np.abs(step).max() <= STEP_TOL:
+        if step is not None and np.abs(grad).max() <= GRAD_TOL and np.abs(step).max() <= STEP_TOL:
             converged = True
 
     se = _standard_errors(info, p)
@@ -254,12 +257,8 @@ def _standard_errors(info, p):
         return np.full(p, np.nan)
 
 
-def hr_report(fit: CoxFit, treatment_index: int = 0) -> tuple[float, float, float]:
-    """Treatment hazard ratio and its 95% Wald interval."""
+def hr_report(fit: CoxFit) -> tuple[float, float, float]:
+    """Treatment (first column) hazard ratio and its 95% Wald interval."""
     if not fit.converged:
         raise NotConverged("fit did not converge; refusing to report a hazard ratio")
-    return (
-        float(fit.hr[treatment_index]),
-        float(fit.ci95[0][treatment_index]),
-        float(fit.ci95[1][treatment_index]),
-    )
+    return float(fit.hr[0]), float(fit.ci95[0][0]), float(fit.ci95[1][0])

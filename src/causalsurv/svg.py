@@ -30,7 +30,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def emit_svg(curves, title: str | None = None) -> str:
+def emit_svg(curves) -> str:
     """Render one polyline step path per series, with axes and a legend."""
     curves = list(curves)
     if not curves or any(len(c.days) == 0 for c in curves):
@@ -53,11 +53,6 @@ def emit_svg(curves, title: str | None = None) -> str:
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_LEFT}" y="{_TOP - 4}" font-size="13" '
-            f'font-family="sans-serif">{title}</text>'
-        )
 
     # axes
     parts.append(

@@ -12,7 +12,9 @@ last follow-up day and event flag, so the trials are held as one count
 table over those four: the number alive in an (arm, stratum) cell at day i
 is the cell's size minus its deaths on days up to i.  The table has one
 column per distinct follow-up day, so its size scales with the number of
-distinct days, not with t_max or the number of subjects.
+distinct days, not with t_max or the number of subjects.  A stratum is an
+index into the covariates' level product, last covariate fastest, that
+only this module decodes; past n strata no table is built.
 
 Backward: per-arm per-day adjusted survival counts are turned back into a
 pseudo-cohort, the same kind of table with one stratum on the curve's day
@@ -27,10 +29,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import CohortDataset, stratum_assignments
-from .errors import NonMonotoneCounts
+from .cohort import CohortDataset
+from .errors import NonMonotoneCounts, PositivityViolation, UnknownCovariate
 
 __all__ = ["DailyTrials", "to_daily_trials", "from_adjusted_counts"]
+
+
+def _level_codes(stratum, levels):
+    """Each covariate's level code in ``stratum``, an int or an int64 array of indices."""
+    codes = []
+    for ls in reversed(levels):
+        stratum, code = divmod(stratum, len(ls))
+        codes.append(code)
+    return codes[::-1]
+
+
+def require_positivity(sizes, levels):
+    """Raise :class:`PositivityViolation` at the first zero of ``sizes[arm, stratum]``.
+
+    Cells are scanned stratum by stratum, arm 0 first.
+    """
+    empty = np.argwhere(sizes.T == 0)
+    if empty.size:
+        stratum, arm = empty[0].tolist()
+        codes = _level_codes(stratum, levels)
+        raise PositivityViolation(arm, [ls[c] for ls, c in zip(levels, codes)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,18 +61,16 @@ class DailyTrials:
     """The daily trials as subjects per (arm, stratum, day, event) cell.
 
     ``counts[arm, s, g, e]`` is the number of subjects in arm ``arm`` and
-    stratum ``strata[s]`` whose follow-up ends on day ``days[g]`` with
-    event flag ``e``.  Strata are the level combinations of ``covariates``
-    (sorted names), ``shape`` levels each, in the order of
-    :func:`~causalsurv.cohort.stratum_assignments`; ``days`` ascend, and
-    the last is t_max.
+    stratum ``s`` whose follow-up ends on day ``days[g]`` with event flag
+    ``e``.  ``levels`` holds the sorted level tuple of each of the sorted
+    ``covariates``, and stratum ``s`` is the ``s``-th combination of their
+    product.  ``days`` ascend, and the last is t_max.
     """
 
     covariates: tuple[str, ...]
-    strata: tuple[tuple[str, ...], ...]
-    shape: tuple[int, ...]
+    levels: tuple[tuple[str, ...], ...]
     days: np.ndarray
-    counts: np.ndarray  # int64, shape (2, len(strata), len(days), 2)
+    counts: np.ndarray  # int64, shape (2, strata, len(days), 2)
 
     @property
     def n(self) -> int:
@@ -57,7 +78,7 @@ class DailyTrials:
 
     def pooled(self) -> "DailyTrials":
         """The same subjects as one stratum, with no covariates."""
-        return DailyTrials((), ((),), (), self.days, self.counts.sum(axis=1, keepdims=True))
+        return DailyTrials((), (), self.days, self.counts.sum(axis=1, keepdims=True))
 
     def cells(self):
         """Occupied cells as count rows: arm, stratum, day, event and count arrays."""
@@ -66,25 +87,34 @@ class DailyTrials:
 
     def dummies(self, stratum) -> list[np.ndarray]:
         """0/1 column blocks of each covariate's levels but the first, per stratum index."""
-        if not self.shape:
-            return []
-        codes = np.unravel_index(stratum, self.shape)
-        return [c[:, None] == np.arange(1, k) for c, k in zip(codes, self.shape)]
+        codes = _level_codes(stratum, self.levels)
+        return [c[:, None] == np.arange(1, len(ls)) for c, ls in zip(codes, self.levels)]
 
 
 def to_daily_trials(cohort: CohortDataset, covariates) -> DailyTrials:
     """Break the study into daily trials, counted per (arm, stratum, day, event).
 
-    Strata are the level combinations of ``covariates``; one bincount
-    over the cell key fills the table.
+    One bincount over the cell key fills the table.  Past n strata, stratum
+    indices capped at n (exact below it) find the empty cell and none is built.
     """
-    covs, strata, assign = stratum_assignments(cohort, covariates)
+    covs = tuple(sorted(covariates))
+    for c in covs:
+        if c not in cohort.covariate_levels:
+            raise UnknownCovariate(f"unknown covariate {c!r}")
+    levels = tuple(cohort.covariate_levels[c] for c in covs)
+    stratum = np.zeros(cohort.n, dtype=np.int64)
+    for c, ls in zip(covs, levels):
+        stratum = np.minimum(stratum * len(ls) + cohort.codes[c], cohort.n)
+    strata = math.prod(len(ls) for ls in levels)
+    if strata > cohort.n:
+        # an arm holds fewer than n subjects, so a cell below n is empty: this raises
+        key = cohort.treatment * (cohort.n + 1) + stratum
+        require_positivity(np.bincount(key, minlength=2 * cohort.n + 2).reshape(2, -1), levels)
     days, g = np.unique(cohort.time, return_inverse=True)
-    shape = (2, len(strata), len(days), 2)
-    key = ((cohort.treatment * len(strata) + assign) * len(days) + g) * 2 + cohort.event
+    shape = (2, strata, len(days), 2)
+    key = ((cohort.treatment * strata + stratum) * len(days) + g) * 2 + cohort.event
     counts = np.bincount(key, minlength=math.prod(shape)).reshape(shape)
-    levels = tuple(len(cohort.covariate_levels[c]) for c in covs)
-    return DailyTrials(covs, strata, levels, days, counts)
+    return DailyTrials(covs, levels, days, counts)
 
 
 def _integerize_counts(counts, arm_size):
@@ -123,4 +153,4 @@ def from_adjusted_counts(adj) -> DailyTrials:
         ints = _integerize_counts(counts, size)
         table[arm, 0, :, 1] = np.maximum(-np.diff(ints, prepend=size), 0)
         table[arm, 0, -1, 0] = ints[-1]
-    return DailyTrials((), ((),), (), days, table)
+    return DailyTrials((), (), days, table)

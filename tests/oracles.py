@@ -11,7 +11,8 @@ are checked by trying every subset of the candidates with
 checked by golden-section search over a directly-evaluated log partial
 likelihood; the Cox kernel is checked against a scalar loop over
 subjects; the backdoor-adjusted curve is checked against a sum over whole
-daily outcome histories; and the pseudo-cohort's count table can be
+daily outcome histories; the first empty (arm, stratum) cell is found by
+walking the level product over the subjects; and the pseudo-cohort's count table can be
 expanded to one tuple per subject.  ``gradient_at`` is a helper, not an
 oracle: it reads the production kernel's gradient for the score checks.
 Test cohorts are written as CSV text for ``load_cohort`` and decoded back
@@ -326,6 +327,26 @@ def expand(pseudo):
         for a, d, e, k in zip(arm.tolist(), day.tolist(), event.tolist(), count.tolist())
         for _ in range(k)
     ]
+
+
+# --- positivity -----------------------------------------------------------------
+
+def first_empty_cell(cohort, covariates):
+    """The first (arm, level tuple) with no subject, or None.
+
+    Walks the level combinations of the sorted ``covariates`` in
+    ``itertools.product`` order, arm 0 before arm 1 within each, over the
+    per-subject tuples of ``subjects(cohort)``.
+    """
+    covs = sorted(covariates)
+    people = subjects(cohort)
+    occupied = {(s.treatment, tuple(s.covariates[c] for c in covs)) for s in people}
+    levels = [sorted({s.covariates[c] for s in people}) for c in covs]
+    for combo in product(*levels):
+        for arm in (0, 1):
+            if (arm, combo) not in occupied:
+                return arm, combo
+    return None
 
 
 # --- long-form interventional survival ----------------------------------------

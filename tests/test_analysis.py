@@ -179,7 +179,7 @@ def test_fit_entry_refuses_a_non_finite_interval(monkeypatch):
     )
     monkeypatch.setattr(analysis, "cox_fit", lambda *args, **kwargs: fit)
     counts = np.ones((2, 1, 1, 2), dtype=np.int64)
-    table = DailyTrials((), ((),), (), np.array([3]), counts)
+    table = DailyTrials((), (), np.array([3]), counts)
     entry = _fit_entry(table, "efron", 1.959964)
     assert entry.error.startswith("NonFiniteEstimate: ")
     assert entry.to_dict() == {"error": entry.error}

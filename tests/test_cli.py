@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalsurv.cli import main
+from causalsurv.cohort import load_cohort
+
+from oracles import first_empty_cell
 
 CONFOUNDED_GRAPH = {
     "nodes": [{"name": "z"}, {"name": "treatment"}, {"name": "time"}],
@@ -343,6 +347,70 @@ def test_analyze_separated_covariate_is_a_monotone_error_entry(tmp_path, capsys)
     assert report["traditional"]["error"].startswith("MonotoneLikelihood: ")
     assert "traditional fit failed: MonotoneLikelihood: " in "\n".join(report["warnings"])
     assert "hr" in report["crude"] and "hr" in report["adjusted"]
+
+
+def _confounder_workspace(tmp_path, rows, covariates):
+    """Cohort CSV and graph where each covariate confounds treatment and time."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({
+        "nodes": [{"name": c} for c in (*covariates, "treatment", "time")],
+        "edges": [["treatment", "time"]]
+        + [[c, v] for c in covariates for v in ("treatment", "time")],
+    }))
+    data = tmp_path / "cohort.csv"
+    header = ",".join(("treatment", "time", "event", *covariates))
+    data.write_text("\n".join([header, *(",".join(map(str, r)) for r in rows)]) + "\n")
+    extra = ("--covariates", ",".join(covariates))
+    return _analyze_args(tmp_path, graph, data, extra=extra)
+
+
+def test_analyze_names_the_first_empty_stratum(tmp_path, capsys):
+    # strata (p,0) (p,1) (q,0) (q,1) (r,0) (r,1): only (q,1) has no treated subject
+    rows = [
+        (arm, 3 + k, 1, a, b)
+        for k, (a, b) in enumerate((a, b) for a in "pqr" for b in "01")
+        for arm in (0, 1)
+        if (arm, a, b) != (1, "q", "1")
+    ]
+    code = main(_confounder_workspace(tmp_path, rows, ("a", "b")))
+    assert code == 3
+    assert json.loads(capsys.readouterr().out, parse_constant=pytest.fail) == {
+        "error": {
+            "type": "PositivityViolation",
+            "message": "empty stratum: arm=1, covariate levels=('q', '1')",
+            "exit": 3,
+        }
+    }
+
+
+def test_more_strata_than_subjects_is_refused_in_small_memory(tmp_path, capsys):
+    # 6**6 = 46 656 strata for 2 000 subjects: refused before any count table
+    rng = np.random.default_rng(5)
+    covariates = tuple(f"c{k}" for k in range(6))
+    rows = np.column_stack([
+        rng.integers(0, 2, 2000), rng.integers(0, 100, 2000), rng.integers(0, 2, 2000),
+        rng.integers(0, 6, (2000, 6)),
+    ])
+    argv = _confounder_workspace(tmp_path, rows.tolist(), covariates)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    cohort = load_cohort(
+        tmp_path / "cohort.csv",
+        {"treatment": "treatment", "time": "time", "event": "event", "covariates": covariates},
+    )
+    arm, levels = first_empty_cell(cohort, covariates)
+    assert payload["error"] == {
+        "type": "PositivityViolation",
+        "message": f"empty stratum: arm={arm}, covariate levels={levels!r}",
+        "exit": 3,
+    }
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_simulate_writes_deterministic_csv(tmp_path):

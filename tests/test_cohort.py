@@ -3,7 +3,6 @@ import io
 import tracemalloc
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,6 @@ from causalsurv.cohort import (
     drop_early_censored,
     load_cohort,
     save_cohort,
-    stratum_assignments,
     truncate_followup,
 )
 
@@ -104,55 +102,6 @@ def test_save_load_roundtrip(tmp_path):
     out2 = tmp_path / "again.csv"
     save_cohort(again, out2)
     assert out.read_bytes() == out2.read_bytes()
-
-
-def _balanced_cohort():
-    # 100 subjects per z level; 75/25 treated split within each level
-    rows = []
-    for z in ("0", "1"):
-        treated = 75 if z == "0" else 25
-        rows += [(1 if k < treated else 0, 5 + k, 1, z) for k in range(100)]
-    return cohort_from_rows(rows)
-
-
-def _arm_counts(cohort, covariates):
-    """Subjects per (arm, stratum), zero cells included, from one bincount."""
-    _, strata, assign = stratum_assignments(cohort, covariates)
-    table = np.bincount(assign * 2 + cohort.treatment, minlength=2 * len(strata))
-    rows = table.reshape(-1, 2).tolist()
-    return strata, {(arm, combo): row[arm] for combo, row in zip(strata, rows) for arm in (0, 1)}
-
-
-def test_stratum_counts_biased_split():
-    _, counts = _arm_counts(_balanced_cohort(), {"z"})
-    assert counts[(1, ("0",))] == 75
-    assert counts[(1, ("1",))] == 25
-    assert counts[(0, ("0",))] + counts[(1, ("0",))] == 100
-
-
-def test_stratum_counts_empty_selection_is_single_stratum():
-    strata, counts = _arm_counts(_balanced_cohort(), set())
-    assert strata == ((),)
-    assert counts[(1, ())] == 100
-    assert counts[(0, ())] == 100
-
-
-def test_stratum_counts_records_zero_cells():
-    cohort = cohort_from_rows([(1, 3, 1, "0"), (0, 2, 1, "0"), (0, 4, 1, "1")])
-    _, counts = _arm_counts(cohort, {"z"})
-    assert counts[(1, ("1",))] == 0
-    assert [key for key, c in sorted(counts.items()) if c == 0] == [(1, ("1",))]
-
-
-def test_stratum_counts_total_matches_subjects():
-    cohort = _balanced_cohort()
-    _, counts = _arm_counts(cohort, {"z"})
-    assert sum(counts.values()) == cohort.n
-
-
-def test_stratum_counts_unknown_covariate():
-    with pytest.raises(errors.UnknownCovariate):
-        stratum_assignments(_balanced_cohort(), {"w"})
 
 
 def test_truncate_followup():
@@ -282,27 +231,6 @@ def test_subjects_keep_covariates_after_filters():
     assert all(s.covariates == before[s.covariates["u"]] for s in subjects(strict))
     # level "2" of z, like levels a and e of u, belonged only to dropped subjects
     assert strict.covariate_levels == {"u": ("b", "c", "d"), "w": ("p", "q"), "z": ("0", "1")}
-
-
-def test_stratum_codes_match_per_subject_lookup():
-    rng = np.random.default_rng(7)
-    levels = {"a": ["u", "v", "w"], "b": ["0", "1"], "c": ["x", "y", "z", "zz"]}
-    rows = [
-        (
-            int(rng.integers(0, 2)),
-            int(rng.integers(0, 30)),
-            int(rng.integers(0, 2)),
-            *(str(rng.choice(vals)) for vals in levels.values()),
-        )
-        for _ in range(300)
-    ]
-    cohort = cohort_from_rows(rows, list(levels))
-    cells = [dict(zip(levels, row[3:])) for row in rows]
-    for covs in (("a",), ("c", "a"), ("a", "b", "c")):
-        names, strata, assign = stratum_assignments(cohort, covs)
-        lookup = {combo: i for i, combo in enumerate(strata)}
-        expected = [lookup[tuple(cell[c] for c in names)] for cell in cells]
-        assert assign.tolist() == expected
 
 
 def test_mapped_column_twice_in_header_is_an_error():

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,9 @@ from causalsurv import errors
 from causalsurv.adjust import AdjustedCurve, adjust_curve, unadjusted_curve
 from causalsurv.estimators import cox_fit, km_fit
 from causalsurv.graph import satisfies_backdoor, validate_dag
-from causalsurv.trials import from_adjusted_counts, to_daily_trials
+from causalsurv.trials import _level_codes, from_adjusted_counts, to_daily_trials
 
-from oracles import cohort_from_rows, expand
+from oracles import cohort_from_rows, expand, first_empty_cell
 
 CONFOUNDED = validate_dag(["z", "x", "t"], [("z", "x"), ("z", "t"), ("x", "t")])
 ZSET = satisfies_backdoor(CONFOUNDED, {"z"}, "x", "t")
@@ -75,7 +78,7 @@ def test_proportions_direct_count():
     rows += [(0, 9, 1, "0"), (1, 9, 1, "1"), (0, 9, 1, "1")]
     cohort = cohort_from_rows(rows)
     trials = to_daily_trials(cohort, {"z"})
-    cell = trials.counts[1, trials.strata.index(("0",))]
+    cell = trials.counts[1, trials.levels[0].index("0")]
     size = cell.sum()
     assert (size - cell[trials.days <= 3, 1].sum()) / size == 0.75
     assert (size - cell[trials.days <= 2, 1].sum()) / size == 1.0
@@ -86,6 +89,136 @@ def test_proportions_positivity_violation():
     with pytest.raises(errors.PositivityViolation) as exc:
         adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
     assert "arm=1" in str(exc.value)
+
+
+def _balanced_cohort():
+    # 100 subjects per z level; 75/25 treated split within each level
+    rows = []
+    for z in ("0", "1"):
+        treated = 75 if z == "0" else 25
+        rows += [(1 if k < treated else 0, 5 + k, 1, z) for k in range(100)]
+    return cohort_from_rows(rows)
+
+
+def _strata(trials):
+    """Each stratum's level tuple, decoded one int index at a time."""
+    return [
+        tuple(levels[c] for levels, c in zip(trials.levels, _level_codes(s, trials.levels)))
+        for s in range(trials.counts.shape[1])
+    ]
+
+
+def _arm_counts(cohort, covariates):
+    """Subjects per (arm, stratum), zero cells included, read from the count table."""
+    trials = to_daily_trials(cohort, covariates)
+    strata = _strata(trials)
+    rows = trials.counts.sum(axis=(2, 3)).T.tolist()
+    return strata, {(arm, combo): row[arm] for combo, row in zip(strata, rows) for arm in (0, 1)}
+
+
+def test_stratum_counts_biased_split():
+    _, counts = _arm_counts(_balanced_cohort(), {"z"})
+    assert counts[(1, ("0",))] == 75
+    assert counts[(1, ("1",))] == 25
+    assert counts[(0, ("0",))] + counts[(1, ("0",))] == 100
+
+
+def test_stratum_counts_empty_selection_is_single_stratum():
+    strata, counts = _arm_counts(_balanced_cohort(), set())
+    assert strata == [()]
+    assert counts[(1, ())] == 100
+    assert counts[(0, ())] == 100
+
+
+def test_stratum_counts_records_zero_cells():
+    cohort = cohort_from_rows([(1, 3, 1, "0"), (0, 2, 1, "0"), (0, 4, 1, "1")])
+    _, counts = _arm_counts(cohort, {"z"})
+    assert counts[(1, ("1",))] == 0
+    assert [key for key, c in sorted(counts.items()) if c == 0] == [(1, ("1",))]
+
+
+def test_stratum_counts_total_matches_subjects():
+    cohort = _balanced_cohort()
+    _, counts = _arm_counts(cohort, {"z"})
+    assert sum(counts.values()) == cohort.n
+
+
+def test_stratum_counts_unknown_covariate():
+    with pytest.raises(errors.UnknownCovariate, match="^unknown covariate 'w'$"):
+        to_daily_trials(_balanced_cohort(), {"w"})
+
+
+def test_stratum_codes_match_per_subject_lookup():
+    rng = np.random.default_rng(7)
+    levels = {"a": ["u", "v", "w"], "b": ["0", "1"], "c": ["x", "y", "z", "zz"]}
+    rows = [
+        (
+            int(rng.integers(0, 2)),
+            int(rng.integers(0, 30)),
+            int(rng.integers(0, 2)),
+            *(str(rng.choice(vals)) for vals in levels.values()),
+        )
+        for _ in range(300)
+    ]
+    cohort = cohort_from_rows(rows, list(levels))
+    cells = [dict(zip(levels, row[3:])) for row in rows]
+    for covs in (("a",), ("c", "a"), ("a", "b", "c")):
+        trials = to_daily_trials(cohort, covs)
+        names = sorted(covs)
+        strata = _strata(trials)
+        # product order, the last covariate fastest
+        assert strata == list(product(*(sorted(levels[c]) for c in names)))
+        lookup = {combo: i for i, combo in enumerate(strata)}
+        expected = Counter(
+            (row[0], lookup[tuple(cell[c] for c in names)]) for row, cell in zip(rows, cells)
+        )
+        sizes = trials.counts.sum(axis=(2, 3))
+        assert {(arm, s): int(sizes[arm, s]) for arm, s in expected} == dict(expected)
+        assert sizes.sum() == sum(expected.values())
+        # the array decoder agrees with the int one
+        index = np.arange(len(strata))
+        by_array = _level_codes(index, trials.levels)
+        assert [tuple(int(c[s]) for c in by_array) for s in index] == [
+            tuple(_level_codes(int(s), trials.levels)) for s in index
+        ]
+
+
+def _confounded_by(covariates):
+    """A valid backdoor set of ``covariates``, each a confounder of x on t."""
+    edges = [("x", "t")] + [(c, v) for c in covariates for v in ("x", "t")]
+    dag = validate_dag([*covariates, "x", "t"], edges)
+    return satisfies_backdoor(dag, set(covariates), "x", "t")
+
+
+def test_first_empty_cell_matches_oracle():
+    rng = np.random.default_rng(23)
+    outcomes = Counter()
+    for _ in range(400):
+        n = int(rng.integers(2, 40))
+        widths = rng.integers(1, 5, size=int(rng.integers(1, 5))).tolist()
+        rows = [
+            (int(rng.integers(0, 2)), int(rng.integers(0, 6)), int(rng.integers(0, 2)),
+             *(int(rng.integers(0, m)) for m in widths))
+            for _ in range(n)
+        ]
+        rows[0] = (1, *rows[0][1:])
+        rows[-1] = (0, *rows[-1][1:])
+        covs = [f"c{k}" for k in range(len(widths))]
+        cohort = cohort_from_rows(rows, covs)
+        expected = first_empty_cell(cohort, covs)
+        past_n = np.prod([len(cohort.covariate_levels[c]) for c in covs]) > n
+        try:
+            trials = to_daily_trials(cohort, covs)
+            assert not past_n, "a table with more strata than subjects was built"
+            adjust_curve(cohort, trials, _confounded_by(covs))
+        except errors.PositivityViolation as exc:
+            assert (exc.arm, exc.stratum) == expected
+            assert str(exc) == f"empty stratum: arm={expected[0]}, covariate levels={expected[1]!r}"
+            outcomes["past n" if past_n else "empty cell"] += 1
+        else:
+            assert expected is None
+            outcomes["occupied"] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
 
 
 @st.composite
@@ -121,6 +254,11 @@ def _fit_outcome(fit, *args, **kwargs):
 @given(small_cohorts())
 def test_count_rows_fit_exactly_as_subjects(cohort):
     covariates = cohort.covariate_names()
+    if np.prod([len(cohort.covariate_levels[c]) for c in covariates]) > cohort.n:
+        # more strata than subjects: some cell is empty and no table is built
+        with pytest.raises(errors.PositivityViolation):
+            to_daily_trials(cohort, covariates)
+        return
     trials = to_daily_trials(cohort, covariates)
     treatment = cohort.treatment.astype(np.float64)
     dummies = [
@@ -132,7 +270,7 @@ def test_count_rows_fit_exactly_as_subjects(cohort):
     # the same subjects, days and per-(arm, day, event) sums in one stratum
     assert pooled.n == trials.n == cohort.n
     assert pooled.days.tolist() == trials.days.tolist()
-    assert (pooled.covariates, pooled.strata, pooled.shape) == ((), ((),), ())
+    assert (pooled.covariates, pooled.levels) == ((), ())
     by_hand = np.zeros((2, len(trials.days), 2), dtype=np.int64)
     day_of = np.searchsorted(trials.days, cohort.time)
     np.add.at(by_hand, (cohort.treatment, day_of, cohort.event), 1)
@@ -192,7 +330,7 @@ def test_reconstruction_consecutive_differences():
     assert _rows(pseudo, 1) == _rows(pseudo, 0)
     assert pseudo.n == 200
     # one stratum on the curve's grid: deaths at [arm, 0, g, 1], survivors at [arm, 0, -1, 0]
-    assert (pseudo.covariates, pseudo.strata, pseudo.shape) == ((), ((),), ())
+    assert (pseudo.covariates, pseudo.levels) == ((), ())
     assert pseudo.days.tolist() == [0, 1, 2, 3]
     assert pseudo.counts[0, 0].tolist() == [[0, 0], [0, 10], [0, 0], [80, 10]]
 
