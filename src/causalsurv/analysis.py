@@ -1,12 +1,16 @@
 """End-to-end analysis pipeline and report emission.
 
-Runs: load cohort -> validate graph -> pick/validate the adjustment set ->
+Runs: validate graph -> pick/validate the adjustment set -> load cohort ->
 daily trials -> backdoor-adjusted curve -> pseudo-cohort -> Kaplan-Meier
 curves -> three Cox fits:
 
 * crude        — treatment only, original cohort (the biased estimate);
 * traditional  — treatment plus adjustment covariates, original cohort;
 * adjusted     — treatment only, on the reconstructed pseudo-cohort.
+
+Identification comes first, so ingest keys only the adjustment set and
+only checks every other mapped covariate, like the id.  Its errors wait
+until the cohort has loaded and been filtered: cohort errors come first.
 
 After identification no stage looks at single subjects.  The daily trials
 and the pseudo-cohort are both (arm, stratum, day, event) count tables,
@@ -35,6 +39,7 @@ import numpy as np
 from .adjust import adjust_curve
 from .cohort import drop_early_censored, load_cohort, truncate_followup
 from .errors import (
+    CausalSurvError,
     EstimationError,
     InvalidAdjustmentSet,
     NonFiniteEstimate,
@@ -160,7 +165,7 @@ def not_identifiable(dag, treatment, outcome) -> NotIdentifiable:
     )
 
 
-def _select_adjustment(dag, options, cohort):
+def _select_adjustment(dag, options):
     treatment_node = options.treatment_col
     outcome_node = options.time_col
     warnings = []
@@ -187,7 +192,7 @@ def _select_adjustment(dag, options, cohort):
                 f"the backdoor criterion for ({treatment_node!r}, {outcome_node!r})"
             )
     for member in chosen.sorted_members():
-        if member not in cohort.covariate_levels:
+        if member not in options.covariate_cols:
             raise UnknownCovariate(
                 f"adjustment set member {member!r} is not a mapped covariate column"
             )
@@ -200,6 +205,11 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
     Artifacts carry the Kaplan-Meier step curves for serialization:
     ``curves`` is a list of (variant, arm, days, survival, counts).
     """
+    adjset = held = None
+    try:
+        adjset, select_warnings = _select_adjustment(load_graph(graph_path), options)
+    except (CausalSurvError, OSError) as exc:  # raised once the cohort has passed
+        held = exc
     cohort = load_cohort(
         data_path,
         {
@@ -209,6 +219,7 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
             "covariates": list(options.covariate_cols),
             **({"id": options.id_col} if options.id_col else {}),
         },
+        keep=() if adjset is None else adjset.variables,
     )
     warnings: list[str] = []
     if options.t_max is not None:
@@ -230,8 +241,8 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
             "(--strict-censoring drops them instead)"
         )
 
-    dag = load_graph(graph_path)
-    adjset, select_warnings = _select_adjustment(dag, options, cohort)
+    if held is not None:
+        raise held
     warnings.extend(select_warnings)
 
     trials = to_daily_trials(cohort, adjset.variables)

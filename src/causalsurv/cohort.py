@@ -16,12 +16,13 @@ gather in a column whose cells are at most 1 byte wide), and one
 ``np.unique`` per column leaves only the distinct cells to decode.  A
 chunk with a cell wider than 8 bytes in a column is decoded instead and
 its cells deduplicated with a dict.  Other bytes go through
-``csv.reader``.  Both readers hand each mapped column to one validator as
-distinct raw cells plus one index per row, so checks, stripping and level
-sorting run once per distinct value.  An id column is only checked: both
-readers reduce it to a mask of the rows whose id strips to nothing, and
-the quote-free one decodes only cells that may start or end in
-whitespace.  A subject is its row; no id is kept.
+``csv.reader``.  Both readers hand each keyed column (treatment, time,
+event, each covariate kept) to one validator as distinct raw cells plus
+one index per row, so checks, stripping and level sorting run once per
+distinct value.  The id and every covariate not kept are only checked,
+reduced to the first row whose cell strips to nothing; the quote-free
+reader looks only in chunks where a cell could (a 0-byte cell, or a byte
+outside printable ASCII).  A subject is its row; no id is kept.
 ``load_cohort`` is the one validated way in: a Python caller passes a
 path or a text or bytes buffer such as ``io.StringIO``.
 
@@ -138,29 +139,26 @@ def _day_count(text):
     return day, None
 
 
-def _validated(columns, id_column, numbers, broken) -> CohortDataset:
+def _validated(columns, numbers, broken) -> CohortDataset:
     """Check cells column by column and build the dataset.
 
-    ``columns`` holds (name, distinct raw cells, each row's index into
-    them) for treatment, time, event and then each covariate.
-    ``id_column`` is None or (name, which rows have an empty id), checked
-    last.  ``numbers[i]`` is row i's number in messages.  The earliest
-    failing row is reported; within a row an empty cell (in column order,
-    the id column last) comes first, then treatment, time, event.
-    Messages quote a cell as it was written, unstripped.  ``broken``, a
-    structural error just past the rows, is raised when every row passes.
+    ``columns`` holds, for treatment, time, event, each covariate and
+    then the id, either (name, distinct raw cells, each row's index into
+    them) for a keyed column, or (name, None, its first empty row or
+    None) for a column only checked.  ``numbers[i]`` is row i's number in
+    messages.  The earliest failing row is reported; within a row an
+    empty cell (in column order) comes first, then treatment, time,
+    event.  Messages quote a cell as it was written, unstripped.
+    ``broken``, a structural error just past the rows, is raised when
+    every row passes.
     """
-    values = [[cell.strip() for cell in raw] for _, raw, _ in columns]
+    values = [None if raw is None else [cell.strip() for cell in raw] for _, raw, _ in columns]
     failures = []
-    for (name, _, index), stripped in zip(columns, values):
-        empty = [v == "" for v in stripped]
-        if any(empty):
-            i = _first(empty, index)
-            failures.append((i, MissingValue(f"row {numbers[i]}: column {name!r} is empty")))
-    if id_column is not None:
-        name, empty = id_column
-        if empty.any():
-            i = int(np.argmax(empty))
+    for (name, raw, i), stripped in zip(columns, values):
+        if raw is not None:
+            empty = [v == "" for v in stripped]
+            i = _first(empty, i) if any(empty) else None
+        if i is not None:
             failures.append((i, MissingValue(f"row {numbers[i]}: column {name!r} is empty")))
 
     def binary(k, exc):
@@ -192,7 +190,9 @@ def _validated(columns, id_column, numbers, broken) -> CohortDataset:
         raise broken
     time = np.array([day for day, _ in parsed], dtype=np.int64).take(index)
     covariates = {}
-    for (name, _, index), stripped in zip(columns[3:], values[3:]):
+    for (name, raw, index), stripped in zip(columns[3:], values[3:]):
+        if raw is None:
+            continue
         levels = sorted(set(stripped))
         position = {v: i for i, v in enumerate(levels)}
         codes = np.array([position[v] for v in stripped], dtype=np.int64).take(index)
@@ -235,7 +235,7 @@ def _positions(header, names) -> dict[str, int]:
     return positions
 
 
-def _parsed(reader, width, positions, id_at):
+def _parsed(reader, width, positions, checked):
     """Rows of a ``csv.reader`` up to the first ragged one, as for :func:`_tokenized`."""
     rows, blank, broken = [], [], None
     for number, row in enumerate(reader, 2):
@@ -249,10 +249,8 @@ def _parsed(reader, width, positions, id_at):
     lines = np.arange(2, 2 + len(rows) + len(blank), dtype=np.int64)
     numbers = np.delete(lines, np.array(blank, dtype=np.int64) - 2)
     columns = {j: _encode(rows, itemgetter(j)) for j in positions}
-    empty = None
-    if id_at is not None:
-        empty = np.array([not row[id_at].strip() for row in rows], dtype=bool)
-    return numbers, columns, empty, broken
+    first = {j: next((i for i, r in enumerate(rows) if not r[j].strip()), None) for j in checked}
+    return numbers, columns, first, broken
 
 
 def _first_line(data):
@@ -374,23 +372,24 @@ def _distinct_cells(parts):
     return list(position), np.concatenate(pieces)
 
 
-def _tokenized(data, body, width, positions, id_at):
+def _tokenized(data, body, width, positions, checked):
     """Split quote-free CSV bytes, from offset ``body`` on, into rows.
 
     Returns each row's number (its line, blank lines counted), a map from
     each position in ``positions`` to (distinct raw cells, each row's index
-    into them), which rows have an empty cell at position ``id_at`` (None
-    when ``id_at`` is), and the RaggedRow that stopped the read, if any.
-    Keyed columns decode only their distinct cells; a 1-byte column keys
-    each cell by a byte gather.  The id column is only checked for empty
-    cells, one mask per chunk.
+    into them), a map from each position in ``checked`` to the first row
+    whose cell there strips to nothing (or None), and the RaggedRow that
+    stopped the read, if any.  Keyed columns decode only their distinct
+    cells; a 1-byte column keys each cell by a byte gather.  A checked
+    column is tested only in a chunk where some cell could strip to
+    nothing: one with a 0-byte cell or a byte outside printable ASCII.
     """
     limit = csv.field_size_limit()
     buf = np.frombuffer(data, dtype=np.uint8)
     keys = {j: [] for j in positions}
-    empty = [np.zeros(0, dtype=bool)]
+    first = dict.fromkeys(checked)
     numbers = [np.zeros(0, dtype=np.int64)]
-    line, lo, broken = 2, body, None
+    line, lo, done, broken = 2, body, 0, None
     while lo < len(data) and broken is None:
         hi = data.find(b"\n", lo + _CHUNK) + 1 or len(data)
         if hi + 7 <= len(data):
@@ -403,7 +402,8 @@ def _tokenized(data, body, width, positions, id_at):
             seg[-1] = 10
         ends = np.flatnonzero(seg == 10)  # each line's end
         starts = np.concatenate(([0], ends[:-1] + 1))
-        cut = np.flatnonzero((seg == 44) | (seg == 10))  # each field's end
+        sep = (seg == 44) | (seg == 10)
+        cut = np.flatnonzero(sep)  # each field's end
         last = np.searchsorted(cut, ends)  # each line's last field
         count = last - np.concatenate(([-1], last[:-1]))
         blank = ends == starts
@@ -432,17 +432,24 @@ def _tokenized(data, body, width, positions, id_at):
         for j, parts in keys.items():
             begin = grid[:, j - 1] + 1 if j else starts[rows]
             parts.append(_cell_keys(chunk, begin, grid[:, j] - begin))
-        if id_at is not None:
-            begin = grid[:, id_at - 1] + 1 if id_at else starts[rows]
-            empty.append(_empty_cells(chunk, begin, grid[:, id_at] - begin))
+        # only a 0-byte cell (two field ends in a row, or one opening the
+        # chunk) or one with a byte outside printable ASCII, LF aside, can be empty
+        if checked and (
+            sep[0] or (sep[1:] & sep[:-1]).any() or np.count_nonzero(seg - 33 > 94) > len(ends)
+        ):
+            for j in [j for j, i in first.items() if i is None]:
+                begin = grid[:, j - 1] + 1 if j else starts[rows]
+                empty = _empty_cells(chunk, begin, grid[:, j] - begin)
+                if empty.any():
+                    first[j] = done + int(np.argmax(empty))
+        done += len(rows)
         line += len(ends)
         lo = hi
     columns = {j: _distinct_cells(keys.pop(j)) for j in positions}  # frees keys as it goes
-    empty = None if id_at is None else np.concatenate(empty)
-    return np.concatenate(numbers), columns, empty, broken
+    return np.concatenate(numbers), columns, first, broken
 
 
-def load_cohort(csv_source, column_map) -> CohortDataset:
+def load_cohort(csv_source, column_map, keep=None) -> CohortDataset:
     """Parse a cohort CSV (RFC 4180, UTF-8, header row required).
 
     ``column_map`` maps roles onto header names: ``treatment``, ``time``,
@@ -450,7 +457,8 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
     each mapped name must appear once in the header.  Treatment and event
     accept only the literals 0 and 1; rows with empty mapped cells are
     rejected.  Cells are stripped.  The id column is checked for empty
-    cells and then dropped.  Rows are numbered from 2, blank lines
+    cells and then dropped, and so is each covariate not in ``keep``
+    (None keeps them all).  Rows are numbered from 2, blank lines
     included.  A leading byte-order mark is skipped.
 
     The source is read whole and checked as UTF-8 first.  Bytes with no
@@ -462,9 +470,11 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
     quoted = quoted or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
     if not data.isascii():
         _check_utf8(data)  # before any other error; the readers decode again
-    wanted = [column_map["treatment"], column_map["time"], column_map["event"]]
-    wanted += column_map.get("covariates", [])
-    id_col = column_map.get("id")
+    roles = [column_map["treatment"], column_map["time"], column_map["event"]]
+    covariates = list(column_map.get("covariates", []))
+    ids = [column_map["id"]] if column_map.get("id") is not None else []
+    names = roles + covariates + ids
+    keyed = [True] * 3 + [keep is None or col in keep for col in covariates] + [False] * len(ids)
     try:
         if quoted:
             # utf-8-sig skips a leading byte-order mark, as spreadsheets write
@@ -476,18 +486,21 @@ def load_cohort(csv_source, column_map) -> CohortDataset:
             header, body = _first_line(data)
         if header is None:
             raise CohortError("CSV has no header row")
-        index = _positions(header, wanted + ([id_col] if id_col is not None else []))
-        positions = sorted({index[col] for col in wanted})
-        id_at = index.get(id_col)
+        index = _positions(header, names)
+        positions = sorted({index[col] for col, key in zip(names, keyed) if key})
+        # a column already keyed reports its own empty cells, earlier in the row
+        checked = sorted({index[col] for col in names} - set(positions))
         if quoted:
-            numbers, cells, empty, broken = _parsed(reader, len(header), positions, id_at)
+            numbers, cells, first, broken = _parsed(reader, len(header), positions, checked)
         else:
-            numbers, cells, empty, broken = _tokenized(data, body, len(header), positions, id_at)
+            numbers, cells, first, broken = _tokenized(data, body, len(header), positions, checked)
     except csv.Error as exc:
         raise CohortError(f"line {reader.line_num}: {exc}") from None
-    columns = [(col, *cells[index[col]]) for col in wanted]
-    id_column = None if id_col is None else (id_col, empty)
-    return _validated(columns, id_column, numbers, broken)
+    columns = [
+        (col, *cells[index[col]]) if key else (col, None, first.get(index[col]))
+        for col, key in zip(names, keyed)
+    ]
+    return _validated(columns, numbers, broken)
 
 
 def save_cohort(cohort: CohortDataset, destination) -> None:

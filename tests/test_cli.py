@@ -413,6 +413,62 @@ def test_more_strata_than_subjects_is_refused_in_small_memory(tmp_path, capsys):
     assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+# z confounds; w causes only time, so the auto set is {z} and w is only checked
+W_GRAPH = {
+    "nodes": [{"name": v} for v in ("z", "w", "treatment", "time")],
+    "edges": [["z", "treatment"], ["z", "time"], ["treatment", "time"], ["w", "time"]],
+}
+
+
+def _blank_cell_cohort(header, blanks, quote=""):
+    """8 rows of cohort CSV with ``blanks`` (column -> (row number, cell)) written in."""
+    rows = [dict(zip(("treatment", "time", "event", "z", "w"), (k % 2, 3 + k, 1, k // 2 % 2, "p")))
+            for k in range(8)]
+    for column, (row, cell) in blanks.items():
+        rows[row - 2][column] = cell
+    lines = [header] + [[str(row[c]) for c in header] for row in rows]
+    return "".join(",".join(quote + c + quote for c in line) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "header, blanks, graph, flags",
+    [
+        pytest.param(  # the cohort error wins over a broken graph
+            "zw", {"w": (7, "")}, "{", ["--covariates", "z,w"], id="broken-graph"
+        ),
+        pytest.param(  # and over a set member that is not a mapped covariate
+            "zw", {"w": (7, "")}, W_GRAPH, ["--covariates", "w", "--adjustment-set", "z"],
+            id="unknown-member",
+        ),
+        pytest.param(  # an only-checked w keeps its place before the keyed z
+            "wz", {"w": (3, ""), "z": (3, "")}, W_GRAPH, ["--covariates", "w,z"],
+            id="row-order",
+        ),
+        pytest.param(
+            "zw", {"w": (7, " \xa0")}, W_GRAPH, ["--covariates", "z,w"], id="nbsp"
+        ),
+        pytest.param(
+            "zw", {"w": (7, "　")}, W_GRAPH, ["--covariates", "z,w"],
+            id="ideographic-space",
+        ),
+    ],
+)
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_unused_covariates_report_empty_cells_first(
+    tmp_path, capsys, header, blanks, graph, flags, quote
+):
+    columns = ["treatment", "time", "event", *header]
+    data = tmp_path / "cohort.csv"
+    data.write_text(_blank_cell_cohort(columns, blanks, quote), encoding="utf-8")
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(graph if isinstance(graph, str) else json.dumps(graph))
+    row = min(row for row, _ in blanks.values())
+    assert main(_analyze_args(tmp_path, graph_path, data, extra=flags)) == 3
+    assert json.loads(capsys.readouterr().out, parse_constant=pytest.fail) == {
+        "error": {"type": "MissingValue", "message": f"row {row}: column 'w' is empty", "exit": 3}
+    }
+
+
 def test_simulate_writes_deterministic_csv(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["simulate", "--n", "200", "--seed", "42", "--out", str(a)]) == 0

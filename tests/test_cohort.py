@@ -4,7 +4,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalsurv import cohort as cohort_module
@@ -303,29 +303,43 @@ VALID = {
 INVALID = {
     "x": st.sampled_from(["", "2", "yes", " "]),
     "t": st.sampled_from(["", "-3", "5.5", "1e30", "99999999999999999999", "abc"]),
-    "label": st.sampled_from(["", "  "]) | FREE_TEXT,
+    "label": st.sampled_from(["", " ", "  ", "\t", "\x1c", "\xa0", "\u3000"]) | FREE_TEXT,
+}
+
+
+# Printable ASCII only: a row's only empty cells are 0 bytes wide
+ASCII_VALID = {
+    "x": st.sampled_from(["0", "1"]),
+    "t": st.sampled_from(["0", "3", "12", "5.0"]),
+    "label": st.sampled_from(["a", "b", "abcdefghi"]),
+}
+ASCII_INVALID = {
+    "x": st.sampled_from(["", "2"]),
+    "t": st.sampled_from(["", "-3", "5.5"]),
+    "label": st.just(""),
 }
 
 
 @st.composite
-def plain_csv(draw):
+def plain_csv(draw, valid=VALID, invalid=INVALID, weight=20):
     """Quote-free CSV cells, line by line, and how the file is written.
 
     Returns (lines, line end, final newline, BOM); each line is a list of
-    cells, and an empty list is a blank line.
+    cells, and an empty list is a blank line.  Rows draw their cells from
+    the ``valid`` and ``invalid`` pools; a row is meant to be valid with
+    weight ``weight``, against 7 for the other kinds.
     """
     names = draw(st.permutations(["id", "x", "t", "s", "z", *draw(st.sampled_from([[], ["u"]]))]))
     role = {"x": "x", "s": "x", "t": "t"}
     lines = [draw(st.sampled_from([names] * 7 + [[]]))]  # at times an empty first line
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(
-            st.sampled_from(["valid"] * 20 + ["invalid", "invalid", "blank", "blank", "short", "long", "lone"])
-        )
+        others = ["invalid", "invalid", "blank", "blank", "short", "long", "lone"]
+        kind = draw(st.sampled_from(["valid"] * weight + others))
         if kind in ("blank", "lone"):
             lines.append([] if kind == "blank" else [draw(LABELS | st.just(" "))])
             continue
-        pools = INVALID if kind == "invalid" else VALID
-        row = [draw(pools[role.get(name, "label")] | VALID[role.get(name, "label")]) for name in names]
+        pools = invalid if kind == "invalid" else valid
+        row = [draw(pools[role.get(name, "label")] | valid[role.get(name, "label")]) for name in names]
         if kind == "short":
             row.pop()
         elif kind == "long":
@@ -339,10 +353,10 @@ def _write_csv(lines, end, final, bom, quote=""):
     return ("\ufeff" if bom else "") + text + (end if final else "")
 
 
-def _load_outcome(text, chunk=cohort_module._CHUNK, column_map=None):
+def _load_outcome(text, chunk=cohort_module._CHUNK, column_map=None, keep=None):
     try:
         with mock.patch.object(cohort_module, "_CHUNK", chunk):
-            cohort = load_cohort(io.BytesIO(text.encode()), column_map or {**MAP, "id": "id"})
+            cohort = load_cohort(io.BytesIO(text.encode()), column_map or {**MAP, "id": "id"}, keep)
     except errors.CohortError as exc:
         return type(exc), str(exc)
     return (
@@ -361,6 +375,45 @@ def test_tokenizer_matches_csv_reader_on_quoted_twin(written, chunk):
     assert '"' not in plain
     # small chunks put the tokenizer's chunk boundaries between lines
     assert _load_outcome(plain, chunk) == _load_outcome(twin)
+
+
+@st.composite
+def kept_covariates(draw):
+    """A plain_csv file, a column map with its label columns as covariates, and a subset to keep."""
+    written = draw(plain_csv() | plain_csv(ASCII_VALID, ASCII_INVALID, weight=4))
+    labels = [name for name in written[0][0] if name in ("id", "z", "u")] or ["z"]
+    covariates = draw(st.permutations(labels))
+    column_map = {**MAP, "covariates": covariates, **draw(st.sampled_from([{}, {"id": "id"}]))}
+    return written, column_map, draw(st.sets(st.sampled_from(covariates)))
+
+
+def _kept_case(lines, keep, end="\n", chunk=cohort_module._CHUNK):
+    """An example for the test below: ``lines`` as text, the header first, "" a blank line."""
+    lines = [line.split(",") if line else [] for line in lines]
+    covariates = [name for name in lines[0] if name not in ("x", "t", "s")]
+    return ((lines, end, True, False), {**MAP, "covariates": covariates}, keep), chunk
+
+
+@settings(max_examples=300)
+@given(kept_covariates(), st.sampled_from([1, 16, cohort_module._CHUNK]))
+# a 0-byte cell in a printable chunk: at line start, mid-line and line end
+@example(*_kept_case(["u,x,t,s,z", "a,0,3,1,b", ",1,4,1,c"], {"z"}, chunk=1))
+@example(*_kept_case(["x,t,u,s,z", "0,3,a,1,b", "1,4,,1,c"], {"z"}))
+@example(*_kept_case(["x,t,s,z,u", "0,3,1,b,a", "1,4,1,c,"], {"z"}))
+# an only-checked u is empty in the same row as a keyed z, u first
+@example(*_kept_case(["x,t,s,u,z", "0,3,1,a,b", "1,4,1,,"], {"z"}, "\r\n"))
+@example(*_kept_case(["x,t,s,z,u", "0,3,1,b,a", "", "1,4,1,c,\u3000", "1"], set()))
+def test_covariates_not_kept_are_only_checked(case, chunk):
+    (lines, end, final, bom), column_map, keep = case
+    for quote in ("", '"'):
+        text = _write_csv(lines, end, final, bom, quote)
+        outcome = _load_outcome(text, chunk, column_map, keep)
+        expected = _load_outcome(text, chunk, column_map)
+        if len(expected) == 6:  # loaded: the kept covariates' columns only
+            treatment, time, event, levels, codes, t_max = expected
+            kept = ({k: v for k, v in d.items() if k in keep} for d in (levels, codes))
+            expected = (treatment, time, event, *kept, t_max)
+        assert outcome == expected
 
 
 # Characters str.strip removes that a quote-free id cell may hold: ASCII
