@@ -33,12 +33,14 @@ class AdjustedCurve:
     Probabilities are step functions of the day; ``grid`` holds every day a
     value can change (always including 0 and t_max) and row ``arm`` of ``p``
     the values from that day on.  ``counts`` is p times the arm size.
+    ``trials`` is the count table the curve was computed from, if it was.
     """
 
     grid: np.ndarray
     p: np.ndarray  # shape (2, len(grid))
     counts: np.ndarray
     arm_sizes: dict[int, int]
+    trials: DailyTrials | None = None
 
     def p_at(self, arm: int, day) -> np.ndarray:
         day = np.asarray(day)
@@ -70,7 +72,7 @@ def _curve(trials: DailyTrials) -> AdjustedCurve:
     np.clip(p, 0.0, 1.0, out=p)  # trim fp dust; the true values are in [0, 1]
     arm_sizes = sizes.sum(axis=1)
     counts = p * arm_sizes[:, None]
-    return AdjustedCurve(grid, p, counts, dict(enumerate(arm_sizes.tolist())))
+    return AdjustedCurve(grid, p, counts, dict(enumerate(arm_sizes.tolist())), trials)
 
 
 def adjust_curve(cohort: CohortDataset, trials: DailyTrials, z: AdjustmentSet) -> AdjustedCurve:

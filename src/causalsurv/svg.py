@@ -26,10 +26,6 @@ class CurveSeries:
     survival: np.ndarray
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def emit_svg(curves) -> str:
     """Render one polyline step path per series, with axes and a legend."""
     curves = list(curves)
@@ -97,15 +93,14 @@ def emit_svg(curves) -> str:
     # step paths
     for i, c in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
+        # sx and sy elementwise, each step doubled: (x0, y0), (x1, y0), (x1, y1), ...
         days = np.asarray(c.days, dtype=np.float64)
-        surv = np.asarray(c.survival, dtype=np.float64)
-        pts = [(sx(days[0]), sy(surv[0]))]
-        for k in range(1, len(days)):
-            pts.append((sx(days[k]), sy(surv[k - 1])))
-            pts.append((sx(days[k]), sy(surv[k])))
+        xs = np.repeat(sx(days), 2)[1:].tolist()
+        ys = np.repeat(sy(np.asarray(c.survival, dtype=np.float64)), 2)[:-1].tolist()
         if days[-1] < x_max:
-            pts.append((sx(x_max), sy(surv[-1])))
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+            xs.append(sx(x_max))
+            ys.append(ys[-1])
+        coords = " ".join(map("{:.2f},{:.2f}".format, xs, ys))
         parts.append(
             f'<polyline id="{c.series_id}" points="{coords}" fill="none" '
             f'stroke="{color}" stroke-width="1.5"/>'

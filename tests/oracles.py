@@ -10,10 +10,11 @@ are checked by trying every subset of the candidates with
 ``satisfies_backdoor``, which that oracle anchors; the Cox coefficient is
 checked by golden-section search over a directly-evaluated log partial
 likelihood; the Cox kernel is checked against a scalar loop over
-subjects; the backdoor-adjusted curve is checked against a sum over whole
+subjects, and its Efron tie sums against exact sums of their terms; the backdoor-adjusted curve is checked against a sum over whole
 daily outcome histories; the first empty (arm, stratum) cell is found by
-walking the level product over the subjects; and the pseudo-cohort's count table can be
-expanded to one tuple per subject.  ``gradient_at`` is a helper, not an
+walking the level product over the subjects; the pseudo-cohort is
+rebuilt by exact half-up rounding of the adjusted deaths, and its count
+table can be expanded to one tuple per subject.  ``gradient_at`` is a helper, not an
 oracle: it reads the production kernel's gradient for the score checks.
 Test cohorts are written as CSV text for ``load_cohort`` and decoded back
 to one tuple per subject by ``subjects``.
@@ -23,6 +24,7 @@ import functools
 import io
 import math
 from collections import Counter, namedtuple
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -272,6 +274,19 @@ def cox_eval_loops(x, t, d, beta, efron):
     return ll, grad, info
 
 
+# --- Efron tie sums by exact summation -----------------------------------------
+
+def efron_tie_sums(m, r):
+    """S, Q and Q2 of a tie of ``m`` failures at failure share ``r``, each by ``math.fsum``.
+
+    Term l = 0..m-1 has f = l/m: S sums log1p(-r f), Q sums q = f/(1 - r f)
+    and Q2 sums q^2, each term rounded once and the sums exact.
+    """
+    f = np.arange(m) / m
+    q = f / (1.0 - r * f)
+    return math.fsum(np.log1p(-r * f)), math.fsum(q), math.fsum(q * q)
+
+
 # --- small random survival data -------------------------------------------------
 
 def random_tie_free_dataset(rng, max_n=12):
@@ -327,6 +342,42 @@ def expand(pseudo):
         for a, d, e, k in zip(arm.tolist(), day.tolist(), event.tolist(), count.tolist())
         for _ in range(k)
     ]
+
+
+def exact_pseudo_cohort(cohort, covariates):
+    """Sorted (arm, day, event) tuples of the pseudo-cohort, from exact arithmetic.
+
+    Arm a's adjusted deaths by day i are A sum_z dead_{a,z}(i) size_z /
+    (size_{a,z} N), summed as ``Fraction``s over the per-subject tuples of
+    ``subjects(cohort)`` and rounded half-up on day 0, each death day and
+    the last day.  Each rise is that many deaths on its day; the rest of
+    the arm is censored on the last day.  Every (arm, stratum) cell must
+    be occupied.
+    """
+    people = subjects(cohort)
+    covs = sorted(covariates)
+    strata = [tuple(s.covariates[c] for c in covs) for s in people]
+    size = Counter(strata)
+    cell = Counter(zip((s.treatment for s in people), strata))
+    last = max(s.survival_time for s in people)
+    days = sorted({0, last} | {s.survival_time for s in people if s.event == 1})
+    out = []
+    for arm in (0, 1):
+        arm_size = sum(k for (a, _), k in cell.items() if a == arm)
+        so_far = 0
+        for day in days:
+            dead = Counter(
+                z for s, z in zip(people, strata)
+                if s.treatment == arm and s.event == 1 and s.survival_time <= day
+            )
+            exact = arm_size * sum(
+                Fraction(k * size[z], cell[arm, z] * len(people)) for z, k in dead.items()
+            )
+            deaths = math.floor(exact + Fraction(1, 2))
+            out += [(arm, day, 1)] * (deaths - so_far)
+            so_far = deaths
+        out += [(arm, last, 0)] * (arm_size - so_far)
+    return sorted(out)
 
 
 # --- positivity -----------------------------------------------------------------

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from causalsurv import estimators
+from causalsurv._cox_kernels import BIG, cox_layout
 from causalsurv.cli import main
 from causalsurv.cohort import load_cohort
 
@@ -558,16 +560,27 @@ def test_simulate_n_past_day_range_is_config_error(tmp_path, capsys, n):
     assert payload["error"]["message"].startswith(f"n={n} is too large")
 
 
-def test_simulate_seed_7_analysis_matches_golden_outputs(tmp_path):
+def test_simulate_seed_7_analysis_matches_golden_outputs(tmp_path, monkeypatch):
     # report.json and curves.csv of the paper design, pinned byte for byte
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps(CONFOUNDED_GRAPH))
     data = tmp_path / "cohort.csv"
     assert main(["simulate", "--seed", "7", "--out", str(data)]) == 0
+    layouts = []
+
+    def recorded(*args):
+        layouts.append(cox_layout(*args))
+        return layouts[-1]
+
+    monkeypatch.setattr(estimators, "cox_layout", recorded)
     assert main(_analyze_args(tmp_path, graph, data)) == 0
     golden = Path(__file__).parent / "fixtures" / "golden_seed7"
     for name in ("report.json", "curves.csv"):
         assert (tmp_path / "out" / name).read_bytes() == (golden / name).read_bytes()
+    # every tie of the three fits (the largest weighs 28) takes the exact flat
+    # pass, so the closed form for large ties cannot move these bytes
+    assert len(layouts) == 3
+    assert all(layout.m.max() <= BIG and layout.closed.index.size == 0 for layout in layouts)
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 
 from causalsurv import _cox_kernels as kernels
 from causalsurv.estimators import cox_fit, km_fit
-from oracles import cox_eval_loops
+from oracles import cox_eval_loops, efron_tie_sums
 
 
 def _random_tied_data(rng, n=80, p=2):
@@ -68,22 +68,75 @@ def test_kernel_matches_scalar_loop_oracle_on_large_ties(tie, p):
         )
 
 
+def _wide_risk_set_data(rng, tie, ratio, p):
+    """Count rows over three failure times of ``tie`` weighted failures each.
+
+    Censored rows after the last failure time hold ``ratio - 1`` ties more,
+    so every risk set is at least ``ratio`` times its tie and r = s0f/s0 is small.
+    """
+    t = np.repeat([1.0, 2.0, 3.0, 4.0], 4)
+    d = np.repeat([1, 1, 1, 0], 4).astype(np.uint8)
+    sizes = (tie, tie, tie, (ratio - 1) * tie)
+    counts = np.concatenate([rng.multinomial(k - 4, np.full(4, 0.25)) + 1 for k in sizes])
+    x = rng.normal(size=(t.size, p))
+    return x, t, d, counts
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("tie, ratio", [(200, 50), (1000, 20)])
+def test_kernel_matches_scalar_loop_oracle_when_ties_are_a_small_share(tie, ratio, p):
+    # the regime of a pseudo-cohort's day ties: rho = r F below 0.1, where the
+    # closed form takes the power series of its integrals
+    rng = np.random.default_rng(tie + ratio + p)
+    x, t, d, counts = _wide_risk_set_data(rng, tie, ratio, p)
+    beta = rng.normal(scale=0.3, size=p)
+    w = counts * np.exp(x @ beta)
+    r = [w[(t == k) & (d == 1)].sum() / w[t >= k].sum() for k in (1.0, 2.0, 3.0)]
+    assert max(r) < 0.1
+    layout = kernels.cox_layout(x, t, d, counts, True)
+    assert layout.closed.index.tolist() == [0, 1, 2]
+    rep = np.repeat(np.arange(t.size), counts)
+    _assert_close(kernels.cox_eval(layout, beta), cox_eval_loops(x[rep], t[rep], d[rep], beta, True))
+
+
+_SHARES = [0.0, 1e-300, 1e-12, 1e-9, 1e-5, 1e-3, 0.05, 0.0999, 0.1, 0.1001, 0.3, 0.7, 0.95, 0.999,
+           1 - 1e-12, 1.0]
+
+
+@pytest.mark.parametrize("m", [kernels.BIG - 1, kernels.BIG, kernels.BIG + 1, kernels.BIG + 2, 1000, 100_000])
+def test_tie_sums_match_exact_sums_of_their_terms(m):
+    layout = kernels.cox_layout(np.zeros((1, 1)), np.ones(1), np.ones(1, dtype=np.uint8), [m], True)
+    assert layout.closed.index.size == (m > kernels.BIG)
+    for r in _SHARES:
+        got = kernels.tie_sums(layout, np.array([r]))[:, 0]
+        want = efron_tie_sums(m, r)
+        # The flat pass of a tie of at most BIG takes S as the log of the
+        # rounded 1 - r f, as the kernel always has: each term is then off by
+        # up to an ulp of 1, which matters beside m log s0 no more than the
+        # rounding of s0 does.
+        slack = (m * 2.0**-52 if m <= kernels.BIG else 0.0, 0.0, 0.0)
+        for g, w, s in zip(got, want, slack):
+            assert abs(g - w) <= 1e-13 * abs(w) + s, (m, r, got, want)
+
+
 def test_kernel_memory_does_not_grow_with_failures_times_p():
-    # 10^5 weighted failures on 200 rows: a failures x p array would be
-    # 8 times larger at p = 8 than at p = 1, while the per-row arrays stay small
+    # 200 rows at p = 8 whose counts hold 10^3 or 10^5 weighted failures: the
+    # per-row moments are the same either way, and a failures x p array would
+    # take 6.4 MB at 10^5
     rng = np.random.default_rng(13)
     t = np.repeat(np.arange(20.0), 10)
     d = np.ones(t.size, dtype=np.uint8)
     x = rng.normal(size=(t.size, 8))
+    beta = np.full(8, 0.1)
     peaks = {}
-    for p in (1, 8):
-        layout = kernels.cox_layout(x[:, :p], t, d, np.full(t.size, 500), True)
-        beta = np.full(p, 0.1)
+    for failures in (10**3, 10**5):
+        layout = kernels.cox_layout(x, t, d, np.full(t.size, failures // t.size), True)
         tracemalloc.start()
         kernels.cox_eval(layout, beta)
-        peaks[p] = tracemalloc.get_traced_memory()[1]
+        peaks[failures] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    assert peaks[8] <= 1.5 * peaks[1]
+    assert max(peaks.values()) <= 1.5 * min(peaks.values())
+    assert peaks[10**5] < 10**5 * x.shape[1] * 8
 
 
 def test_integer_counts_equal_replicated_rows():

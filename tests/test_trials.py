@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from causalsurv import errors
 from causalsurv.adjust import AdjustedCurve, adjust_curve, unadjusted_curve
 from causalsurv.estimators import cox_fit, km_fit
-from causalsurv.graph import satisfies_backdoor, validate_dag
+from causalsurv.graph import AdjustmentSet, satisfies_backdoor, validate_dag
 from causalsurv.trials import _level_codes, from_adjusted_counts, to_daily_trials
 
-from oracles import cohort_from_rows, expand, first_empty_cell
+from oracles import cohort_from_rows, exact_pseudo_cohort, expand, first_empty_cell
 
 CONFOUNDED = validate_dag(["z", "x", "t"], [("z", "x"), ("z", "t"), ("x", "t")])
 ZSET = satisfies_backdoor(CONFOUNDED, {"z"}, "x", "t")
@@ -410,3 +410,56 @@ def test_round_trip_identity_without_censoring():
                 day for x, day, event in expand(pseudo) if x == arm and event == 1
             )
             assert rebuilt == orig
+
+
+def _pseudo_cohort(rows, covariates):
+    cohort = cohort_from_rows(rows, covariates)
+    trials = to_daily_trials(cohort, covariates)
+    zset = AdjustmentSet(frozenset(covariates), True, "x", "t")
+    return cohort, adjust_curve(cohort, trials, zset)
+
+
+def test_a_tied_half_death_rounds_up_exactly():
+    # arm 1's adjusted deaths by day 3 are exactly 5/2, which the curve's
+    # floating-point sum gives as 2.4999999999999982; half-up makes them 3
+    rows = [
+        (0, 3, 1, "0"), (1, 1, 0, "1"), (0, 8, 0, "0"), (1, 1, 0, "0"), (0, 7, 0, "1"),
+        (1, 5, 1, "1"), (0, 9, 0, "0"), (1, 10, 0, "1"), (0, 0, 1, "2"), (1, 3, 1, "2"),
+        (0, 6, 1, "1"), (1, 1, 0, "1"), (0, 11, 0, "0"), (1, 7, 0, "2"), (0, 3, 1, "1"),
+        (1, 3, 1, "1"), (0, 5, 1, "0"), (1, 5, 1, "0"), (0, 2, 1, "0"), (1, 2, 1, "1"),
+        (0, 10, 1, "2"), (1, 1, 0, "0"),
+    ]
+    cohort, curve = _pseudo_cohort(rows, ("z",))
+    day3 = curve.grid.tolist().index(3)
+    assert curve.arm_sizes[1] - curve.counts[1, day3] == 2.4999999999999982
+    pseudo = from_adjusted_counts(curve)
+    assert _alive(pseudo, 1, [2, 3]) == [10, 8]
+    assert sorted(expand(pseudo)) == exact_pseudo_cohort(cohort, ("z",))
+
+
+@st.composite
+def alternating_cohorts(draw):
+    """4-39 subjects in alternating arms over days 0-11, covariates of 1-3 and 1-2 levels."""
+    n = draw(st.integers(4, 39))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    return [
+        (i % 2, draw(st.integers(0, 11)), draw(st.integers(0, 1)),
+         str(draw(st.integers(0, a - 1))), str(draw(st.integers(0, b - 1))))
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(alternating_cohorts())
+def test_pseudo_cohort_is_the_exact_half_up_rounding(rows):
+    try:
+        cohort, curve = _pseudo_cohort(rows, ("a", "b"))
+    except errors.PositivityViolation:
+        return
+    pseudo = from_adjusted_counts(curve)
+    assert sorted(expand(pseudo)) == exact_pseudo_cohort(cohort, ("a", "b"))
+    # each integerized count stays within 0.5 of the curve's, and never rises
+    for arm in (0, 1):
+        ints = np.array(_alive(pseudo, arm, curve.grid.tolist()))
+        assert np.all(np.abs(ints - curve.counts[arm]) <= 0.5 + 1e-9)
+        assert np.all(np.diff(ints) <= 0)
