@@ -19,8 +19,9 @@ q_l = f_l / (1 - f_l r), term l has mean a + q_l delta, so over the terms
 
 where Q and Q2 sum q_l and q_l^2.  So vector and matrix work is done once
 per failure time, and only three scalar sums per tie remain: S (of
-log d_l/s0), Q and Q2 (:func:`tie_sums`).  Breslow has one term per tie,
-standing for its m equal terms.  An Efron tie of at most ``BIG`` weighted
+log d_l/s0), Q and Q2 (:func:`tie_sums`).  Breslow ties have no terms:
+with f_l = 0 every term is log 1 = 0 and 0/1 = 0, so their sums are zero
+and only Efron ties are laid out.  An Efron tie of at most ``BIG`` weighted
 failures sums its m terms in one flat pass by ``np.add.reduceat``; those
 are all the ties of the paper's n = 200 design, whose outputs stay
 byte-for-byte what that pass gives.  A larger tie, such as a day-grid tie
@@ -96,9 +97,8 @@ class CoxLayout(NamedTuple):
     failures: np.ndarray  # weight of each row's failures: its count, or 0 if censored
     risk: np.ndarray  # first row of each failure time, where its risk set begins
     m: np.ndarray  # weighted failures at each failure time
-    flat: np.ndarray  # failure times whose tie terms are summed one by one
-    terms: np.ndarray  # tie terms of each flat failure time: m (Efron) or 1 (Breslow)
-    mult: np.ndarray  # failures each of those terms stands for: 1 (Efron) or m (Breslow)
+    flat: np.ndarray  # Efron ties of at most BIG failures, whose terms are summed one by one
+    terms: np.ndarray  # tie terms of each flat failure time: its m
     term_first: np.ndarray  # position of each flat failure time's first term
     frac: np.ndarray  # each flat term's l/m
     closed: ClosedTies  # Efron ties of more than BIG failures
@@ -113,25 +113,22 @@ def cox_layout(x, t, d, counts, efron) -> CoxLayout:
     failures = np.where(d == 1, c, 0.0)
     risk = np.searchsorted(t, np.unique(t[failures > 0]))
     m = np.add.reduceat(failures, risk)
-    large = (m > BIG) & efron
-    flat = np.flatnonzero(~large)
+    flat = np.flatnonzero((m <= BIG) & efron)
     mf = m[flat]
-    terms = mf.astype(np.int64) if efron else np.ones(flat.size, dtype=np.int64)
+    terms = mf.astype(np.int64)
     term_first = np.cumsum(terms) - terms
     frac = (np.arange(terms.sum()) - np.repeat(term_first, terms)) / np.repeat(mf, terms)
-    closed = _closed_ties(m, np.flatnonzero(large))
-    return CoxLayout(moments, c, failures, risk, m, flat, terms, mf / terms, term_first, frac, closed)
+    closed = _closed_ties(m, np.flatnonzero((m > BIG) & efron))
+    return CoxLayout(moments, c, failures, risk, m, flat, terms, term_first, frac, closed)
 
 
 def tie_sums(layout, r):
     """S, Q and Q2 of every failure time's tie, at failure shares ``r = s0f/s0``."""
-    out = np.empty((3, r.size))
+    out = np.zeros((3, r.size))  # Breslow ties keep their zeros
     if layout.flat.size:
         y = 1.0 - np.repeat(r[layout.flat], layout.terms) * layout.frac
         q = layout.frac / y
-        out[:, layout.flat] = [
-            np.add.reduceat(v, layout.term_first) * layout.mult for v in (np.log(y), q, q * q)
-        ]
+        out[:, layout.flat] = [np.add.reduceat(v, layout.term_first) for v in (np.log(y), q, q * q)]
     if layout.closed.index.size:
         out[:, layout.closed.index] = _closed_sums(layout.closed, r[layout.closed.index])
     return out

@@ -142,7 +142,11 @@ class CoxFit:
 
 
 def _prepare(covariate_matrix, times, events, counts=None):
-    """Distinct (time, event, covariates) rows sorted by time, with counts."""
+    """Distinct (time, event, covariates) rows sorted by time, with counts.
+
+    The merge is what makes k copies of a row fit bit-for-bit like one row
+    of count k: both reach the kernel as the same single row.
+    """
     x = np.asarray(covariate_matrix, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -181,10 +185,9 @@ def cox_fit(covariate_matrix, times, events, *, counts=None, ties="efron") -> Co
     if ties not in ("efron", "breslow"):
         raise ValueError(f"ties must be 'efron' or 'breslow', got {ties!r}")
     x, t, d, counts = _prepare(covariate_matrix, times, events, counts)
-    p = x.shape[1]
     layout = cox_layout(x, t, d, counts, ties == "efron")
 
-    beta = np.zeros(p)
+    beta = np.zeros(x.shape[1])
     ll, grad, info = cox_eval(layout, beta)
     converged = False
     iterations = 0
@@ -221,40 +224,38 @@ def cox_fit(covariate_matrix, times, events, *, counts=None, ties="efron") -> Co
                 "likelihood is monotone (complete separation)"
             )
     else:
-        step = _newton_step(info, grad, allow_singular=True)
-        if step is not None and np.abs(grad).max() <= GRAD_TOL and np.abs(step).max() <= STEP_TOL:
-            converged = True
+        try:
+            step = _newton_step(info, grad)
+        except SingularHessian:  # a singular information at the end leaves the fit unconverged
+            pass
+        else:
+            converged = bool(np.abs(grad).max() <= GRAD_TOL and np.abs(step).max() <= STEP_TOL)
 
-    se = _standard_errors(info, p)
+    se = _standard_errors(info)
     with np.errstate(over="ignore"):  # a huge se gives an infinite bound, not a warning
         hr = np.exp(beta)
         ci = (np.exp(beta - Z_95 * se), np.exp(beta + Z_95 * se))
     return CoxFit(beta, se, hr, ci, float(ll), iterations, converged, ties)
 
 
-def _newton_step(info, grad, allow_singular=False):
+def _newton_step(info, grad):
     # Cholesky doubles as the concavity check: the observed information
     # must be positive definite for the step to be an ascent direction.
     try:
         np.linalg.cholesky(info)
         return np.linalg.solve(info, grad)
     except np.linalg.LinAlgError:
-        if allow_singular:
-            return None
         raise SingularHessian(
             "observed information is singular or not positive definite"
         ) from None
 
 
-def _standard_errors(info, p):
+def _standard_errors(info):
     try:
-        cov = np.linalg.inv(info)
-        diag = np.diag(cov)
-        if np.any(diag < 0):
-            return np.full(p, np.nan)
-        return np.sqrt(diag)
+        diag = np.diag(np.linalg.inv(info))
     except np.linalg.LinAlgError:
-        return np.full(p, np.nan)
+        diag = np.full(len(info), np.nan)
+    return np.full(len(info), np.nan) if np.any(diag < 0) else np.sqrt(diag)
 
 
 def hr_report(fit: CoxFit) -> tuple[float, float, float]:

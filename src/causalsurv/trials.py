@@ -27,7 +27,6 @@ three Cox fits.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -119,31 +118,8 @@ def to_daily_trials(cohort: CohortDataset, covariates) -> DailyTrials:
     return DailyTrials(covs, levels, days, counts)
 
 
-def _integerize_counts(counts, arm_size, exact=None):
-    """Round fractional alive-counts to integers, totals preserved exactly.
-
-    The cumulative death count is rounded day by day (half-up, which hands
-    a tied .5 to the earlier day), so each integerized count stays within
-    0.5 of the real-valued one and per-day death increments stay
-    non-negative.  A death count within 1e-9 of a half is a tie that
-    floating-point dust could send either way; ``exact(g)``, when given,
-    returns the exact count of grid day g as a ``Fraction``, and those are
-    rounded from it.
-    """
-    deaths = arm_size - counts
-    tol = 1e-9 * max(arm_size, 1)
-    if np.any(deaths < -tol):
-        raise NonMonotoneCounts("adjusted count exceeds the arm size")
-    deaths = np.maximum(deaths, 0.0)
-    rounded = np.floor(deaths + 0.5).astype(np.int64)
-    if exact is not None:
-        for g in np.flatnonzero(np.abs(deaths - rounded) >= 0.5 - tol).tolist():
-            rounded[g] = math.floor(exact(g) + Fraction(1, 2))
-    return arm_size - rounded
-
-
-def _exact_deaths(trials, arm, grid, g):
-    """``arm``'s adjusted deaths by day ``grid[g]``, exactly, from the table's integer counts.
+def _exact_deaths(trials, arm, day):
+    """``arm``'s adjusted deaths by ``day``, exactly, from the table's integer counts.
 
     They are A sum_z dead_z size_z / (size_{arm,z} N): A is the arm size,
     dead_z the arm's deaths in stratum z by that day, size_z the stratum
@@ -151,7 +127,7 @@ def _exact_deaths(trials, arm, grid, g):
     """
     sizes = trials.counts.sum(axis=(2, 3)).tolist()
     strata = [a + b for a, b in zip(*sizes)]
-    through = np.searchsorted(trials.days, grid[g], side="right")
+    through = np.searchsorted(trials.days, day, side="right")
     dead = trials.counts[arm, :, :through, 1].sum(axis=1).tolist()
     n = sum(strata)
     return sum(sizes[arm]) * sum(
@@ -166,22 +142,33 @@ def from_adjusted_counts(adj) -> DailyTrials:
     a count drop of d at grid day i becomes d deaths at i,
     ``counts[arm, 0, i, 1]``; the count remaining at the horizon becomes
     that many subjects censored there, ``counts[arm, 0, -1, 0]``.  Per-arm
-    totals equal the curve's arm sizes exactly.  A curve that names the
-    ``trials`` it came from has its tied halves settled exactly from their
-    integer counts, so the table does not depend on the order in which the
-    curve was summed.
+    totals equal the curve's arm sizes exactly.  Cumulative deaths are
+    rounded half-up day by day (a tied .5 goes to the earlier day), so each
+    count stays within 0.5 of the curve's and per-day deaths stay
+    non-negative.  A death count within 1e-9 of a half, which
+    floating-point dust could send either way, is recomputed exactly by
+    :func:`_exact_deaths` when the curve names the ``trials`` it came
+    from, so the table does not depend on how the curve was summed.
     """
     days = np.asarray(adj.grid, dtype=np.int64)
     table = np.zeros((2, 1, len(days), 2), dtype=np.int64)
     for arm in (0, 1):
         size = int(adj.arm_sizes[arm])
         counts = np.asarray(adj.counts[arm], dtype=np.float64)
-        if np.any(np.diff(counts) > 1e-9 * max(size, 1)):
+        tol = 1e-9 * max(size, 1)
+        if np.any(np.diff(counts) > tol):
             raise NonMonotoneCounts(
                 f"arm {arm}: adjusted counts increase along the day grid"
             )
-        exact = None if adj.trials is None else partial(_exact_deaths, adj.trials, arm, days)
-        ints = _integerize_counts(counts, size, exact)
+        deaths = size - counts
+        if np.any(deaths < -tol):
+            raise NonMonotoneCounts("adjusted count exceeds the arm size")
+        deaths = np.maximum(deaths, 0.0)
+        rounded = np.floor(deaths + 0.5).astype(np.int64)
+        if adj.trials is not None:
+            for g in np.flatnonzero(np.abs(deaths - rounded) >= 0.5 - tol).tolist():
+                rounded[g] = math.floor(_exact_deaths(adj.trials, arm, days[g]) + Fraction(1, 2))
+        ints = size - rounded
         table[arm, 0, :, 1] = np.maximum(-np.diff(ints, prepend=size), 0)
         table[arm, 0, -1, 0] = ints[-1]
     return DailyTrials((), (), days, table)

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causalsurv import estimators
+from causalsurv import analysis, estimators
 from causalsurv._cox_kernels import BIG, cox_layout
 from causalsurv.cli import main
 from causalsurv.cohort import load_cohort
+from causalsurv.errors import EmptyGroup
 
 from oracles import first_empty_cell
 
@@ -208,6 +209,30 @@ def test_analyze_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--data"])
     assert exc.value.code == 2
+
+
+def test_analyze_estimation_error_outside_the_fits_exits_5(workspace, capsys, monkeypatch):
+    # fit errors become report entries; one raised by another stage is exit 5
+    tmp_path, graph, data = workspace
+    capsys.readouterr()
+
+    def empty(*args, **kwargs):
+        raise EmptyGroup("no subjects")
+
+    monkeypatch.setattr(analysis, "km_fit", empty)
+    assert main(_analyze_args(tmp_path, graph, data)) == 5
+    payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert payload == {"error": {"type": "EmptyGroup", "message": "no subjects", "exit": 5}}
+
+
+def test_analyze_reports_fits_that_did_not_converge(workspace, monkeypatch):
+    tmp_path, graph, data = workspace
+    monkeypatch.setattr(estimators, "MAX_ITER", 1)
+    assert main(_analyze_args(tmp_path, graph, data)) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=pytest.fail)
+    for name in ("crude", "traditional", "adjusted"):
+        assert report[name]["converged"] is False and report[name]["iterations"] == 1
+        assert f"{name} fit did not converge" in report["warnings"]
 
 
 def test_analyze_t_max_truncates(workspace):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from causalsurv import errors
+from causalsurv import errors, estimators
 from causalsurv.estimators import Z_95, cox_fit, hr_report, km_fit
 
 from oracles import (
     central_difference,
+    cox_eval_loops,
     direct_loglik,
+    golden_section_max,
     gradient_at,
     random_tie_free_dataset,
 )
@@ -224,6 +226,52 @@ def test_cox_ci_brackets_hr():
     lo, hi = fit.ci95
     assert lo[0] < fit.hr[0] < hi[0]
     assert fit.hr[0] > 0
+
+
+# --- Newton paths: step-halving and the iteration limit -----------------------------
+
+# The first full Newton step from beta = 0 lowers the log-likelihood from
+# -6.068 to -6.467; one halving recovers, and beta = -2.394 in 3 iterations.
+HALVING_X = np.array([[1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [0.0], [1.0], [1.0]])
+HALVING_T = np.array([5, 1, 1, 3, 4, 5, 1, 5, 3])
+HALVING_D = np.array([1, 0, 1, 0, 0, 1, 1, 0, 0])
+
+
+def test_cox_halves_a_step_that_lowers_the_likelihood(monkeypatch):
+    lls, cox_eval = [], estimators.cox_eval
+
+    def counted(layout, beta):
+        out = cox_eval(layout, beta)
+        lls.append(out[0])
+        return out
+
+    monkeypatch.setattr(estimators, "cox_eval", counted)
+    fit = cox_fit(HALVING_X, HALVING_T, HALVING_D)
+    assert fit.converged and fit.iterations == 3
+    # one evaluation at beta = 0 and one per iteration, plus the rejected full step
+    assert len(lls) == fit.iterations + 2
+    assert lls[1] < lls[0]
+    order = np.argsort(HALVING_T, kind="stable")
+    x, t, d = HALVING_X[order], HALVING_T[order], HALVING_D[order]
+    beta_gs = golden_section_max(lambda b: cox_eval_loops(x, t, d, np.array([b]), True)[0])
+    assert abs(fit.beta[0] - beta_gs) <= 1e-6
+
+
+def test_cox_exhausting_max_iter_is_not_converged(monkeypatch):
+    monkeypatch.setattr(estimators, "MAX_ITER", 1)
+    fit = cox_fit(HALVING_X, HALVING_T, HALVING_D)
+    assert fit.converged is False and fit.iterations == 1
+    with pytest.raises(errors.NotConverged):
+        hr_report(fit)
+
+
+def test_cox_singular_final_check_is_not_converged(monkeypatch):
+    # the collinear fit of test_cox_collinear_columns_singular, with no
+    # iterations: only the check after the loop meets the singular information
+    monkeypatch.setattr(estimators, "MAX_ITER", 0)
+    x = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    fit = cox_fit(x, [1, 2, 3, 4], [1, 1, 1, 1])
+    assert fit.converged is False and fit.iterations == 0
 
 
 # --- hazard-ratio report ----------------------------------------------------------

@@ -411,6 +411,18 @@ def test_load_graph_honors_observed_flag(tmp_path):
     assert dag.observed == {"X"}
 
 
+def test_load_graph_reads_string_nodes_as_observed(tmp_path):
+    edges = [["Z", "X"], ["Z", "T"], ["X", "T"]]
+    dags = []
+    for nodes in (["Z", "X", "T"], [{"name": "Z"}, {"name": "X"}, {"name": "T"}]):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+        dags.append(load_graph(path))
+    strings, objects = dags
+    assert strings == objects
+    assert strings.observed == {"Z", "X", "T"}
+
+
 @pytest.mark.parametrize(
     "doc, fragment",
     [
