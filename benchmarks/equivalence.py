@@ -1,11 +1,15 @@
-"""Fingerprint the outputs of 94 ``analyze`` runs, to compare two checkouts byte for byte.
+"""Fingerprint the outputs of 376 ``analyze`` runs, to compare two checkouts byte for byte.
 
     PYTHONPATH=src python3 benchmarks/equivalence.py
 
 Run from the root of a source checkout.  The inputs come from
 ``perfbench/inputs.generate``: paper_small seeds 1 and 2 with 20 cohorts
 each, wide_extract seeds 3 and 11, and registry_ties seeds 2 to 6.  Each
-is analysed by ``cli.main`` under ``--ties efron`` and ``--ties breslow``.
+is analysed by ``cli.main`` under ``--ties efron`` and ``--ties breslow``,
+each with its workload's flags, with ``--strict-censoring`` added, with
+``--t-max 1000`` in place of its horizon, and with both.  wide_extract's
+days are multiples of 30, so a horizon of 1000 falls between two of them
+and the follow-up filters must add a day and drop the days past it.
 For each run the script takes one sha256 over its exit code and its
 report.json, curves.csv and curves.svg (stdout names the output
 directory, so it is left out).  It writes them to ``equivalence.json`` in
@@ -18,6 +22,7 @@ thread.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -39,6 +44,9 @@ INPUTS = (
     *(("registry_ties", seed, 1) for seed in range(2, 7)),
 )
 TIES = ("efron", "breslow")
+# the last --t-max given wins
+STRICT, HORIZON = ("--strict-censoring",), ("--t-max", "1000")
+FILTERS = ((), STRICT, HORIZON, HORIZON + STRICT)
 OUTPUTS = ("report.json", "curves.csv", "curves.svg")
 
 
@@ -62,9 +70,9 @@ def main():
             inputs = root / f"{workload}-{seed}"
             for argv in generate(workload, seed, inputs, cohorts)["argv"]:
                 data = Path(argv[argv.index("--data") + 1]).name
-                for ties in TIES:
-                    key = f"{workload}/{seed}/{data}/{ties}"
-                    runs[key] = fingerprint([*argv, "--ties", ties], root / "out" / key)
+                for ties, extra in itertools.product(TIES, FILTERS):
+                    key = "/".join((workload, str(seed), data, ties, *extra))
+                    runs[key] = fingerprint([*argv, "--ties", ties, *extra], root / "out" / key)
     Path("equivalence.json").write_text(json.dumps(runs, indent=2) + "\n", encoding="utf-8")
     total = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
     print(f"{len(runs)} runs, digest {total}")

@@ -10,25 +10,30 @@ and users must pre-discretize numeric ones.
 
 ``load_cohort`` reads the CSV whole as bytes and checks UTF-8 first.  Bytes
 with no quote, no NUL and no carriage return outside a CRLF pair are
-tokenized with numpy in newline-aligned chunks: delimiter positions come
-from byte compares, each cell's bytes become an integer key (by a byte
-gather in a column whose cells are at most 1 byte wide), and one
-``np.unique`` per column leaves only the distinct cells to decode.  A
-chunk with a cell wider than 8 bytes in a column is decoded instead and
-its cells deduplicated with a dict.  Other bytes go through
-``csv.reader``.  Both readers hand each keyed column (treatment, time,
-event, each covariate kept) to one validator as distinct raw cells plus
-one index per row, so checks, stripping and level sorting run once per
-distinct value.  The id and every covariate not kept are only checked,
-reduced to the first row whose cell strips to nothing; the quote-free
-reader looks only in chunks where a cell could (a 0-byte cell, or a byte
-outside printable ASCII).  A subject is its row; no id is kept.
+tokenized with numpy in newline-aligned chunks: field ends come from byte
+compares, and a chunk whose field ends fill lines of the header's width,
+each closed by a line feed, is cut into rows by a reshape (only a chunk
+with a blank or ragged line searches for its lines).  Each cell's bytes
+become an integer key (by a byte gather in a column whose cells are at
+most 1 byte wide), and one ``np.unique`` per column leaves only the
+distinct cells to decode.  A chunk with a cell wider than 8 bytes in a
+column is decoded instead and its cells deduplicated with a dict.  Other
+bytes go through ``csv.reader``.  Both readers hand each keyed column
+(treatment, time, event, each covariate kept) to one validator as
+distinct raw cells plus one index per row, so checks, stripping, level
+sorting and the sort of the distinct days run once per distinct value.
+The id and every covariate not kept are only checked, reduced to the
+first row whose cell strips to nothing; the quote-free reader looks only
+in chunks where a cell could (a 0-byte cell, or a byte outside printable
+ASCII).  A subject is its row; no id is kept.
 ``load_cohort`` is the one validated way in: a Python caller passes a
 path or a text or bytes buffer such as ``io.StringIO``.
 
-Datasets are columnar (a covariate is its level codes; strata are formed
-in :mod:`causalsurv.trials`), immutable after load and safe for shared
-concurrent reads.
+Datasets are columnar (a covariate is its level codes, and time is day
+codes into the sorted distinct days; strata are formed in
+:mod:`causalsurv.trials`), immutable after load and safe for shared
+concurrent reads.  The follow-up filters work on the codes and keep every
+day in use.
 """
 
 import codecs
@@ -67,22 +72,34 @@ __all__ = [
 class CohortDataset:
     """A validated cohort, one array per column.
 
-    ``treatment``, ``time`` and ``event`` are int64 arrays; covariate
+    ``treatment`` and ``event`` are int64 arrays.  Time is held the way a
+    covariate is: ``day`` is int64 codes into ``days``, the distinct
+    follow-up days in ascending order, every day in use.  Covariate
     ``name`` is int64 ``codes[name]`` into its sorted level tuple
     ``covariate_levels[name]``, every level in use.  Subjects are rows:
     no column says who a subject is.
     """
 
     treatment: np.ndarray
-    time: np.ndarray
+    days: np.ndarray
+    day: np.ndarray
     event: np.ndarray
     covariate_levels: dict[str, tuple[str, ...]]
     codes: dict[str, np.ndarray]
-    t_max: int
 
     @property
     def n(self) -> int:
         return len(self.treatment)
+
+    @property
+    def t_max(self) -> int:
+        """The last follow-up day."""
+        return int(self.days[-1])
+
+    @property
+    def time(self) -> np.ndarray:
+        """Each subject's follow-up day, expanded from the codes (a new array)."""
+        return self.days[self.day]
 
     def arm_sizes(self) -> dict[int, int]:
         t = self.treatment
@@ -92,10 +109,12 @@ class CohortDataset:
         return tuple(sorted(self.covariate_levels))
 
 
-def _dataset(treatment, time, event, covariates) -> CohortDataset:
+def _dataset(treatment, days, day, event, covariates) -> CohortDataset:
     """Check both arms are occupied.
 
-    ``covariates`` maps each name to (sorted levels, per-subject codes), all in use.
+    ``days`` and ``day`` are the ascending distinct days and each row's
+    code into them; ``covariates`` maps each name to (sorted levels,
+    per-subject codes).  Every day and level is in use.
     """
     if len(treatment) == 0:
         raise EmptyArm("cohort is empty")
@@ -104,7 +123,7 @@ def _dataset(treatment, time, event, covariates) -> CohortDataset:
             raise EmptyArm(f"treatment arm {arm} has no subjects")
     levels = {name: covariates[name][0] for name in sorted(covariates)}
     codes = {name: covariates[name][1] for name in sorted(covariates)}
-    return CohortDataset(treatment, time, event, levels, codes, int(time.max()))
+    return CohortDataset(treatment, days, day, event, levels, codes)
 
 
 def _encode(rows, get):
@@ -188,7 +207,9 @@ def _validated(columns, numbers, broken) -> CohortDataset:
         raise min(failures, key=itemgetter(0))[1]
     if broken is not None:
         raise broken
-    time = np.array([day for day, _ in parsed], dtype=np.int64).take(index)
+    # one sort of the distinct days, which also merges cells like 7 and 07
+    days, code = np.unique(np.array([d for d, _ in parsed], dtype=np.int64), return_inverse=True)
+    day = code.take(index)
     covariates = {}
     for (name, raw, index), stripped in zip(columns[3:], values[3:]):
         if raw is None:
@@ -197,7 +218,7 @@ def _validated(columns, numbers, broken) -> CohortDataset:
         position = {v: i for i, v in enumerate(levels)}
         codes = np.array([position[v] for v in stripped], dtype=np.int64).take(index)
         covariates[name] = (tuple(levels), codes)
-    return _dataset(treatment, time, event, covariates)
+    return _dataset(treatment, days, day, event, covariates)
 
 
 def _check_utf8(data) -> None:
@@ -372,6 +393,28 @@ def _distinct_cells(parts):
     return list(position), np.concatenate(pieces)
 
 
+def _line_search(seg, cut, width, line):
+    """Lines and rows of a chunk with a blank or ragged line.
+
+    ``seg`` is the chunk's bytes, each line ending in LF, ``cut`` its field
+    ends and ``line`` its first line's number.  Returns each line's end,
+    the lines that are rows (not blank) up to the first ragged line, their
+    field ends as a (rows, width) grid, the number of lines read before
+    the ragged one (all of them if none is), and the RaggedRow, if any.
+    """
+    ends = np.flatnonzero(seg == 10)
+    last = np.searchsorted(cut, ends)  # each line's last field
+    count = last - np.concatenate(([-1], last[:-1]))
+    blank = ends == np.concatenate(([0], ends[:-1] + 1))
+    ragged = np.flatnonzero((count != width) & ~blank)
+    lines, broken = len(ends), None
+    if ragged.size:
+        lines = int(ragged[0])
+        broken = RaggedRow(f"row {line + lines}: {count[lines]} fields, header has {width}")
+    rows = np.flatnonzero(~blank[:lines])
+    return ends, rows, cut[(last[rows] - width + 1)[:, None] + np.arange(width)], lines, broken
+
+
 def _tokenized(data, body, width, positions, checked):
     """Split quote-free CSV bytes, from offset ``body`` on, into rows.
 
@@ -400,23 +443,18 @@ def _tokenized(data, body, width, positions, checked):
             chunk[: hi - lo] = buf[lo:hi]
             seg = chunk[: hi - lo + (data[hi - 1] != 10)]
             seg[-1] = 10
-        ends = np.flatnonzero(seg == 10)  # each line's end
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        sep = (seg == 44) | (seg == 10)
+        lf = seg == 10
+        sep = lf | (seg == 44)
         cut = np.flatnonzero(sep)  # each field's end
-        last = np.searchsorted(cut, ends)  # each line's last field
-        count = last - np.concatenate(([-1], last[:-1]))
-        blank = ends == starts
-        ragged = np.flatnonzero((count != width) & ~blank)
-        lines = len(ends)
-        if ragged.size:
-            lines = int(ragged[0])
-            broken = RaggedRow(f"row {line + lines}: {count[lines]} fields, header has {width}")
-        rows = np.flatnonzero(~blank[:lines])
-        if len(cut) == len(rows) * width:  # no blank or ragged line
-            grid = cut.reshape(len(rows), width)  # each row's field ends
+        lines = np.count_nonzero(lf)
+        ends = cut[width - 1 :: width]  # each line's end, if every line has width fields
+        # no line is blank or ragged when the field ends fill lines of width
+        # with an LF in each last slot (at width 1 a blank line would pass too)
+        if width > 1 and len(cut) == lines * width and lf[ends].all():
+            rows, grid = np.arange(lines), cut.reshape(lines, width)  # each row's field ends
         else:
-            grid = cut[(last[rows] - width + 1)[:, None] + np.arange(width)]
+            ends, rows, grid, lines, broken = _line_search(seg, cut, width, line)
+        starts = np.concatenate(([0], ends[:-1] + 1))
         # the lines read, the ragged one included; a field fits when its line does
         read = ends[: lines + (broken is not None)]
         if read.size and (read - starts[: read.size]).max() > limit:
@@ -526,18 +564,28 @@ def truncate_followup(cohort: CohortDataset, t_max: int) -> CohortDataset:
     """Administratively censor the study at day ``t_max``.
 
     Subjects with survival beyond the horizon are censored at ``t_max``;
-    a horizon at or past the observed maximum is a no-op.
+    a horizon at or past the observed maximum is a no-op.  The days past
+    it become one day, ``t_max``.
     """
     if t_max < 0:
         raise CohortError(f"t_max must be non-negative, got {t_max}")
     if t_max >= cohort.t_max:
         return cohort
+    t_max = int(t_max)
+    kept = int(np.searchsorted(cohort.days, t_max))  # days before the horizon keep their codes
+    past = np.searchsorted(cohort.days, t_max, side="right")  # the first code past it
     return replace(
         cohort,
-        time=np.minimum(cohort.time, t_max),
-        event=np.where(cohort.time > t_max, 0, cohort.event),
-        t_max=int(t_max),
+        days=np.append(cohort.days[:kept], t_max),
+        day=np.minimum(cohort.day, kept),
+        event=np.where(cohort.day >= past, 0, cohort.event),
     )
+
+
+def _in_use(column, size):
+    """Which of ``size`` codes ``column`` uses, and the column recoded over those."""
+    present = np.bincount(column, minlength=size) > 0
+    return present, (np.cumsum(present) - 1)[column]
 
 
 def drop_early_censored(cohort: CohortDataset) -> tuple[CohortDataset, int]:
@@ -548,15 +596,14 @@ def drop_early_censored(cohort: CohortDataset) -> tuple[CohortDataset, int]:
     opt-in alternative.  Returns the filtered cohort and the number of
     subjects removed.
     """
-    keep = (cohort.event == 1) | (cohort.time >= cohort.t_max)
+    keep = (cohort.event == 1) | (cohort.day == len(cohort.days) - 1)
     dropped = cohort.n - int(keep.sum())
     if dropped == 0:
         return cohort, 0
-    covariates = {}
+    covariates = {}  # drop days and levels nobody keeps
     for name, levels in cohort.covariate_levels.items():
-        column = cohort.codes[name][keep]
-        present = np.bincount(column, minlength=len(levels)) > 0  # drop levels nobody keeps
-        levels = tuple(compress(levels, present.tolist()))
-        covariates[name] = levels, (np.cumsum(present) - 1)[column]
-    columns = (cohort.treatment, cohort.time, cohort.event)
-    return _dataset(*(column[keep] for column in columns), covariates), dropped
+        present, codes = _in_use(cohort.codes[name][keep], len(levels))
+        covariates[name] = tuple(compress(levels, present.tolist())), codes
+    present, day = _in_use(cohort.day[keep], len(cohort.days))
+    columns = cohort.treatment[keep], cohort.days[present], day, cohort.event[keep]
+    return _dataset(*columns, covariates), dropped

@@ -21,12 +21,12 @@ an exponential survival profile whose rate is the cell's exponent.
 Subjects are laid out in index order as the z=0 block then the z=1 block,
 treated before controls within each block.
 
-The cohort is built as columns (treatment, time, event and the codes of
-``z`` over its levels in use), with no per-subject record, no id and no
-round trip through text (``save_cohort`` writes the row labels ``p0``,
-``p1``, ... as ids).  The ladder uses ``math.exp`` per subject: ``np.exp``
-differs from it in the last bit for some arguments, which moves rounded
-times.
+The cohort is built as columns (treatment, day codes into the sorted
+distinct times, event and the codes of ``z`` over its levels in use),
+with no per-subject record, no id and no round trip through text
+(``save_cohort`` writes the row labels ``p0``, ``p1``, ... as ids).  The
+ladder uses ``math.exp`` per subject: ``np.exp`` differs from it in the
+last bit for some arguments, which moves rounded times.
 
 Randomness contract: a single ``numpy.random.Generator`` seeded with
 ``seed`` (PCG64, numpy's default bit generator), consumed as one uniform
@@ -121,9 +121,11 @@ def generate_cohort(config: SimConfig) -> CohortDataset:
     sizes = [size for _, _, size in cells]
     z = np.repeat([z for z, _, _ in cells], sizes)
     levels, codes = np.unique(z, return_inverse=True)
+    days, day = np.unique(np.array(time, dtype=np.int64), return_inverse=True)
     return _dataset(
         np.repeat(np.array([x for _, x, _ in cells], dtype=np.int64), sizes),
-        np.array(time, dtype=np.int64),
+        days,
+        day.astype(np.int64),
         np.ones(config.n, dtype=np.int64),
         {"z": (tuple(map(str, levels.tolist())), codes.astype(np.int64))},
     )

@@ -11,10 +11,12 @@ A subject's whole row of daily outcomes is fixed by their arm, stratum,
 last follow-up day and event flag, so the trials are held as one count
 table over those four: the number alive in an (arm, stratum) cell at day i
 is the cell's size minus its deaths on days up to i.  The table has one
-column per distinct follow-up day, so its size scales with the number of
-distinct days, not with t_max or the number of subjects.  A stratum is an
-index into the covariates' level product, last covariate fastest, that
-only this module decodes; past n strata no table is built.
+column per distinct follow-up day, the cohort's ``days``, and a subject's
+column is its day code, so no stage after ingest sorts the times again;
+its size scales with the number of distinct days, not with t_max or the
+number of subjects.  A stratum is an index into the covariates' level
+product, last covariate fastest, that only this module decodes; past n
+strata no table is built.
 
 Backward: per-arm per-day adjusted survival counts are turned back into a
 pseudo-cohort, the same kind of table with one stratum on the curve's day
@@ -95,8 +97,9 @@ class DailyTrials:
 def to_daily_trials(cohort: CohortDataset, covariates) -> DailyTrials:
     """Break the study into daily trials, counted per (arm, stratum, day, event).
 
-    One bincount over the cell key fills the table.  Past n strata, stratum
-    indices capped at n (exact below it) find the empty cell and none is built.
+    One bincount over the cell key, built from the cohort's day codes,
+    fills the table.  Past n strata, stratum indices capped at n (exact
+    below it) find the empty cell and none is built.
     """
     covs = tuple(sorted(covariates))
     for c in covs:
@@ -111,11 +114,10 @@ def to_daily_trials(cohort: CohortDataset, covariates) -> DailyTrials:
         # an arm holds fewer than n subjects, so a cell below n is empty: this raises
         key = cohort.treatment * (cohort.n + 1) + stratum
         require_positivity(np.bincount(key, minlength=2 * cohort.n + 2).reshape(2, -1), levels)
-    days, g = np.unique(cohort.time, return_inverse=True)
-    shape = (2, strata, len(days), 2)
-    key = ((cohort.treatment * strata + stratum) * len(days) + g) * 2 + cohort.event
+    shape = (2, strata, len(cohort.days), 2)
+    key = ((cohort.treatment * strata + stratum) * len(cohort.days) + cohort.day) * 2 + cohort.event
     counts = np.bincount(key, minlength=math.prod(shape)).reshape(shape)
-    return DailyTrials(covs, levels, days, counts)
+    return DailyTrials(covs, levels, cohort.days, counts)
 
 
 def _exact_deaths(trials, arm, day):

@@ -14,8 +14,10 @@ subjects, and its Efron tie sums against exact sums of their terms; the backdoor
 daily outcome histories; the first empty (arm, stratum) cell is found by
 walking the level product over the subjects; the pseudo-cohort is
 rebuilt by exact half-up rounding of the adjusted deaths, and its count
-table can be expanded to one tuple per subject.  ``gradient_at`` is a helper, not an
-oracle: it reads the production kernel's gradient for the score checks.
+table can be expanded to one tuple per subject; the follow-up filters are
+checked against their formulas on a plain time column.  ``gradient_at``
+is a helper, not an oracle: it reads the production kernel's gradient
+for the score checks.
 Test cohorts are written as CSV text for ``load_cohort`` and decoded back
 to one tuple per subject by ``subjects``.
 """
@@ -330,6 +332,24 @@ def subjects(cohort):
         Subject(i, x, t, e, dict(zip(names, values)))
         for i, (x, t, e, *values) in enumerate(zip(*columns, *labels))
     )
+
+
+# --- follow-up filters on a plain time column ----------------------------------
+
+def filtered_followup(time, event, t_max, strict):
+    """Time, event and horizon after the follow-up filters, on a plain time column.
+
+    ``truncate_followup`` at ``t_max``: a horizon below the last day clips
+    the int64 time column with ``np.minimum`` and clears the events past
+    it with ``np.where``.  Then, if ``strict``, ``drop_early_censored``
+    keeps events and subjects followed to the horizon.  Also returns the
+    mask of subjects kept.
+    """
+    horizon = int(time.max())
+    if t_max < horizon:
+        time, event, horizon = np.minimum(time, t_max), np.where(time > t_max, 0, event), t_max
+    keep = (event == 1) | (time >= horizon) if strict else np.ones(len(time), dtype=bool)
+    return time[keep], event[keep], horizon, keep
 
 
 # --- pseudo-cohort ------------------------------------------------------------

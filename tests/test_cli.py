@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from causalsurv import analysis, estimators
 from causalsurv._cox_kernels import BIG, cox_layout
 from causalsurv.cli import main
-from causalsurv.cohort import load_cohort
+from causalsurv.cohort import CohortDataset, load_cohort
 from causalsurv.errors import EmptyGroup
 
 from oracles import first_empty_cell
@@ -241,6 +241,32 @@ def test_analyze_t_max_truncates(workspace):
     report = json.loads((tmp_path / "cut" / "report.json").read_text())
     assert report["t_max"] == 10
     assert any("truncated" in w for w in report["warnings"])
+
+
+def test_analyze_reads_time_only_as_day_codes(tmp_path, monkeypatch):
+    # cohort.time expands the codes for library callers; no stage needs it
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(CONFOUNDED_GRAPH))
+    data = tmp_path / "cohort.csv"
+    rows = [f"{i % 2},{i * 7 % 23},{int(i % 3 > 0)},{i // 2 % 2}" for i in range(60)]
+    data.write_text("treatment,time,event,z\n" + "\n".join(rows) + "\n")
+    runs = {"plain": [], "filtered": ["--t-max", "15", "--strict-censoring"]}
+    for name, extra in runs.items():
+        assert main(_analyze_args(tmp_path, graph, data, out=name, extra=extra)) == 0
+
+    def refuse(cohort):
+        raise AssertionError("cohort.time was read")
+
+    monkeypatch.setattr(CohortDataset, "time", property(refuse))
+    for name, extra in runs.items():
+        assert main(_analyze_args(tmp_path, graph, data, out=f"{name}-codes", extra=extra)) == 0
+        for output in ("report.json", "curves.csv"):
+            assert (tmp_path / f"{name}-codes" / output).read_bytes() == (
+                tmp_path / name / output
+            ).read_bytes()
+    report = json.loads((tmp_path / "filtered" / "report.json").read_text())
+    assert any("strict censoring mode dropped" in w for w in report["warnings"])
+    assert report["t_max"] == 15
 
 
 def test_analyze_breslow_and_alpha_flags(workspace):

@@ -3,6 +3,7 @@ import io
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from causalsurv.cohort import (
     truncate_followup,
 )
 
-from oracles import cohort_from_rows, subjects
+from oracles import cohort_from_rows, filtered_followup, subjects
 
 MAP = {"treatment": "x", "time": "t", "event": "s", "covariates": ["z"]}
 
@@ -233,6 +234,75 @@ def test_subjects_keep_covariates_after_filters():
     assert strict.covariate_levels == {"u": ("b", "c", "d"), "w": ("p", "q"), "z": ("0", "1")}
 
 
+@st.composite
+def filtered_cohorts(draw):
+    """Rows of a small cohort in alternating arms, a horizon and whether to filter strictly.
+
+    The horizon is 0, above 0 but below every time, a time present,
+    between two times or at or past the last; a time cell may be written
+    7, 07 or 7.0.
+    """
+    times = draw(st.lists(st.integers(0, 20), min_size=2, max_size=14))
+    rows = [
+        (i % 2, draw(st.sampled_from([str(t), f"0{t}", f"{t}.0"])), draw(st.integers(0, 1)), z)
+        for i, (t, z) in enumerate(zip(times, draw(st.lists(LABELS, min_size=len(times)))))
+    ]
+    days = sorted(set(times))
+    gaps = [(a + 1, b - 1) for a, b in zip(days, days[1:]) if b - a > 1]
+    kind = draw(st.sampled_from(["zero", "below", "present", "between", "past"]))
+    if kind == "zero":
+        t_max = 0
+    elif kind == "below":
+        t_max = draw(st.integers(1, days[0] - 1) if days[0] > 1 else st.nothing())
+    elif kind == "present":
+        t_max = draw(st.sampled_from(days))
+    elif kind == "between":
+        inside = st.sampled_from(gaps).flatmap(lambda gap: st.integers(*gap))
+        t_max = draw(inside if gaps else st.nothing())
+    else:
+        t_max = draw(st.integers(days[-1], days[-1] + 3))
+    return rows, t_max, draw(st.booleans())
+
+
+def _each_horizon(test):
+    """Examples of every horizon kind, strict or not, on days 3, 7, 12 and 20."""
+    rows = [
+        (0, "3", 1, "a"), (1, "07", 0, "b"), (0, "7.0", 0, "a"), (1, "12", 1, "b"), (0, "20", 0, "b")
+    ]
+    for t_max in (0, 2, 7, 9, 20, 25):
+        for strict in (False, True):
+            test = example((rows, t_max, strict))(test)
+    return test
+
+
+@settings(max_examples=200)
+@given(filtered_cohorts())
+@_each_horizon
+def test_day_code_filters_match_the_time_column_formulas(case):
+    rows, t_max, strict = case
+    cohort = cohort_from_rows(rows)
+    columns = [np.array([int(float(row[k])) for row in rows]) for k in range(3)]
+    time, event, horizon, keep = filtered_followup(columns[1], columns[2], t_max, strict)
+    out = truncate_followup(cohort, t_max)
+    if strict:
+        if len(set(columns[0][keep].tolist())) < 2:
+            with pytest.raises(errors.EmptyArm):
+                drop_early_censored(out)
+            return
+        out, dropped = drop_early_censored(out)
+        assert dropped == len(rows) - int(keep.sum())
+    assert out.treatment.tolist() == columns[0][keep].tolist()
+    assert out.time.tolist() == time.tolist()
+    assert out.event.tolist() == event.tolist()
+    assert out.t_max == horizon
+    labels = [row[3].strip() for row, k in zip(rows, keep) if k]
+    assert [s.covariates["z"] for s in subjects(out)] == labels
+    # the days ascend, each is some subject's, and the last is the horizon
+    assert np.all(np.diff(out.days) > 0)
+    assert np.all(np.bincount(out.day, minlength=len(out.days)) > 0)
+    assert out.days[-1] == out.t_max
+
+
 def test_mapped_column_twice_in_header_is_an_error():
     with pytest.raises(errors.AmbiguousColumn) as info:
         load_cohort(_csv(["0,5,1,0,1", "1,3,1,1,0"], header="x,t,s,z,x"), MAP)
@@ -366,15 +436,51 @@ def _load_outcome(text, chunk=cohort_module._CHUNK, column_map=None, keep=None):
     )
 
 
+def _has_odd_line(lines, end, final, bom):
+    """Whether a written file's rows hold a blank or ragged line after a header that loads."""
+    header, *body = lines
+    if body and not body[-1] and not final:
+        body.pop()  # a last blank line is only the final line end
+    return bool(header) and any(len(cells) != len(header) for cells in body)
+
+
+_REGULAR = [["id", "x", "t", "s", "z"], ["p1", "0", "3", "1", "a"], ["p2", "1", "12", "0", "b"]]
+# a short line and a long one: their field ends fill two lines of the width,
+# but the first line's LF is not in a width-th slot
+_ODD = [["id", "x", "t", "s", "z"], ["p1", "0", "3", "1"], ["p2", "1", "12", "0", "b", "c"]]
+
+
 @settings(max_examples=200)
 @given(plain_csv(), st.sampled_from([1, 16, cohort_module._CHUNK]))
+@example((_REGULAR, "\n", True, False), 1)
+@example((_REGULAR, "\r\n", False, True), 16)
+@example((_REGULAR, "\n", False, False), cohort_module._CHUNK)
+@example((_ODD, "\n", True, False), 1)
+@example((_ODD, "\n", True, False), 16)
+@example((_ODD, "\n", True, False), cohort_module._CHUNK)
+@example((_REGULAR[:2] + [[]] + _REGULAR[2:], "\n", True, False), cohort_module._CHUNK)
 def test_tokenizer_matches_csv_reader_on_quoted_twin(written, chunk):
     plain = _write_csv(*written)
     # every cell quoted: RFC 4180 gives the same cells, through csv.reader
     twin = _write_csv(*written, quote='"')
     assert '"' not in plain
-    # small chunks put the tokenizer's chunk boundaries between lines
-    assert _load_outcome(plain, chunk) == _load_outcome(twin)
+    search = mock.patch.object(cohort_module, "_line_search", wraps=cohort_module._line_search)
+    with search as searched:
+        # small chunks put the tokenizer's chunk boundaries between lines
+        assert _load_outcome(plain, chunk) == _load_outcome(twin)
+    # a chunk searches for its lines only when it holds a blank or ragged one
+    assert searched.called == _has_odd_line(*written)
+
+
+@pytest.mark.parametrize("chunk", [1, 16, cohort_module._CHUNK])
+def test_blank_lines_in_a_one_column_file_hold_no_subject(chunk):
+    # at width 1 a blank line has as many field ends as a row
+    lines = [["a"], ["1"], [], ["0"], [], ["1"]]
+    column_map = {"treatment": "a", "time": "a", "event": "a"}
+    outcome = _load_outcome(_write_csv(lines, "\n", True, False), chunk, column_map)
+    twin = _write_csv(lines, "\n", True, False, quote='"')
+    assert outcome == _load_outcome(twin, column_map=column_map)
+    assert outcome[:3] == ([1, 0, 1],) * 3
 
 
 @st.composite
