@@ -14,7 +14,7 @@ The unadjusted curve is the same computation on the pooled table, whose
 one stratum makes it the crude per-arm proportion.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .trials import DailyTrials, require_positivity
 __all__ = ["AdjustedCurve", "adjust_curve", "unadjusted_curve"]
 
 
-@dataclass(frozen=True)
-class AdjustedCurve:
+class AdjustedCurve(NamedTuple):
     """Adjusted survival probabilities and counts on the compressed day grid.
 
     Probabilities are step functions of the day; ``grid`` holds every day a

@@ -30,9 +30,8 @@ Warnings are data, not logs; they live inside report.json.
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +61,7 @@ __all__ = ["AnalysisOptions", "AnalysisReport", "run_analysis", "write_outputs"]
 REPORT_SCHEMA = "1"
 
 
-@dataclass(frozen=True)
-class AnalysisOptions:
+class AnalysisOptions(NamedTuple):
     treatment_col: str
     time_col: str
     event_col: str
@@ -76,8 +74,7 @@ class AnalysisOptions:
     strict_censoring: bool = False
 
 
-@dataclass
-class FitEntry:
+class FitEntry(NamedTuple):
     hr: float | None = None
     ci: tuple[float, float] | None = None
     beta: float | None = None
@@ -99,18 +96,17 @@ class FitEntry:
         }
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     n: int
     t_max: int
     arms: dict[int, int]
     adjustment_set: tuple[str, ...]
     alpha: float
     ties: str
-    crude: FitEntry = field(default_factory=FitEntry)
-    traditional: FitEntry = field(default_factory=FitEntry)
-    adjusted: FitEntry = field(default_factory=FitEntry)
-    warnings: list[str] = field(default_factory=list)
+    crude: FitEntry = FitEntry()
+    traditional: FitEntry = FitEntry()
+    adjusted: FitEntry = FitEntry()
+    warnings: tuple[str, ...] = ()
 
     def to_dict(self):
         return {
@@ -131,6 +127,8 @@ class AnalysisReport:
 def _z_for(alpha: float) -> float:
     if alpha == 0.05:
         return Z_95
+    from statistics import NormalDist  # only a non-default alpha needs it
+
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
@@ -264,6 +262,13 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
             curves.append((variant, arm, days, survival, counts))
 
     z_alpha = _z_for(options.alpha)
+    fits = {}
+    for name, table in (("crude", pooled), ("traditional", trials), ("adjusted", pseudo)):
+        entry = fits[name] = _fit_entry(table, options.ties, z_alpha)
+        if entry.error is not None:
+            warnings.append(f"{name} fit failed: {entry.error}")
+        elif entry.converged is False:
+            warnings.append(f"{name} fit did not converge")
     report = AnalysisReport(
         n=cohort.n,
         t_max=cohort.t_max,
@@ -271,15 +276,9 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
         adjustment_set=adjset.sorted_members(),
         alpha=options.alpha,
         ties=options.ties,
+        warnings=tuple(warnings),
+        **fits,
     )
-    for name, table in (("crude", pooled), ("traditional", trials), ("adjusted", pseudo)):
-        entry = _fit_entry(table, options.ties, z_alpha)
-        setattr(report, name, entry)
-        if entry.error is not None:
-            warnings.append(f"{name} fit failed: {entry.error}")
-        elif entry.converged is False:
-            warnings.append(f"{name} fit did not converge")
-    report.warnings = warnings
     artifacts = {
         "curves": curves,
         "adjusted_curve": curve,

@@ -39,10 +39,10 @@ day in use.
 import codecs
 import csv
 import io
-from dataclasses import dataclass, replace
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class CohortDataset:
+class CohortDataset(NamedTuple):
     """A validated cohort, one array per column.
 
     ``treatment`` and ``event`` are int64 arrays.  Time is held the way a
@@ -77,7 +76,8 @@ class CohortDataset:
     follow-up days in ascending order, every day in use.  Covariate
     ``name`` is int64 ``codes[name]`` into its sorted level tuple
     ``covariate_levels[name]``, every level in use.  Subjects are rows:
-    no column says who a subject is.
+    no column says who a subject is.  Two datasets are equal only when
+    they are the same object, and hash by identity.
     """
 
     treatment: np.ndarray
@@ -86,6 +86,10 @@ class CohortDataset:
     event: np.ndarray
     covariate_levels: dict[str, tuple[str, ...]]
     codes: dict[str, np.ndarray]
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     @property
     def n(self) -> int:
@@ -574,8 +578,7 @@ def truncate_followup(cohort: CohortDataset, t_max: int) -> CohortDataset:
     t_max = int(t_max)
     kept = int(np.searchsorted(cohort.days, t_max))  # days before the horizon keep their codes
     past = np.searchsorted(cohort.days, t_max, side="right")  # the first code past it
-    return replace(
-        cohort,
+    return cohort._replace(
         days=np.append(cohort.days[:kept], t_max),
         day=np.minimum(cohort.day, kept),
         event=np.where(cohort.day >= past, 0, cohort.event),

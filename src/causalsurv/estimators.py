@@ -11,7 +11,7 @@ ties, where Efron is materially more accurate than Breslow.  Breslow stays
 available for cross-checks against tools that default to it.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ GRAD_TOL = 1e-8
 STEP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class KmGroup:
+class KmGroup(NamedTuple):
     times: np.ndarray
     at_risk: np.ndarray
     events: np.ndarray
@@ -65,8 +64,7 @@ class KmGroup:
         return out if out.shape else float(out)
 
 
-@dataclass(frozen=True)
-class KmCurve:
+class KmCurve(NamedTuple):
     """Product-limit estimates per group, rows at distinct event times."""
 
     groups: dict
@@ -91,12 +89,18 @@ def _weights(counts, n):
     return c
 
 
+def _check_events(events):
+    if not np.all((events == 0) | (events == 1)):
+        raise ValueError("events must be 0 or 1")
+
+
 def km_fit(times, events, groups=None, *, counts=None) -> KmCurve:
     """Kaplan-Meier product-limit estimate per group.
 
     Survival steps down only at event times; censored subjects leave the
     risk set just after their censoring time.  ``counts`` gives how many
-    subjects each row stands for.
+    subjects each row stands for.  Times must be finite and non-negative,
+    and events 0 or 1 (``ValueError`` otherwise).
     """
     times = np.asarray(times)
     events = np.asarray(events)
@@ -110,8 +114,9 @@ def km_fit(times, events, groups=None, *, counts=None) -> KmCurve:
             raise LengthMismatch("groups differs in length from times")
     if times.size == 0:
         raise EmptyGroup("no subjects")
-    if np.any(times < 0):
-        raise ValueError("times must be non-negative")
+    if not np.all((times >= 0) & np.isfinite(times)):
+        raise ValueError("times must be finite and non-negative")
+    _check_events(events)
     weights = _weights(counts, times.size)
 
     out = {}
@@ -129,8 +134,7 @@ def km_fit(times, events, groups=None, *, counts=None) -> KmCurve:
     return KmCurve(out)
 
 
-@dataclass(frozen=True)
-class CoxFit:
+class CoxFit(NamedTuple):
     beta: np.ndarray
     se: np.ndarray
     hr: np.ndarray
@@ -151,19 +155,23 @@ def _prepare(covariate_matrix, times, events, counts=None):
     if x.ndim == 1:
         x = x[:, None]
     t = np.asarray(times, dtype=np.float64)
-    d = np.asarray(events, dtype=np.uint8)
+    d = np.asarray(events, dtype=np.float64)
     if not (x.shape[0] == t.shape[0] == d.shape[0]):
         raise LengthMismatch("covariates, times, and events differ in length")
     weights = _weights(counts, t.size)
-    if d.sum() == 0:
+    _check_events(d)
+    if d @ weights == 0:
         raise NoEvents("no events in the data; the partial likelihood is empty")
-    spans = x.max(axis=0) - x.min(axis=0)
-    flat = np.flatnonzero(spans == 0)
+    rows = np.column_stack((t, d, x))
+    # a NaN or an infinity in a column shows in its maximum or its minimum
+    top, bottom = rows.max(axis=0), rows.min(axis=0)
+    if not (np.isfinite(top).all() and np.isfinite(bottom).all()):
+        raise ValueError("times and covariates must be finite")
+    flat = np.flatnonzero(top[2:] == bottom[2:])
     if flat.size:
         raise ConstantCovariate(f"covariate column {int(flat[0])} is constant")
     # Rows compare as fixed-width byte keys, which sorts several times faster
     # than np.unique(axis=0); the kernel needs time order only between times.
-    rows = np.column_stack((t, d, x))
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     counts = np.bincount(inverse, weights)
@@ -175,9 +183,11 @@ def _prepare(covariate_matrix, times, events, counts=None):
 def cox_fit(covariate_matrix, times, events, *, counts=None, ties="efron") -> CoxFit:
     """Maximize the log partial likelihood by Newton-Raphson.
 
-    A row of ``counts`` k fits exactly as k copies of it would.
-    Step-halving (up to 10 halvings per iteration) guards against
-    log-likelihood decreases.  Standard errors come from the inverse of the
+    A row of ``counts`` k fits exactly as k copies of it would.  Events
+    other than 0 and 1, and times or covariates that are not finite, raise
+    ``ValueError`` before any iteration; no weighted event raises
+    :class:`NoEvents`.  Step-halving (up to 10 halvings per iteration)
+    guards against log-likelihood decreases.  Standard errors come from the inverse of the
     observed information at the optimum.  Exhausting ``MAX_ITER`` returns a
     partial result with ``converged=False``; a coefficient running past
     +-50 raises :class:`MonotoneLikelihood` instead of being returned.

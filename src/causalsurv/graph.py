@@ -27,8 +27,8 @@ pure function, so concurrent readers are safe.
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     CycleDetected,
@@ -60,27 +60,51 @@ __all__ = [
 MAX_CANDIDATES = 20
 
 
-@dataclass(frozen=True)
 class CausalDag:
-    """Validated directed acyclic graph with per-node observability flags."""
+    """Validated directed acyclic graph with per-node observability flags.
 
-    nodes: tuple[str, ...]
-    observed: frozenset[str]
-    edges: tuple[tuple[str, str], ...]
+    Immutable; equal, hashed and shown by (nodes, observed, edges).
+    """
 
-    def __post_init__(self):
-        parents = {v: [] for v in self.nodes}
-        children = {v: [] for v in self.nodes}
-        for a, b in self.edges:
+    __slots__ = ("nodes", "observed", "edges", "_parents", "_children")
+
+    def __init__(
+        self,
+        nodes: tuple[str, ...],
+        observed: frozenset[str],
+        edges: tuple[tuple[str, str], ...],
+    ):
+        parents = {v: [] for v in nodes}
+        children = {v: [] for v in nodes}
+        for a, b in edges:
             parents[b].append(a)
             children[a].append(b)
         # sorted adjacency keeps every traversal deterministic
-        object.__setattr__(
-            self, "_parents", {v: tuple(sorted(ps)) for v, ps in parents.items()}
-        )
-        object.__setattr__(
-            self, "_children", {v: tuple(sorted(cs)) for v, cs in children.items()}
-        )
+        for name, value in (
+            ("nodes", nodes),
+            ("observed", observed),
+            ("edges", edges),
+            ("_parents", {v: tuple(sorted(ps)) for v, ps in parents.items()}),
+            ("_children", {v: tuple(sorted(cs)) for v, cs in children.items()}),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self):
+        return self.nodes, self.observed, self.edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "CausalDag(nodes={!r}, observed={!r}, edges={!r})".format(*self._key())
 
     def parents(self, node: str) -> tuple[str, ...]:
         self._require(node)
@@ -98,8 +122,7 @@ class CausalDag:
             raise UnknownNode(f"unknown node {node!r}")
 
 
-@dataclass(frozen=True)
-class AdjustmentSet:
+class AdjustmentSet(NamedTuple):
     """Candidate adjustment set for the stored (treatment, outcome) pair."""
 
     variables: frozenset[str]

@@ -37,7 +37,9 @@ three.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +53,7 @@ def _half_up(value: float) -> int:
     return math.floor(value + 0.5)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     n: int = 200
     a: float = 5.0
     b: float = 0.025
@@ -60,9 +61,7 @@ class SimConfig:
     d: float = -0.015
     e: float = 0.075
     noise: tuple[float, float] = (-0.5, 0.5)
-    p_treat_given_z: dict[int, float] = field(
-        default_factory=lambda: {0: 0.75, 1: 0.25}
-    )
+    p_treat_given_z: Mapping[int, float] = MappingProxyType({0: 0.75, 1: 0.25})
     p_z1: float = 0.5
     seed: int = 0
 

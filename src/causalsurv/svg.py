@@ -4,7 +4,7 @@ Pure string assembly, no scripting, fixed-precision coordinates so output
 is byte-stable across runs and platforms.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ _WIDTH, _HEIGHT = 640, 420
 _LEFT, _RIGHT, _TOP, _BOTTOM = 60, 16, 16, 46
 
 
-@dataclass(frozen=True)
-class CurveSeries:
+class CurveSeries(NamedTuple):
     series_id: str
     label: str
     days: np.ndarray

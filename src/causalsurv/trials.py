@@ -27,8 +27,7 @@ three Cox fits.
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,21 +58,25 @@ def require_positivity(sizes, levels):
         raise PositivityViolation(arm, [ls[c] for ls, c in zip(levels, codes)])
 
 
-@dataclass(frozen=True, eq=False)
-class DailyTrials:
+class DailyTrials(NamedTuple):
     """The daily trials as subjects per (arm, stratum, day, event) cell.
 
     ``counts[arm, s, g, e]`` is the number of subjects in arm ``arm`` and
     stratum ``s`` whose follow-up ends on day ``days[g]`` with event flag
     ``e``.  ``levels`` holds the sorted level tuple of each of the sorted
     ``covariates``, and stratum ``s`` is the ``s``-th combination of their
-    product.  ``days`` ascend, and the last is t_max.
+    product.  ``days`` ascend, and the last is t_max.  Two tables are
+    equal only when they are the same object, and hash by identity.
     """
 
     covariates: tuple[str, ...]
     levels: tuple[tuple[str, ...], ...]
     days: np.ndarray
     counts: np.ndarray  # int64, shape (2, strata, len(days), 2)
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     @property
     def n(self) -> int:
@@ -121,20 +124,23 @@ def to_daily_trials(cohort: CohortDataset, covariates) -> DailyTrials:
 
 
 def _exact_deaths(trials, arm, day):
-    """``arm``'s adjusted deaths by ``day``, exactly, from the table's integer counts.
+    """``arm``'s adjusted deaths by ``day``, exactly from the table's counts, rounded half-up.
 
-    They are A sum_z dead_z size_z / (size_{arm,z} N): A is the arm size,
-    dead_z the arm's deaths in stratum z by that day, size_z the stratum
-    size and N the cohort size.
+    The deaths are A sum_z dead_z size_z / (size_{arm,z} N): A is the arm
+    size, dead_z the arm's deaths in stratum z by that day, size_z the
+    stratum size and N the cohort size.
     """
+    from fractions import Fraction  # only counts within dust of a half need it
+
     sizes = trials.counts.sum(axis=(2, 3)).tolist()
     strata = [a + b for a, b in zip(*sizes)]
     through = np.searchsorted(trials.days, day, side="right")
     dead = trials.counts[arm, :, :through, 1].sum(axis=1).tolist()
     n = sum(strata)
-    return sum(sizes[arm]) * sum(
+    exact = sum(sizes[arm]) * sum(
         Fraction(k * strata[z], sizes[arm][z] * n) for z, k in enumerate(dead) if k
     )
+    return math.floor(exact + Fraction(1, 2))
 
 
 def from_adjusted_counts(adj) -> DailyTrials:
@@ -169,7 +175,7 @@ def from_adjusted_counts(adj) -> DailyTrials:
         rounded = np.floor(deaths + 0.5).astype(np.int64)
         if adj.trials is not None:
             for g in np.flatnonzero(np.abs(deaths - rounded) >= 0.5 - tol).tolist():
-                rounded[g] = math.floor(_exact_deaths(adj.trials, arm, days[g]) + Fraction(1, 2))
+                rounded[g] = _exact_deaths(adj.trials, arm, days[g])
         ints = size - rounded
         table[arm, 0, :, 1] = np.maximum(-np.diff(ints, prepend=size), 0)
         table[arm, 0, -1, 0] = ints[-1]

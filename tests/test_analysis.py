@@ -65,6 +65,10 @@ def test_multi_level_covariate_pipeline(three_level):
         assert entry.hr > 0
     curve = artifacts["adjusted_curve"]
     assert np.all(curve.p >= 0) and np.all(curve.p <= 1)
+    assert list(report.to_dict()) == [
+        "schema", "n", "t_max", "arms", "adjustment_set", "alpha", "ties",
+        "crude", "traditional", "adjusted", "warnings",
+    ]
 
 
 def test_alpha_widens_interval(three_level):

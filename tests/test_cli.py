@@ -306,16 +306,23 @@ def test_analyze_reads_csv_with_byte_order_mark(workspace):
 
 
 def test_import_loads_no_optional_modules():
-    # the CLI's cold start must not pull in graph or test libraries
-    code = "import causalsurv.cli, sys; print(sorted(sys.modules))"
+    # the CLI's cold start must not pull in graph or test libraries, nor
+    # the modules only rare paths use (compared across the import, so a
+    # numpy that loads one itself does not count)
+    code = (
+        "import sys, numpy; before = set(sys.modules); import causalsurv.cli; "
+        "print(sorted(sys.modules)); print(sorted(set(sys.modules) - before))"
+    )
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    loaded = {name.split(".")[0] for name in ast.literal_eval(done.stdout)}
+    everything, added = map(ast.literal_eval, done.stdout.splitlines())
+    loaded = {name.split(".")[0] for name in everything}
     assert "causalsurv" in loaded
     assert not loaded & {"networkx", "scipy", "hypothesis"}
+    assert not set(added) & {"dataclasses", "fractions", "decimal", "statistics"}
 
 
 def test_backdoor_lists_minimal_sets(tmp_path, capsys):

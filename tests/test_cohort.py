@@ -16,6 +16,7 @@ from causalsurv.cohort import (
     save_cohort,
     truncate_followup,
 )
+from causalsurv.trials import to_daily_trials
 
 from oracles import cohort_from_rows, filtered_followup, subjects
 
@@ -116,6 +117,16 @@ def test_truncate_followup():
         (6, 0),
     ]
     assert truncate_followup(cohort, 9) is cohort
+    assert truncate_followup(cohort, 100) is cohort
+
+
+def test_cohorts_and_trials_compare_by_identity():
+    rows = ["0,5,1,0", "1,3,1,1", "0,8,1,0", "1,9,1,1"]
+    first, second = (load_cohort(_csv(rows), MAP) for _ in range(2))
+    tables = [to_daily_trials(c, ["z"]) for c in (first, second)]
+    for a, b in ((first, second), tables):
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
 
 
 def test_drop_early_censored():

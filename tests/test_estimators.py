@@ -144,6 +144,29 @@ def test_counts_must_be_non_negative_whole_numbers(events, counts):
         km_fit(times, events, counts=counts)
 
 
+FOUR_X = [[1.0], [0.0], [1.0], [0.0]]
+
+
+@pytest.mark.parametrize(
+    "fit, args, kwargs, error, match",
+    [
+        (cox_fit, (FOUR_X, [1, 2, 3, 4], [1, 2, 1, 1]), {}, ValueError, "events must be 0 or 1"),
+        (cox_fit, ([[1.0], [np.nan], [1.0], [0.0]], [1, 2, 3, 4], [1, 1, 1, 1]), {},
+         ValueError, "must be finite"),
+        (cox_fit, (FOUR_X, [1, 2, 3, np.inf], [1, 1, 1, 1]), {}, ValueError, "must be finite"),
+        (cox_fit, (FOUR_X, [1, 2, 3, 4], [1, 0, 1, 0]), {"counts": [0, 1, 0, 1]},
+         errors.NoEvents, "no events"),
+        (km_fit, ([1, 2, np.nan, 4], [1, 1, 1, 1]), {}, ValueError, "must be finite"),
+        (km_fit, ([1, 2, 3, 4], [1, 2, 1, 1]), {}, ValueError, "events must be 0 or 1"),
+    ],
+    ids=["cox-event-2", "cox-nan-covariate", "cox-inf-time", "cox-zero-weighted-events",
+         "km-nan-time", "km-event-2"],
+)
+def test_malformed_fit_arguments_are_rejected(fit, args, kwargs, error, match):
+    with pytest.raises(error, match=match):
+        fit(*args, **kwargs)
+
+
 def test_cox_collinear_columns_singular():
     x = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(errors.SingularHessian):

@@ -398,6 +398,8 @@ def test_load_graph_roundtrip(tmp_path, confounded):
     dag = load_graph(path)
     assert dag.nodes == confounded.nodes
     assert dag.edges == confounded.edges
+    assert dag == confounded and hash(dag) == hash(confounded)
+    assert repr(dag) == repr(confounded)
 
 
 def test_load_graph_honors_observed_flag(tmp_path):
