@@ -8,24 +8,16 @@ transformation downstream stays unambiguous.  Continuous covariates are
 likewise rejected in spirit: every covariate column is treated as a label,
 and users must pre-discretize numeric ones.
 
-``load_cohort`` reads the CSV whole as bytes and checks UTF-8 first.  Bytes
-with no quote, no NUL and no carriage return outside a CRLF pair are
-tokenized with numpy in newline-aligned chunks: field ends come from byte
-compares, and a chunk whose field ends fill lines of the header's width,
-each closed by a line feed, is cut into rows by a reshape (only a chunk
-with a blank or ragged line searches for its lines).  Each cell's bytes
-become an integer key (by a byte gather in a column whose cells are at
-most 1 byte wide), and one ``np.unique`` per column leaves only the
-distinct cells to decode.  A chunk with a cell wider than 8 bytes in a
-column is decoded instead and its cells deduplicated with a dict.  Other
-bytes go through ``csv.reader``.  Both readers hand each keyed column
-(treatment, time, event, each covariate kept) to one validator as
-distinct raw cells plus one index per row, so checks, stripping, level
-sorting and the sort of the distinct days run once per distinct value.
-The id and every covariate not kept are only checked, reduced to the
-first row whose cell strips to nothing; the quote-free reader looks only
-in chunks where a cell could (a 0-byte cell, or a byte outside printable
-ASCII).  A subject is its row; no id is kept.
+``load_cohort`` reads the CSV whole as bytes and checks UTF-8 first; a
+CRLF, then a lone CR, becomes an LF.  numpy tokenizes it in chunks of
+whole lines: field ends come from byte compares, with the delimiters and
+line feeds inside quotes cleared by prefix parity (Langdale & Lemire
+2019), and a chunk whose field ends fill lines of the header's width is
+cut into rows by a reshape.  Each cell's bytes become an integer key, so
+each keyed column (treatment, time, event, each covariate kept) reaches
+one validator as its distinct cells, unquoted, plus one index per row.
+The id and every covariate not kept are only checked for the first row
+whose cell strips to nothing.  A subject is its row; no id is kept.
 ``load_cohort`` is the one validated way in: a Python caller passes a
 path or a text or bytes buffer such as ``io.StringIO``.
 
@@ -37,8 +29,6 @@ day in use.
 """
 
 import codecs
-import csv
-import io
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
@@ -130,13 +120,6 @@ def _dataset(treatment, days, day, event, covariates) -> CohortDataset:
     return CohortDataset(treatment, days, day, event, levels, codes)
 
 
-def _encode(rows, get):
-    """Distinct cells ``get(row)`` in first-seen order, and each row's index into them."""
-    index = {c: i for i, c in enumerate(dict.fromkeys(map(get, rows)))}
-    cells = map(index.__getitem__, map(get, rows))
-    return list(index), np.fromiter(cells, dtype=np.int64, count=len(rows))
-
-
 def _first(flagged, codes) -> int:
     """Index of the first row whose cell is flagged (one bool per distinct cell)."""
     return int(np.argmax(np.array(flagged, dtype=bool)[codes]))
@@ -147,6 +130,8 @@ _DAY_MAX = int(np.iinfo(np.int64).max)
 
 def _day_count(text):
     """A stripped time cell as (day count, None), or (0, why it is not one)."""
+    if "_" in text or not text.isascii():  # int() would read 1_0 and other scripts' digits
+        return 0, "is not a day count"
     try:
         day = int(text)
     except ValueError:
@@ -260,44 +245,69 @@ def _positions(header, names) -> dict[str, int]:
     return positions
 
 
-def _parsed(reader, width, positions, checked):
-    """Rows of a ``csv.reader`` up to the first ragged one, as for :func:`_tokenized`."""
-    rows, blank, broken = [], [], None
-    for number, row in enumerate(reader, 2):
-        if not row:
-            blank.append(number)
-        elif len(row) != width:
-            broken = RaggedRow(f"row {number}: {len(row)} fields, header has {width}")
-            break
-        else:
-            rows.append(row)
-    lines = np.arange(2, 2 + len(rows) + len(blank), dtype=np.int64)
-    numbers = np.delete(lines, np.array(blank, dtype=np.int64) - 2)
-    columns = {j: _encode(rows, itemgetter(j)) for j in positions}
-    first = {j: next((i for i, r in enumerate(rows) if not r[j].strip()), None) for j in checked}
-    return numbers, columns, first, broken
+def _unquoted(cell):
+    """A raw cell's text: a quoted cell loses its outer quotes, and each ``""`` becomes ``"``."""
+    return cell[1:-1].replace('""', '"') if cell[:1] == '"' else cell
 
 
-def _first_line(data):
-    """Header cells of quote-free CSV bytes, and the offset of the next line.
+def _even_end(data, lo, hi):
+    """``hi`` (one past a line feed), moved on by lines until ``data[lo:hi]`` holds even quotes."""
+    odd = data.count(b'"', lo, hi) & 1
+    while odd and hi < len(data):  # an unterminated quote runs to the end
+        quote = data.find(b'"', hi)
+        end = len(data) if quote < 0 else data.find(b"\n", quote) + 1 or len(data)
+        odd ^= data.count(b'"', hi, end) & 1
+        hi = end
+    return hi
 
-    The header is None when there is no first line.
+
+def _quote_mask(seg):
+    """Which bytes of whole lines lie inside quotes (an odd count of quotes up to and at them).
+
+    Also the first fault, as (offset, reason), or None: a quote that does
+    not open a field, close one before a delimiter or line end, or stand
+    half of a ``""``, an unterminated quote, or a NUL.
     """
+    quote = seg == 34
+    inside = (np.cumsum(quote, dtype=np.uint8) & 1).view(bool)  # wrapping keeps the parity
+    at = np.flatnonzero(quote)
+    opens = inside[at]
+    # the byte before an opening quote (at offset 0, the final line feed)
+    # or after a closing one; a quote there is the other half of a ""
+    near = np.where(opens, seg[at - 1], seg[at + 1])
+    faults = [
+        (at[k], "a quote inside an unquoted field" if opens[k] else "text after a closing quote")
+        for k in np.flatnonzero((near != 44) & (near != 10) & (near != 34))[:1]
+    ]
+    faults += [(at[-1], "an unterminated quote")] if inside[-1] else []
+    faults += [(k, "a NUL byte") for k in np.flatnonzero(seg == 0)[:1]]
+    return inside, min(faults, key=itemgetter(0), default=None)
+
+
+def _first_line(data, special):
+    """Header cells, unquoted, or None when there is no first line, and the next line's offset."""
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     if start == len(data):
         return None, start
-    end = data.find(b"\n", start)
-    end = len(data) if end < 0 else end
-    line = data[start:end].decode()
-    header = line.split(",") if line else []
-    limit = csv.field_size_limit()
-    if any(len(cell) > limit for cell in header):
-        raise CohortError(f"line 1: field larger than field limit ({limit})")
-    return header, end + 1
+    end = _even_end(data, start, data.find(b"\n", start) + 1 or len(data))
+    line = data[start:end].removesuffix(b"\n")
+    header = line.decode().split(",") if line else []
+    if special and line:
+        seg = np.frombuffer(line + b"\n", dtype=np.uint8).copy()
+        inside, fault = _quote_mask(seg)
+        if fault is not None:
+            raise CohortError(f"row 1: {fault[1]}")
+        seg[(seg == 44) & ~inside] = 0  # a delimiter; no cell holds a NUL
+        header = [_unquoted(cell) for cell in seg[:-1].tobytes().decode().split("\0")]
+    if any(len(cell) > _FIELD_LIMIT for cell in header):
+        raise CohortError(f"line 1: field larger than field limit ({_FIELD_LIMIT})")
+    return header, end
 
 
 # Bytes tokenized at a time; a chunk runs on to the end of its last line.
 _CHUNK = 1 << 18
+# Characters in a cell, counted after unquoting.
+_FIELD_LIMIT = 131_072
 # _MASK[w] keeps the first w bytes of a little-endian 8-byte word.
 _MASK = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype="<u8")
 # The narrowest key type that holds a cell of up to w bytes.
@@ -321,15 +331,17 @@ def _cell_keys(chunk, start, width):
         keys[width == 0] = 0
         return keys
     if top > 8:
-        return _encode(_cell_text(chunk, start, width), str)
+        cells = _cell_text(chunk, start, width)
+        index = {c: i for i, c in enumerate(dict.fromkeys(cells))}
+        return list(index), np.fromiter(map(index.__getitem__, cells), np.int64, len(cells))
     words = np.ndarray((len(chunk) - 7,), dtype="<u8", buffer=chunk, strides=(1,))
     return (words[start] & _MASK[width]).astype(_KEY_TYPE[top])
 
 
-# Bytes that may begin or end a character str.strip removes: ASCII
-# whitespace (\x1c-\x1f included) and every byte of a non-ASCII character.
+# Bytes that may begin or end a cell that strips to nothing: ASCII whitespace
+# (\x1c-\x1f included), every byte of a non-ASCII character, and a quote.
 _STRIPPABLE = np.zeros(256, dtype=bool)
-_STRIPPABLE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_STRIPPABLE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 34]] = True
 _STRIPPABLE[128:] = True
 
 
@@ -339,23 +351,23 @@ def _cell_text(chunk, start, width):
     end = np.cumsum(size)
     at = np.arange(int(end[-1]) if len(end) else 0) + np.repeat(start - end + size, size)
     text = chunk[at]
-    text[end - 1] = 10  # each cell ends in a newline, which no cell holds
-    return text.tobytes().decode().split("\n")[:-1]
+    text[end - 1] = 0  # each cell ends in a NUL, which no cell holds
+    return text.tobytes().decode().split("\0")[:-1]
 
 
 def _empty_cells(chunk, start, width):
-    """Which cells strip to nothing.
+    """Which cells strip to nothing once unquoted.
 
     A cell is empty when it is 0 bytes wide, or when its first or last
-    byte may belong to a character ``str.strip`` removes and its decoded
-    text strips to nothing; only those edge cells are decoded.
+    byte may begin or end a cell that strips to nothing and its decoded
+    text does; only those edge cells are decoded.
     """
     empty = width == 0
     # a 0-byte cell reads its neighbours' bytes here, which the mask drops
     edge = _STRIPPABLE[chunk[start]] | _STRIPPABLE[chunk[start + width - 1]]
     at = np.flatnonzero(edge & ~empty)
     if at.size:
-        empty[at] = [not cell.strip() for cell in _cell_text(chunk, start[at], width[at])]
+        empty[at] = [not _unquoted(c).strip() for c in _cell_text(chunk, start[at], width[at])]
     return empty
 
 
@@ -375,13 +387,8 @@ def _distinct_cells(parts):
         index = (np.cumsum(seen) - 1).astype(keys.dtype).take(keys)
     else:
         values, index = np.unique(keys, return_inverse=True)
-    values = values.astype(f"<u{size}")
-    # each distinct cell's bytes padded with NULs, then a newline; with the
-    # NULs dropped, one decode and split give every cell
-    padded = np.zeros((len(values), size + 1), dtype=np.uint8)
-    padded[:, :size] = values.view(np.uint8).reshape(len(values), size)
-    padded[:, size] = 10
-    texts = padded[padded != 0].tobytes().decode().split("\n")[:-1]
+    # a bytes view of each key drops the NULs past its cell's end
+    texts = [cell.decode() for cell in values.astype(f"<u{size}").view(f"S{size}").tolist()]
     if len(narrow) == len(parts):
         return texts, index
     position = {text: i for i, text in enumerate(texts)}
@@ -397,41 +404,39 @@ def _distinct_cells(parts):
     return list(position), np.concatenate(pieces)
 
 
-def _line_search(seg, cut, width, line):
-    """Lines and rows of a chunk with a blank or ragged line.
+def _line_search(lf, cut, width, line, fault):
+    """Lines and rows of a chunk with a blank, ragged or faulty line.
 
-    ``seg`` is the chunk's bytes, each line ending in LF, ``cut`` its field
-    ends and ``line`` its first line's number.  Returns each line's end,
-    the lines that are rows (not blank) up to the first ragged line, their
-    field ends as a (rows, width) grid, the number of lines read before
-    the ragged one (all of them if none is), and the RaggedRow, if any.
+    ``lf`` marks line ends, ``cut`` field ends, ``line`` is the first line's
+    number.  Returns each line's end, the rows (lines not blank) before the
+    first ragged line or ``fault``, their field ends as a (rows, width) grid,
+    the lines read (a ragged one is, a faulty one not), and the error, if any.
     """
-    ends = np.flatnonzero(seg == 10)
+    ends = np.flatnonzero(lf)
     last = np.searchsorted(cut, ends)  # each line's last field
     count = last - np.concatenate(([-1], last[:-1]))
     blank = ends == np.concatenate(([0], ends[:-1] + 1))
-    ragged = np.flatnonzero((count != width) & ~blank)
-    lines, broken = len(ends), None
+    lines = len(ends) if fault is None else int(np.searchsorted(ends, fault[0]))
+    ragged = np.flatnonzero((count[:lines] != width) & ~blank[:lines])
+    broken = None if fault is None else CohortError(f"row {line + lines}: {fault[1]}")
     if ragged.size:
         lines = int(ragged[0])
         broken = RaggedRow(f"row {line + lines}: {count[lines]} fields, header has {width}")
     rows = np.flatnonzero(~blank[:lines])
-    return ends, rows, cut[(last[rows] - width + 1)[:, None] + np.arange(width)], lines, broken
+    grid = cut[(last[rows] - width + 1)[:, None] + np.arange(width)]
+    return ends, rows, grid, lines + isinstance(broken, RaggedRow), broken
 
 
-def _tokenized(data, body, width, positions, checked):
-    """Split quote-free CSV bytes, from offset ``body`` on, into rows.
+def _tokenized(data, body, width, positions, checked, special):
+    """Split CSV bytes, from offset ``body`` on, into rows.
 
-    Returns each row's number (its line, blank lines counted), a map from
-    each position in ``positions`` to (distinct raw cells, each row's index
-    into them), a map from each position in ``checked`` to the first row
-    whose cell there strips to nothing (or None), and the RaggedRow that
-    stopped the read, if any.  Keyed columns decode only their distinct
-    cells; a 1-byte column keys each cell by a byte gather.  A checked
-    column is tested only in a chunk where some cell could strip to
-    nothing: one with a 0-byte cell or a byte outside printable ASCII.
+    Quotes are masked and checked only when ``special`` (a quote or a NUL
+    in the bytes).  Returns each row's number (its line, blank lines
+    counted), a map from each position in ``positions`` to (distinct
+    cells, unquoted, and each row's index into them), a map from each
+    position in ``checked`` to the first row whose cell there strips to
+    nothing (or None), and the error that stopped the read, if any.
     """
-    limit = csv.field_size_limit()
     buf = np.frombuffer(data, dtype=np.uint8)
     keys = {j: [] for j in positions}
     first = dict.fromkeys(checked)
@@ -439,6 +444,7 @@ def _tokenized(data, body, width, positions, checked):
     line, lo, done, broken = 2, body, 0, None
     while lo < len(data) and broken is None:
         hi = data.find(b"\n", lo + _CHUNK) + 1 or len(data)
+        hi = _even_end(data, lo, hi) if special else hi
         if hi + 7 <= len(data):
             chunk = buf[lo : hi + 7]  # room to read a word at every cell start
             seg = chunk[: hi - lo]
@@ -447,38 +453,41 @@ def _tokenized(data, body, width, positions, checked):
             chunk[: hi - lo] = buf[lo:hi]
             seg = chunk[: hi - lo + (data[hi - 1] != 10)]
             seg[-1] = 10
-        lf = seg == 10
-        sep = lf | (seg == 44)
+        lf, sep, fault = seg == 10, seg == 44, None
+        if special:
+            inside, fault = _quote_mask(seg)
+            lf, sep = lf & ~inside, sep & ~inside
+        sep |= lf
         cut = np.flatnonzero(sep)  # each field's end
         lines = np.count_nonzero(lf)
         ends = cut[width - 1 :: width]  # each line's end, if every line has width fields
         # no line is blank or ragged when the field ends fill lines of width
         # with an LF in each last slot (at width 1 a blank line would pass too)
-        if width > 1 and len(cut) == lines * width and lf[ends].all():
-            rows, grid = np.arange(lines), cut.reshape(lines, width)  # each row's field ends
+        if fault is None and width > 1 and len(cut) == lines * width and lf[ends].all():
+            rows, grid, read = np.arange(lines), cut.reshape(lines, width), lines
         else:
-            ends, rows, grid, lines, broken = _line_search(seg, cut, width, line)
+            ends, rows, grid, read, broken = _line_search(lf, cut, width, line, fault)
         starts = np.concatenate(([0], ends[:-1] + 1))
-        # the lines read, the ragged one included; a field fits when its line does
-        read = ends[: lines + (broken is not None)]
-        if read.size and (read - starts[: read.size]).max() > limit:
-            fields = cut[: np.searchsorted(cut, read[-1]) + 1]
+        # a field fits when its line does
+        if read and (ends[:read] - starts[:read]).max() > _FIELD_LIMIT:
+            fields = cut[: np.searchsorted(cut, ends[read - 1]) + 1]
             size = np.diff(fields, prepend=-1) - 1
-            for f in np.flatnonzero(size > limit).tolist():
-                # the limit counts characters, so skip UTF-8 continuation bytes
+            for f in np.flatnonzero(size > _FIELD_LIMIT).tolist():
+                # count characters, not UTF-8 continuation bytes; unquoting
+                # drops 2 quotes and 1 of each "" pair
                 cell = seg[fields[f] - size[f] : fields[f]]
-                if np.count_nonzero((cell & 0xC0) != 0x80) > limit:
+                quotes = np.count_nonzero(cell == 34)
+                if np.count_nonzero((cell & 0xC0) != 0x80) - (quotes and quotes // 2 + 1) > _FIELD_LIMIT:
                     at = line + int(np.searchsorted(ends, fields[f]))
-                    raise CohortError(f"line {at}: field larger than field limit ({limit})")
+                    raise CohortError(f"line {at}: field larger than field limit ({_FIELD_LIMIT})")
         numbers.append(line + rows)
         for j, parts in keys.items():
             begin = grid[:, j - 1] + 1 if j else starts[rows]
             parts.append(_cell_keys(chunk, begin, grid[:, j] - begin))
-        # only a 0-byte cell (two field ends in a row, or one opening the
-        # chunk) or one with a byte outside printable ASCII, LF aside, can be empty
-        if checked and (
-            sep[0] or (sep[1:] & sep[:-1]).any() or np.count_nonzero(seg - 33 > 94) > len(ends)
-        ):
+        # only a 0-byte cell (two field ends in a row, or one opening the chunk),
+        # a quoted one or one with a byte outside printable ASCII, LF aside, can be empty
+        if checked and (special or sep[0] or (sep[1:] & sep[:-1]).any()
+                        or np.count_nonzero(seg - 33 > 94) > len(ends)):
             for j in [j for j, i in first.items() if i is None]:
                 begin = grid[:, j - 1] + 1 if j else starts[rows]
                 empty = _empty_cells(chunk, begin, grid[:, j] - begin)
@@ -488,6 +497,8 @@ def _tokenized(data, body, width, positions, checked):
         line += len(ends)
         lo = hi
     columns = {j: _distinct_cells(keys.pop(j)) for j in positions}  # frees keys as it goes
+    if special:
+        columns = {j: ([_unquoted(c) for c in cells], i) for j, (cells, i) in columns.items()}
     return np.concatenate(numbers), columns, first, broken
 
 
@@ -498,46 +509,31 @@ def load_cohort(csv_source, column_map, keep=None) -> CohortDataset:
     ``event``, an optional ``covariates`` list, and an optional ``id``;
     each mapped name must appear once in the header.  Treatment and event
     accept only the literals 0 and 1; rows with empty mapped cells are
-    rejected.  Cells are stripped.  The id column is checked for empty
-    cells and then dropped, and so is each covariate not in ``keep``
-    (None keeps them all).  Rows are numbered from 2, blank lines
-    included.  A leading byte-order mark is skipped.
-
-    The source is read whole and checked as UTF-8 first.  Bytes with no
-    quote, NUL or lone carriage return are tokenized with numpy (CRLF line
-    ends become LF); others go through ``csv.reader``.
+    rejected.  Cells are unquoted, then stripped.  The id column is
+    checked for empty cells and then dropped, and so is each covariate
+    not in ``keep`` (None keeps them all).  Rows are numbered from 2,
+    blank lines included.  A leading byte-order mark is skipped.  A quote
+    outside RFC 4180 or a NUL ends the read at its row, as a ragged row does.
     """
     data = _read_bytes(csv_source)
-    quoted = b'"' in data or b"\0" in data
-    quoted = quoted or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
     if not data.isascii():
-        _check_utf8(data)  # before any other error; the readers decode again
+        _check_utf8(data)  # before any other error; the cells are decoded again
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    special = b'"' in data or b"\0" in data
     roles = [column_map["treatment"], column_map["time"], column_map["event"]]
     covariates = list(column_map.get("covariates", []))
     ids = [column_map["id"]] if column_map.get("id") is not None else []
     names = roles + covariates + ids
     keyed = [True] * 3 + [keep is None or col in keep for col in covariates] + [False] * len(ids)
-    try:
-        if quoted:
-            # utf-8-sig skips a leading byte-order mark, as spreadsheets write
-            reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))
-            header = next(reader, None)
-        else:
-            if b"\r" in data:
-                data = data.replace(b"\r\n", b"\n")
-            header, body = _first_line(data)
-        if header is None:
-            raise CohortError("CSV has no header row")
-        index = _positions(header, names)
-        positions = sorted({index[col] for col, key in zip(names, keyed) if key})
-        # a column already keyed reports its own empty cells, earlier in the row
-        checked = sorted({index[col] for col in names} - set(positions))
-        if quoted:
-            numbers, cells, first, broken = _parsed(reader, len(header), positions, checked)
-        else:
-            numbers, cells, first, broken = _tokenized(data, body, len(header), positions, checked)
-    except csv.Error as exc:
-        raise CohortError(f"line {reader.line_num}: {exc}") from None
+    header, body = _first_line(data, special)
+    if header is None:
+        raise CohortError("CSV has no header row")
+    index = _positions(header, names)
+    positions = sorted({index[col] for col, key in zip(names, keyed) if key})
+    # a column already keyed reports its own empty cells, earlier in the row
+    checked = sorted({index[col] for col in names} - set(positions))
+    numbers, cells, first, broken = _tokenized(data, body, len(header), positions, checked, special)
     columns = [
         (col, *cells[index[col]]) if key else (col, None, first.get(index[col]))
         for col, key in zip(names, keyed)
@@ -545,19 +541,22 @@ def load_cohort(csv_source, column_map, keep=None) -> CohortDataset:
     return _validated(columns, numbers, broken)
 
 
-def save_cohort(cohort: CohortDataset, destination) -> None:
-    """Write the canonical cohort CSV: id, treatment, time, event, covariates.
+def _field(text):
+    """``text`` as a CSV field, quoted (each quote doubled) when it holds ``,``, ``"``, CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
-    The id column holds the row labels ``p0``, ``p1``, ...
-    """
+
+def save_cohort(cohort: CohortDataset, destination) -> None:
+    """Write the canonical cohort CSV: id (``p0``, ``p1``, ...), treatment, time, event, covariates."""
     covs = cohort.covariate_names()
-    labels = [np.array(cohort.covariate_levels[c], object)[cohort.codes[c]] for c in covs]
+    labels = [
+        np.array([_field(v) for v in cohort.covariate_levels[c]], object)[cohort.codes[c]]
+        for c in covs
+    ]
     columns = [cohort.treatment, cohort.time, cohort.event, *labels]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["id", "treatment", "time", "event", *covs])
-    writer.writerows(zip((f"p{i}" for i in range(cohort.n)), *(c.tolist() for c in columns)))
-    text = buffer.getvalue()
+    rows = zip((f"p{i}" for i in range(cohort.n)), *(map(str, c.tolist()) for c in columns))
+    header = ["id", "treatment", "time", "event", *map(_field, covs)]
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
     if hasattr(destination, "write"):
         destination.write(text)
     else:

@@ -19,9 +19,12 @@ checked against their formulas on a plain time column.  ``gradient_at``
 is a helper, not an oracle: it reads the production kernel's gradient
 for the score checks.
 Test cohorts are written as CSV text for ``load_cohort`` and decoded back
-to one tuple per subject by ``subjects``.
+to one tuple per subject by ``subjects``; ``csv_reader_outcome`` reads an
+RFC 4180 file with the standard library's ``csv.reader`` and validates
+its rows one by one.
 """
 
+import csv
 import functools
 import io
 import math
@@ -33,7 +36,17 @@ import numpy as np
 
 from causalsurv._cox_kernels import cox_eval, cox_layout
 from causalsurv.cohort import load_cohort
-from causalsurv.errors import InvalidAdjustmentSet, PositivityViolation
+from causalsurv.errors import (
+    EmptyArm,
+    InvalidAdjustmentSet,
+    MissingValue,
+    NegativeTime,
+    NonBinaryEvent,
+    NonBinaryTreatment,
+    NonIntegerTime,
+    PositivityViolation,
+    RaggedRow,
+)
 from causalsurv.estimators import _prepare
 from causalsurv.graph import descendants, satisfies_backdoor
 
@@ -314,6 +327,56 @@ def cohort_from_rows(rows, covariates=("z",)):
     text = "".join(",".join(map(str, row)) + "\n" for row in [names, *rows])
     column_map = {**{c: c for c in names[:3]}, "covariates": list(covariates)}
     return load_cohort(io.StringIO(text), column_map)
+
+
+def csv_reader_outcome(text, column_map):
+    """What ``load_cohort`` gives for RFC 4180 ``text``, read by ``csv.reader``.
+
+    A leading byte-order mark is dropped, and a CRLF, then a lone CR,
+    becomes an LF first, also inside quotes.  Records are numbered from
+    2, blank ones included, and the first whose field count differs from
+    the header's ends the read.  Each row is checked in turn: an empty
+    mapped cell, then treatment, time and event; times are read by
+    ``float``.  Returns (treatment, time, event, covariate levels,
+    covariate codes, t_max) as lists and dicts, or (error type, row
+    number, or None for an empty arm).
+    """
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    header, *records = csv.reader(io.StringIO(text))
+    roles = [column_map[role] for role in ("treatment", "time", "event")]
+    covariates = list(column_map.get("covariates", []))
+    names = roles + covariates + ([column_map["id"]] if column_map.get("id") else [])
+    at = [header.index(name) for name in names]
+    rows = []
+    for number, record in enumerate(records, 2):
+        if not record:
+            continue
+        if len(record) != len(header):
+            return RaggedRow, number
+        cells = [record[j].strip() for j in at]
+        x, t, s = cells[:3]
+        try:
+            day = float(t)
+        except ValueError:
+            day = 0.5  # not a number fails as a fraction does
+        for failed, exc in (
+            ("" in cells, MissingValue),
+            (x not in ("0", "1"), NonBinaryTreatment),
+            (not day.is_integer(), NonIntegerTime),
+            (day < 0, NegativeTime),
+            (s not in ("0", "1"), NonBinaryEvent),
+        ):
+            if failed:
+                return exc, number
+        rows.append((int(x), int(day), int(s), *cells[3 : 3 + len(covariates)]))
+    if len({row[0] for row in rows}) < 2:
+        return EmptyArm, None
+    columns = [list(column) for column in zip(*rows)]
+    levels = {name: tuple(sorted(set(column))) for name, column in zip(covariates, columns[3:])}
+    codes = {
+        name: [levels[name].index(v) for v in column] for name, column in zip(covariates, columns[3:])
+    }
+    return (*columns[:3], levels, codes, max(columns[1]))
 
 
 Subject = namedtuple("Subject", "id treatment survival_time event covariates")

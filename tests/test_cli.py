@@ -322,7 +322,7 @@ def test_import_loads_no_optional_modules():
     loaded = {name.split(".")[0] for name in everything}
     assert "causalsurv" in loaded
     assert not loaded & {"networkx", "scipy", "hypothesis"}
-    assert not set(added) & {"dataclasses", "fractions", "decimal", "statistics"}
+    assert not set(added) & {"dataclasses", "fractions", "decimal", "statistics", "csv", "_csv"}
 
 
 def test_backdoor_lists_minimal_sets(tmp_path, capsys):
@@ -529,6 +529,35 @@ def test_unused_covariates_report_empty_cells_first(
     }
 
 
+def test_a_stray_quote_in_a_checked_column_is_a_data_error(tmp_path, capsys):
+    # one " opening w's cell on line 152 of 200 rows: read as RFC 4180, it
+    # must not fold the rows after it into that cell
+    assert main(["simulate", "--n", "200", "--seed", "9", "--out", str(tmp_path / "z.csv")]) == 0
+    lines = (tmp_path / "z.csv").read_text().splitlines()
+    lines = [lines[0] + ",w"] + [f"{line},{'pq'[k % 2]}" for k, line in enumerate(lines[1:])]
+    lines[151] = lines[151][:-1] + '"' + lines[151][-1]
+    data = tmp_path / "cohort.csv"
+    data.write_text("\n".join(lines) + "\n")
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(W_GRAPH))
+    capsys.readouterr()
+    assert main(_analyze_args(tmp_path, graph, data, extra=["--covariates", "z,w"])) == 3
+    assert json.loads(capsys.readouterr().out, parse_constant=pytest.fail) == {
+        "error": {"type": "CohortError", "message": "row 152: an unterminated quote", "exit": 3}
+    }
+
+
+def test_all_quoted_twin_gives_the_same_outputs(workspace):
+    tmp_path, graph, data = workspace
+    twin = tmp_path / "twin.csv"
+    lines = data.read_text().splitlines()
+    twin.write_text("".join(",".join(f'"{c}"' for c in line.split(",")) + "\r\n" for line in lines))
+    for source, out in ((data, "plain"), (twin, "twin")):
+        assert main(_analyze_args(tmp_path, graph, source, out=out, extra=["--svg"])) == 0
+    for name in ("report.json", "curves.csv", "curves.svg"):
+        assert (tmp_path / "twin" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_simulate_writes_deterministic_csv(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["simulate", "--n", "200", "--seed", "42", "--out", str(a)]) == 0
@@ -577,6 +606,22 @@ LATIN1_GRAPH_BYTES = json.dumps(CONFOUNDED_GRAPH).replace('"z"', '"z\xe9"').enco
         pytest.param(
             "analyze", _cohort_bytes("1,7,1," + "a" * 200_000), GRAPH_BYTES,
             "CohortError", "line 3: field larger than field limit", id="oversized-cell",
+        ),
+        pytest.param(
+            "analyze", _cohort_bytes('1,7,1,a"b'), GRAPH_BYTES,
+            "CohortError", "row 3: a quote inside an unquoted field", id="quote-in-unquoted-field",
+        ),
+        pytest.param(
+            "analyze", _cohort_bytes('1,7,1,"a" '), GRAPH_BYTES,
+            "CohortError", "row 3: text after a closing quote", id="text-after-closing-quote",
+        ),
+        pytest.param(
+            "analyze", _cohort_bytes('1,7,1,"a'), GRAPH_BYTES,
+            "CohortError", "row 3: an unterminated quote", id="unterminated-quote",
+        ),
+        pytest.param(
+            "analyze", _cohort_bytes("1,7,1,a\0"), GRAPH_BYTES,
+            "CohortError", "row 3: a NUL byte", id="nul",
         ),
         pytest.param(
             "analyze", _cohort_bytes().replace(b",z\n", b",treatment\n", 1), GRAPH_BYTES,
@@ -644,8 +689,8 @@ def test_simulate_seed_7_analysis_matches_golden_outputs(tmp_path, monkeypatch):
 @st.composite
 def cohort_bytes(draw):
     """Cohort CSV bytes for the confounded graph: mostly valid rows, and at
-    times blank lines, ragged rows, quoted cells, a BOM, CRLF or lone CR
-    line ends, and bytes that are not UTF-8."""
+    times blank lines, ragged rows, quoted cells, a stray quote or NUL, a
+    BOM, CRLF or lone CR line ends, and bytes that are not UTF-8."""
     valid = {
         "treatment": st.sampled_from(["0", "1", " 1"]),
         "time": st.sampled_from(["0", "1", "2", "3", "5", "8", "13", "4.0"]),
@@ -661,13 +706,18 @@ def cohort_bytes(draw):
     names = list(valid)
     lines = [",".join(names)]
     for _ in range(draw(st.integers(0, 30))):
-        kind = draw(st.sampled_from(["row"] * 80 + ["invalid", "blank", "ragged", "quoted"]))
+        kinds = ["row"] * 80 + ["invalid", "blank", "ragged", "quoted", "stray"]
+        kind = draw(st.sampled_from(kinds))
         pools = invalid if kind == "invalid" else valid
         row = [draw(pools[name] | valid[name]) for name in names]
         if kind == "ragged":
             row = row[: draw(st.integers(1, 3))]
         elif kind == "quoted":
             row = [f'"{c}"' if draw(st.booleans()) else c for c in row]
+        elif kind == "stray":  # a quote or a NUL anywhere in the row
+            text = ",".join(row)
+            at = draw(st.integers(0, len(text)))
+            row = [text[:at] + draw(st.sampled_from(['"', "\0"])) + text[at:]]
         lines.append("" if kind == "blank" else ",".join(row))
     end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     data = (end.join(lines) + end).encode()
