@@ -10,12 +10,13 @@ w, and the table is stratified by {w, z}.  wide_extract is
 the automatic adjustment set kept, then ``--t-max`` applied before the
 table is built.  The script records the median wall time of
 ``load_cohort`` and of ``to_daily_trials``, with the rows, distinct days
-and strata.  The 10^6 registry file is also read with every ``z`` cell
-in double quotes, and for it and the plain 10^6 file the script records
-the ``tracemalloc`` peak of one load and the peak RSS (``VmHWM``) of one
-``causalsurv analyze --covariates z,w --t-max 1825 --svg`` run in a
-fresh process.  BLAS runs on one thread.  It writes ``BENCH_ingest.json``
-in the current directory.
+and strata.  What a quote costs: the 10^6 registry file and wide_extract
+are also read with only their first header name in double quotes, and
+the 10^6 file with every ``z`` cell in double quotes; for the last and
+the plain 10^6 file the script records the ``tracemalloc`` peak of one
+load and the peak RSS (``VmHWM``) of one ``causalsurv analyze
+--covariates z,w --t-max 1825 --svg`` run in a fresh process.  BLAS runs
+on one thread.  It writes ``BENCH_ingest.json`` in the current directory.
 """
 
 import json
@@ -109,6 +110,13 @@ def quoted_z(text):
     return "\n".join([lines[0], *(",".join([*c[:3], f'"{c[3]}"', *c[4:]]) for c in cells)]) + "\n"
 
 
+def first_name_quoted(source, target):
+    """Write the CSV at ``source`` to ``target`` with only its first header name in double quotes."""
+    name, rest = Path(source).read_bytes().split(b",", 1)
+    Path(target).write_bytes(b'"' + name + b'",' + rest)
+    return target
+
+
 def wide_extract(directory):
     """wide_extract's file, column map, automatic set and horizon, from its analyze command."""
     argv = generate("wide_extract", WIDE_SEED, Path(directory) / "wide")["argv"][0]
@@ -135,17 +143,28 @@ def main():
                 quoted.write_text(quoted_z(path.read_text(encoding="utf-8")), encoding="utf-8")
                 name = f"registry_{n}_quoted"
                 results[name] = measure(quoted, COLUMNS, ("w", "z"), None, repeats)
+                header = first_name_quoted(path, Path(directory) / "registry_header_quoted.csv")
+                results[f"registry_{n}_header_quoted"] = measure(
+                    header, COLUMNS, ("w", "z"), None, repeats
+                )
                 for key, source in ((f"registry_{n}", path), (name, quoted)):
                     results[key].update(memory(source, graph, Path(directory) / "out"))
-        results["wide_extract"] = measure(*wide_extract(directory), 41)
+        data, *wide = wide_extract(directory)
+        results["wide_extract"] = measure(data, *wide, 41)
+        header = first_name_quoted(data, Path(directory) / "wide_header_quoted.csv")
+        results["wide_extract_header_quoted"] = measure(header, *wide, 41)
     bench = {
         "benchmark": "ingest",
         "cohorts": {
             "registry_N": f"perfbench/inputs.registry_cohort_csv({SEED}, N), covariates z and w, "
             "table by {w, z}",
             "registry_1000000_quoted": "registry_1000000 with every z cell in double quotes",
+            "registry_1000000_header_quoted": "registry_1000000 with only its first header name "
+            "(treatment) in double quotes",
             "wide_extract": f"perfbench/inputs.generate('wide_extract', {WIDE_SEED}): every "
             "covariate mapped, --id checked, the automatic set kept, --t-max applied before the table",
+            "wide_extract_header_quoted": "wide_extract with only its first header name (id) in "
+            "double quotes",
         },
         "statistic": "median wall seconds: 9 runs at 10^6, 41 otherwise, after one warm-up; "
         "memory at 10^6: the tracemalloc peak of one load_cohort, and VmHWM at the end of one "
@@ -161,7 +180,7 @@ def main():
     for name, r in results.items():
         peaks = (f"  load peak {r['load_cohort_peak_mib']:.1f} MiB  CLI peak RSS "
                  f"{r['cli_peak_rss_mib']:.1f} MiB" if "cli_peak_rss_mib" in r else "")
-        print(f"{name:<23} load_cohort {r['load_cohort_s'] * 1e3:8.2f} ms  "
+        print(f"{name:<30} load_cohort {r['load_cohort_s'] * 1e3:8.2f} ms  "
               f"to_daily_trials {r['to_daily_trials_s'] * 1e3:7.2f} ms  days {r['days']}{peaks}")
 
 

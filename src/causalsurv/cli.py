@@ -5,11 +5,13 @@ adjustment sets for a graph), ``simulate`` (write a synthetic cohort CSV).
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 not identifiable,
 5 numerical failure.  Failures print a machine-readable error JSON object
-to stdout.
+to stdout.  Once stdout is closed, nothing more is written to it, and the
+exit code is the one the command reached.
 """
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -183,20 +185,29 @@ def _error_payload(exc: Exception, code: int) -> str:
     )
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (NotIdentifiable, InvalidAdjustmentSet) as exc:
-        print(_error_payload(exc, EXIT_NOT_IDENTIFIABLE))
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, (NotIdentifiable, InvalidAdjustmentSet)):
         return EXIT_NOT_IDENTIFIABLE
-    except EstimationError as exc:
-        print(_error_payload(exc, EXIT_NUMERICAL))
-        return EXIT_NUMERICAL
-    except (CausalSurvError, OSError) as exc:
-        print(_error_payload(exc, EXIT_DATA))
-        return EXIT_DATA
+    return EXIT_NUMERICAL if isinstance(exc, EstimationError) else EXIT_DATA
+
+
+def main(argv=None) -> int:
+    code = EXIT_OK
+    try:
+        args = build_parser().parse_args(argv)
+        try:
+            code = args.func(args)
+        except BrokenPipeError:
+            raise
+        except (CausalSurvError, OSError) as exc:
+            code = _exit_code(exc)
+            print(_error_payload(exc, code))
+        sys.stdout.flush()  # a closed stdout shows here rather than at exit
+    except BrokenPipeError:
+        # nobody reads stdout any more: send what is left to the null device,
+        # and return the code the command reached
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -10,14 +10,15 @@ and users must pre-discretize numeric ones.
 
 ``load_cohort`` reads the CSV whole as bytes and checks UTF-8 first; a
 CRLF, then a lone CR, becomes an LF.  numpy tokenizes it in chunks of
-whole lines: field ends come from byte compares, with the delimiters and
-line feeds inside quotes cleared by prefix parity (Langdale & Lemire
-2019), and a chunk whose field ends fill lines of the header's width is
-cut into rows by a reshape.  Each cell's bytes become an integer key, so
-each keyed column (treatment, time, event, each covariate kept) reaches
-one validator as its distinct cells, unquoted, plus one index per row.
-The id and every covariate not kept are only checked for the first row
-whose cell strips to nothing.  A subject is its row; no id is kept.
+whole lines: field ends come from byte compares; in a chunk that holds a
+quote, the delimiters and line feeds inside quotes are cleared by prefix
+parity (Langdale & Lemire 2019).  A chunk whose field ends fill lines of
+the header's width is cut into rows by a reshape.  Each cell's bytes
+become an integer key, so each keyed column (treatment, time, event,
+each covariate kept) reaches one validator as its distinct cells,
+unquoted, plus one index per row.  The id and every covariate not kept
+are only checked for the first row whose cell strips to nothing.  A
+subject is its row; no id is kept.
 ``load_cohort`` is the one validated way in: a Python caller passes a
 path or a text or bytes buffer such as ``io.StringIO``.
 
@@ -284,7 +285,7 @@ def _quote_mask(seg):
     return inside, min(faults, key=itemgetter(0), default=None)
 
 
-def _first_line(data, special):
+def _first_line(data):
     """Header cells, unquoted, or None when there is no first line, and the next line's offset."""
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     if start == len(data):
@@ -292,7 +293,7 @@ def _first_line(data, special):
     end = _even_end(data, start, data.find(b"\n", start) + 1 or len(data))
     line = data[start:end].removesuffix(b"\n")
     header = line.decode().split(",") if line else []
-    if special and line:
+    if b'"' in line or b"\0" in line:
         seg = np.frombuffer(line + b"\n", dtype=np.uint8).copy()
         inside, fault = _quote_mask(seg)
         if fault is not None:
@@ -427,24 +428,26 @@ def _line_search(lf, cut, width, line, fault):
     return ends, rows, grid, lines + isinstance(broken, RaggedRow), broken
 
 
-def _tokenized(data, body, width, positions, checked, special):
+def _tokenized(data, body, width, positions, checked):
     """Split CSV bytes, from offset ``body`` on, into rows.
 
-    Quotes are masked and checked only when ``special`` (a quote or a NUL
-    in the bytes).  Returns each row's number (its line, blank lines
-    counted), a map from each position in ``positions`` to (distinct
-    cells, unquoted, and each row's index into them), a map from each
-    position in ``checked`` to the first row whose cell there strips to
-    nothing (or None), and the error that stopped the read, if any.
+    Quotes are masked and checked only in a chunk that holds a quote or a
+    NUL.  Returns each row's number (its line, blank lines counted), a map
+    from each position in ``positions`` to (distinct cells, unquoted, and
+    each row's index into them), a map from each position in ``checked``
+    to the first row whose cell there strips to nothing (or None), and
+    the error that stopped the read, if any.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     keys = {j: [] for j in positions}
     first = dict.fromkeys(checked)
     numbers = [np.zeros(0, dtype=np.int64)]
-    line, lo, done, broken = 2, body, 0, None
+    line, lo, done, broken, unquote = 2, body, 0, None, False
     while lo < len(data) and broken is None:
         hi = data.find(b"\n", lo + _CHUNK) + 1 or len(data)
+        special = data.find(b'"', lo, hi) >= 0 or data.find(b"\0", lo, hi) >= 0
         hi = _even_end(data, lo, hi) if special else hi
+        unquote |= special
         if hi + 7 <= len(data):
             chunk = buf[lo : hi + 7]  # room to read a word at every cell start
             seg = chunk[: hi - lo]
@@ -473,11 +476,8 @@ def _tokenized(data, body, width, positions, checked, special):
             fields = cut[: np.searchsorted(cut, ends[read - 1]) + 1]
             size = np.diff(fields, prepend=-1) - 1
             for f in np.flatnonzero(size > _FIELD_LIMIT).tolist():
-                # count characters, not UTF-8 continuation bytes; unquoting
-                # drops 2 quotes and 1 of each "" pair
-                cell = seg[fields[f] - size[f] : fields[f]]
-                quotes = np.count_nonzero(cell == 34)
-                if np.count_nonzero((cell & 0xC0) != 0x80) - (quotes and quotes // 2 + 1) > _FIELD_LIMIT:
+                cell = seg[fields[f] - size[f] : fields[f]].tobytes().decode()
+                if len(_unquoted(cell)) > _FIELD_LIMIT:  # characters, once unquoted
                     at = line + int(np.searchsorted(ends, fields[f]))
                     raise CohortError(f"line {at}: field larger than field limit ({_FIELD_LIMIT})")
         numbers.append(line + rows)
@@ -497,7 +497,7 @@ def _tokenized(data, body, width, positions, checked, special):
         line += len(ends)
         lo = hi
     columns = {j: _distinct_cells(keys.pop(j)) for j in positions}  # frees keys as it goes
-    if special:
+    if unquote:  # no cell opens with a quote unless some chunk held one
         columns = {j: ([_unquoted(c) for c in cells], i) for j, (cells, i) in columns.items()}
     return np.concatenate(numbers), columns, first, broken
 
@@ -520,20 +520,19 @@ def load_cohort(csv_source, column_map, keep=None) -> CohortDataset:
         _check_utf8(data)  # before any other error; the cells are decoded again
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    special = b'"' in data or b"\0" in data
     roles = [column_map["treatment"], column_map["time"], column_map["event"]]
     covariates = list(column_map.get("covariates", []))
     ids = [column_map["id"]] if column_map.get("id") is not None else []
     names = roles + covariates + ids
     keyed = [True] * 3 + [keep is None or col in keep for col in covariates] + [False] * len(ids)
-    header, body = _first_line(data, special)
+    header, body = _first_line(data)
     if header is None:
         raise CohortError("CSV has no header row")
     index = _positions(header, names)
     positions = sorted({index[col] for col, key in zip(names, keyed) if key})
     # a column already keyed reports its own empty cells, earlier in the row
     checked = sorted({index[col] for col in names} - set(positions))
-    numbers, cells, first, broken = _tokenized(data, body, len(header), positions, checked, special)
+    numbers, cells, first, broken = _tokenized(data, body, len(header), positions, checked)
     columns = [
         (col, *cells[index[col]]) if key else (col, None, first.get(index[col]))
         for col, key in zip(names, keyed)

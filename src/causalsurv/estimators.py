@@ -200,11 +200,13 @@ def cox_fit(covariate_matrix, times, events, *, counts=None, ties="efron") -> Co
     beta = np.zeros(x.shape[1])
     ll, grad, info = cox_eval(layout, beta)
     converged = False
-    iterations = 0
-    for _ in range(MAX_ITER):
+    # the last pass only tests the fit that MAX_ITER updates reached
+    for iterations in range(MAX_ITER + 1):
         try:
             step = _newton_step(info, grad)
         except SingularHessian:
+            if iterations == MAX_ITER:  # a singular information at the end leaves the fit unconverged
+                break
             # A gradient already under tolerance with the curvature gone is
             # the underflow end-state of a monotone likelihood: the walk to
             # +-infinity ran out of floating-point range before the |beta|
@@ -216,10 +218,9 @@ def cox_fit(covariate_matrix, times, events, *, counts=None, ties="efron") -> Co
                     "partial likelihood is monotone (complete separation)"
                 ) from None
             raise
-        if np.abs(grad).max() <= GRAD_TOL and np.abs(step).max() <= STEP_TOL:
-            converged = True
+        converged = bool(np.abs(grad).max() <= GRAD_TOL and np.abs(step).max() <= STEP_TOL)
+        if converged or iterations == MAX_ITER:
             break
-        iterations += 1
         scale = 1.0
         for _halving in range(10):
             cand = beta + scale * step
@@ -233,13 +234,6 @@ def cox_fit(covariate_matrix, times, events, *, counts=None, ties="efron") -> Co
                 "a coefficient exceeded +-50 during iteration; the partial "
                 "likelihood is monotone (complete separation)"
             )
-    else:
-        try:
-            step = _newton_step(info, grad)
-        except SingularHessian:  # a singular information at the end leaves the fit unconverged
-            pass
-        else:
-            converged = bool(np.abs(grad).max() <= GRAD_TOL and np.abs(step).max() <= STEP_TOL)
 
     se = _standard_errors(info)
     with np.errstate(over="ignore"):  # a huge se gives an infinite bound, not a warning

@@ -37,6 +37,7 @@ import numpy as np
 from causalsurv._cox_kernels import cox_eval, cox_layout
 from causalsurv.cohort import load_cohort
 from causalsurv.errors import (
+    CohortError,
     EmptyArm,
     InvalidAdjustmentSet,
     MissingValue,
@@ -334,10 +335,10 @@ def csv_reader_outcome(text, column_map):
 
     A leading byte-order mark is dropped, and a CRLF, then a lone CR,
     becomes an LF first, also inside quotes.  Records are numbered from
-    2, blank ones included, and the first whose field count differs from
-    the header's ends the read.  Each row is checked in turn: an empty
-    mapped cell, then treatment, time and event; times are read by
-    ``float``.  Returns (treatment, time, event, covariate levels,
+    2, blank ones included, and the first that holds a NUL (a
+    ``CohortError``) or whose field count differs from the header's ends
+    the read.  Each row is checked in turn: an empty mapped cell, then
+    treatment, time and event; times are read by ``float``.  Returns (treatment, time, event, covariate levels,
     covariate codes, t_max) as lists and dicts, or (error type, row
     number, or None for an empty arm).
     """
@@ -351,6 +352,8 @@ def csv_reader_outcome(text, column_map):
     for number, record in enumerate(records, 2):
         if not record:
             continue
+        if any("\0" in cell for cell in record):
+            return CohortError, number
         if len(record) != len(header):
             return RaggedRow, number
         cells = [record[j].strip() for j in at]

@@ -325,6 +325,24 @@ def test_import_loads_no_optional_modules():
     assert not set(added) & {"dataclasses", "fractions", "decimal", "statistics", "csv", "_csv"}
 
 
+@pytest.mark.parametrize("cohort, code", [("cohort.csv", 0), ("missing.csv", 3)])
+def test_a_closed_stdout_ends_quietly_with_the_command_code(workspace, cohort, code):
+    tmp_path, graph, data = workspace
+    argv = _analyze_args(tmp_path, graph, tmp_path / cohort)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read, write = os.pipe()
+    os.close(read)  # nobody will read what the command prints
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "causalsurv.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+            text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, "")
+    assert (tmp_path / "out" / "report.json").exists() == (code == 0)
+
+
 def test_backdoor_lists_minimal_sets(tmp_path, capsys):
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps(CONFOUNDED_GRAPH))

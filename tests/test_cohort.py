@@ -363,15 +363,17 @@ def field_limit(monkeypatch):
     return 16
 
 
-@pytest.mark.parametrize("char", ["a", "\xe9"])
-@pytest.mark.parametrize("quote", ["", '"'])
+@pytest.mark.parametrize(
+    "quote, char", [("", "a"), ("", "\xe9"), ('"', "a"), ('"', "\xe9"), ('"', '""')]
+)
 def test_field_size_limit_counts_characters(field_limit, quote, char):
     def source(width, header="x,t,s,z"):
         cell = quote + char * width + quote
         return io.BytesIO(f"{header}\n0,5,1,0\n1,3,1,{cell}\n".encode())
 
     cohort = load_cohort(source(field_limit), MAP)
-    assert cohort.covariate_levels["z"] == ("0", char * field_limit)
+    # a "" pair in quotes is one character
+    assert cohort.covariate_levels["z"] == tuple(sorted(["0", char.replace('""', '"') * field_limit]))
     message = f"field larger than field limit ({field_limit})"
     with pytest.raises(errors.CohortError) as info:
         load_cohort(source(field_limit + 1), MAP)
@@ -384,6 +386,17 @@ def test_field_size_limit_counts_characters(field_limit, quote, char):
     with pytest.raises(errors.CohortError) as info:
         load_cohort(io.BytesIO(ragged.encode()), MAP)
     assert str(info.value) == f"line 3: {message}"
+
+
+def test_a_quote_costs_only_its_own_chunk():
+    # at _CHUNK 16 the 200 rows take about 100 chunks; only the header holds a quote
+    text = "x,t,s,z\n" + "".join(f"{i % 2},{i},1,{i % 3}\n" for i in range(200))
+    quoted = '"x",t,s,z' + text.removeprefix("x,t,s,z")
+    mask = mock.patch.object(cohort_module, "_quote_mask", wraps=cohort_module._quote_mask)
+    with mask as masked:
+        outcome = _load_outcome(quoted, 16, MAP)
+    assert masked.call_count == 1
+    assert outcome == _load_outcome(text, 16, MAP)
 
 
 def test_loads_never_use_the_csv_module(monkeypatch):
@@ -580,11 +593,22 @@ def rfc4180_csv(draw):
     return text, {**MAP, **id_role}
 
 
+# rows before a late quote or NUL, so that small chunks hold none
+_PLAIN_ROWS = "x,t,s,z\n0,3,1,a\n1,4,1,b\n0,5,0,a\n1,6,1,b\n"
+
+
 @settings(max_examples=100)
 @given(rfc4180_csv(), st.sampled_from([1, 16, cohort_module._CHUNK]))
 # a line feed inside quotes, in a cell of up to 8 bytes and in a wider one
 @example(('x,t,s,z\n0,3,1,"a\nb"\n1,4,1,"a,""b""\r\nc"\n', MAP), 1)
 @example(('x,t,s,z\r\n0,3,1,"a\r\nb"\r\n\r\n1,4,1,"a\nb"\r\n', MAP), cohort_module._CHUNK)
+# a quoted cell only in the last row, and a NUL only in a late row
+@example((_PLAIN_ROWS + '0,7,1,"a,""b"""\n', MAP), 1)
+@example((_PLAIN_ROWS + '0,7,1,"a,""b"""\n', MAP), 16)
+@example((_PLAIN_ROWS + '0,7,1,"a,""b"""\n', MAP), cohort_module._CHUNK)
+@example((_PLAIN_ROWS + "0,7,1,a\0\n1,8,1,b\n", MAP), 1)
+@example((_PLAIN_ROWS + "0,7,1,a\0\n1,8,1,b\n", MAP), 16)
+@example((_PLAIN_ROWS + "0,7,1,a\0\n1,8,1,b\n", MAP), cohort_module._CHUNK)
 def test_quoted_files_read_as_csv_reader_reads_them(case, chunk):
     text, column_map = case
     outcome = _load_outcome(text, chunk, column_map)

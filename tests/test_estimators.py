@@ -290,7 +290,7 @@ def test_cox_exhausting_max_iter_is_not_converged(monkeypatch):
 
 def test_cox_singular_final_check_is_not_converged(monkeypatch):
     # the collinear fit of test_cox_collinear_columns_singular, with no
-    # iterations: only the check after the loop meets the singular information
+    # iterations: only the last pass, which tests the fit, meets the singular information
     monkeypatch.setattr(estimators, "MAX_ITER", 0)
     x = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     fit = cox_fit(x, [1, 2, 3, 4], [1, 1, 1, 1])
