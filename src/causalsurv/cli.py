@@ -7,9 +7,14 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 not identifiable,
 5 numerical failure.  Failures print a machine-readable error JSON object
 to stdout.  Once stdout is closed, nothing more is written to it, and the
 exit code is the one the command reached.
+
+In process, ``main(argv)`` returns the exit code for every outcome except
+argparse's own exits, which raise ``SystemExit``: 2 for a usage error, 0
+for ``--help``.  The parser is built on the first call and reused after it.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,7 +52,13 @@ def _alpha(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``causalsurv`` parser, built on the first call and shared after it.
+
+    Parsing keeps no state on the parser: each ``parse_args`` returns a new
+    namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="causalsurv",
         description=(

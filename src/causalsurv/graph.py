@@ -397,12 +397,35 @@ def format_path(dag: CausalDag, path) -> str:
 
 # --- graph JSON interface ----------------------------------------------------
 
+class _Repeated(dict):
+    """A JSON object that names ``key`` more than once; the last value is kept."""
+
+    __slots__ = ("key",)
+
+
+def _first_repeated(doc):
+    """(position, key) of the first object in ``doc`` that repeats a key."""
+    stack = [("", doc)]
+    while stack:  # depth first, in document order
+        where, value = stack.pop()
+        if isinstance(value, _Repeated):
+            return where, value.key
+        if isinstance(value, dict):
+            items = [(f"{where}.{k}" if where else k, v) for k, v in value.items()]
+        elif isinstance(value, list):
+            items = [(f"{where}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            continue
+        stack.extend(reversed(items))
+
+
 def load_graph(source) -> CausalDag:
     """Read a graph JSON file: {"nodes": [...], "edges": [[parent, child], ...]}.
 
     Node entries are objects with "name" (string) and optional "observed"
     (bool, default true).  Malformed input is rejected with the offending
-    position in the message.
+    position in the message; so is an object that repeats a key, since the
+    file then does not say which value holds.
     """
     try:
         if hasattr(source, "read"):
@@ -416,14 +439,30 @@ def load_graph(source) -> CausalDag:
             f"{origin}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} "
             "is not valid UTF-8"
         ) from None
+    repeated = []
+
+    def pairs_hook(pairs):
+        obj = dict(pairs)
+        if len(obj) == len(pairs):
+            return obj
+        seen = set()
+        obj = _Repeated(obj)
+        obj.key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        repeated.append(obj)
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=pairs_hook)
     except json.JSONDecodeError as exc:
         raise GraphFileError(
             f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except (RecursionError, ValueError) as exc:  # nested too deep, or a huge integer
         raise GraphFileError(f"{origin}: unreadable JSON: {exc}") from None
+    if repeated:
+        where, key = _first_repeated(doc)
+        key = json.dumps(key, ensure_ascii=False)
+        raise GraphFileError(f"{origin}: {where + ': ' if where else ''}key {key} is repeated")
     if not isinstance(doc, dict):
         raise GraphFileError(f"{origin}: top level must be an object")
 

@@ -308,21 +308,63 @@ def test_analyze_reads_csv_with_byte_order_mark(workspace):
 def test_import_loads_no_optional_modules():
     # the CLI's cold start must not pull in graph or test libraries, nor
     # the modules only rare paths use (compared across the import, so a
-    # numpy that loads one itself does not count)
-    code = (
-        "import sys, numpy; before = set(sys.modules); import causalsurv.cli; "
+    # numpy that loads one itself does not count), and must not build the
+    # parser, which the first main call builds
+    added_by = (
+        "import sys, numpy; before = set(sys.modules); import {}; "
         "print(sorted(sys.modules)); print(sorted(set(sys.modules) - before))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    everything, added = map(ast.literal_eval, done.stdout.splitlines())
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout.splitlines()
+        for code in (
+            added_by.format("causalsurv.cli")
+            + "; print(causalsurv.cli.build_parser.cache_info().currsize)",
+            added_by.format("argparse, json"),
+        )
+    ]
+    everything, added, parsers = map(ast.literal_eval, runs[0])
     loaded = {name.split(".")[0] for name in everything}
     assert "causalsurv" in loaded
     assert not loaded & {"networkx", "scipy", "hypothesis"}
     assert not set(added) & {"dataclasses", "fractions", "decimal", "statistics", "csv", "_csv"}
+    # outside the package, the import loads only what argparse and json do
+    assert {name for name in added if name.split(".")[0] != "causalsurv"} == set(
+        ast.literal_eval(runs[1][1])
+    )
+    assert parsers == 0
+
+
+def test_calls_in_one_process_share_no_parse_state(workspace, capsys):
+    # the parser is built once per process: options, defaults and errors of
+    # one call must not leak into the next
+    tmp_path, graph, data = workspace
+    extra = ["--svg", "--alpha", "0.1", "--ties", "breslow", "--t-max", "30"]
+    assert main(_analyze_args(tmp_path, graph, data, out="a", extra=extra)) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(_analyze_args(tmp_path, graph, data, out="bad", extra=["--alpha", "2"]))
+    assert exc.value.code == 2
+    assert main(["backdoor", "--graph", str(graph), "--treatment", "treatment",
+                 "--outcome", "time"]) == 0
+    assert main(_analyze_args(tmp_path, graph, data, out="b")) == 0
+    capsys.readouterr()
+    first = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert (first["alpha"], first["ties"], first["t_max"]) == (0.1, "breslow", 30)
+    assert (tmp_path / "a" / "curves.svg").exists()
+    report = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert (report["alpha"], report["ties"]) == (0.05, "efron")
+    assert not (tmp_path / "b" / "curves.svg").exists()
+    assert not (tmp_path / "bad").exists()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    subprocess.run(
+        [sys.executable, "-m", "causalsurv.cli", *_analyze_args(tmp_path, graph, data, out="c")],
+        capture_output=True, check=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    for name in ("report.json", "curves.csv"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
 
 
 @pytest.mark.parametrize("cohort, code", [("cohort.csv", 0), ("missing.csv", 3)])

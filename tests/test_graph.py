@@ -432,11 +432,19 @@ def test_load_graph_reads_string_nodes_as_observed(tmp_path):
         ({"nodes": [{"observed": True}], "edges": []}, "nodes[0]"),
         ({"nodes": [{"name": "A"}], "edges": [["A"]]}, "edges[0]"),
         ({"nodes": [{"name": "A"}]}, '"edges" must be an array'),
+        # a repeated key would keep only its last value, so the file is refused
+        pytest.param('{"nodes": ["A", "B"], "edges": [["A", "B"]], "edges": []}',
+                     'bad.json: key "edges" is repeated', id="repeated-edges"),
+        pytest.param('{"nodes": ["A", "B"], "edges": [], "nodes": ["A"]}',
+                     'bad.json: key "nodes" is repeated', id="repeated-nodes"),
+        pytest.param('{"nodes": [{"name": "u", "observed": false, "observed": true}], '
+                     '"edges": []}', 'nodes[0]: key "observed" is repeated',
+                     id="repeated-observed"),
     ],
 )
 def test_load_graph_position_annotated_errors(tmp_path, doc, fragment):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(errors.GraphFileError) as exc:
         load_graph(path)
     assert fragment in str(exc.value)
