@@ -42,9 +42,10 @@ class AdjustedCurve(NamedTuple):
     trials: DailyTrials | None = None
 
     def p_at(self, arm: int, day) -> np.ndarray:
-        day = np.asarray(day)
+        """Row ``arm`` of ``p`` on ``day``; 1.0 before the first grid day."""
         idx = np.searchsorted(self.grid, day, side="right") - 1
-        return self.p[arm, idx]
+        out = np.where(idx >= 0, self.p[arm, np.maximum(idx, 0)], 1.0)
+        return out if out.shape else out[()]
 
 
 def _curve(trials: DailyTrials) -> AdjustedCurve:

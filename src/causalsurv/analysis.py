@@ -29,7 +29,6 @@ Warnings are data, not logs; they live inside report.json.
 """
 
 import json
-import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,11 +40,10 @@ from .errors import (
     CausalSurvError,
     EstimationError,
     InvalidAdjustmentSet,
-    NonFiniteEstimate,
     NotIdentifiable,
     UnknownCovariate,
 )
-from .estimators import Z_95, cox_fit, km_fit
+from .estimators import Z_95, _hazard_ratio, cox_fit, km_fit
 from .graph import (
     find_open_backdoor_path,
     format_path,
@@ -139,17 +137,10 @@ def _fit_entry(table, ties, z_alpha) -> FitEntry:
     try:
         fit = cox_fit(x, day, event, counts=count, ties=ties)
         beta, se = float(fit.beta[0]), float(fit.se[0])
-        with np.errstate(over="ignore"):  # an infinite bound is refused below
-            hr = float(np.exp(beta))
-            ci = (float(np.exp(beta - z_alpha * se)), float(np.exp(beta + z_alpha * se)))
-        if not all(map(math.isfinite, (hr, *ci, se))):
-            raise NonFiniteEstimate(
-                f"beta {beta!r} with standard error {se!r} gives no finite "
-                "hazard ratio and interval"
-            )
+        hr, lo, hi = _hazard_ratio(beta, se, z_alpha)
     except EstimationError as exc:
         return FitEntry(error=f"{type(exc).__name__}: {exc}")
-    return FitEntry(hr, ci, beta, se, bool(fit.converged), int(fit.iterations))
+    return FitEntry(hr, (lo, hi), beta, se, bool(fit.converged), int(fit.iterations))
 
 
 def not_identifiable(dag, treatment, outcome) -> NotIdentifiable:

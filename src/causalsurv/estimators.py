@@ -11,6 +11,7 @@ ties, where Efron is materially more accurate than Breslow.  Breslow stays
 available for cross-checks against tools that default to it.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     LengthMismatch,
     MonotoneLikelihood,
     NoEvents,
+    NonFiniteEstimate,
     NotConverged,
     SingularHessian,
 )
@@ -137,12 +139,9 @@ def km_fit(times, events, groups=None, *, counts=None) -> KmCurve:
 class CoxFit(NamedTuple):
     beta: np.ndarray
     se: np.ndarray
-    hr: np.ndarray
-    ci95: tuple[np.ndarray, np.ndarray]
     loglik: float
     iterations: int
     converged: bool
-    ties_method: str
 
 
 def _prepare(covariate_matrix, times, events, counts=None):
@@ -235,11 +234,7 @@ def cox_fit(covariate_matrix, times, events, *, counts=None, ties="efron") -> Co
                 "likelihood is monotone (complete separation)"
             )
 
-    se = _standard_errors(info)
-    with np.errstate(over="ignore"):  # a huge se gives an infinite bound, not a warning
-        hr = np.exp(beta)
-        ci = (np.exp(beta - Z_95 * se), np.exp(beta + Z_95 * se))
-    return CoxFit(beta, se, hr, ci, float(ll), iterations, converged, ties)
+    return CoxFit(beta, _standard_errors(info), float(ll), iterations, converged)
 
 
 def _newton_step(info, grad):
@@ -262,8 +257,20 @@ def _standard_errors(info):
     return np.full(len(info), np.nan) if np.any(diag < 0) else np.sqrt(diag)
 
 
+def _hazard_ratio(beta: float, se: float, z: float) -> tuple[float, float, float]:
+    """exp(beta) and its Wald interval exp(beta -+ z se), all finite, or NonFiniteEstimate."""
+    with np.errstate(over="ignore"):  # an infinite bound is refused below
+        hr, lo, hi = (float(np.exp(b)) for b in (beta, beta - z * se, beta + z * se))
+    if not all(map(math.isfinite, (hr, lo, hi, se))):
+        raise NonFiniteEstimate(
+            f"beta {beta!r} with standard error {se!r} gives no finite "
+            "hazard ratio and interval"
+        )
+    return hr, lo, hi
+
+
 def hr_report(fit: CoxFit) -> tuple[float, float, float]:
-    """Treatment (first column) hazard ratio and its 95% Wald interval."""
+    """Treatment (first column) hazard ratio and 95% Wald interval, or NotConverged or NonFiniteEstimate."""
     if not fit.converged:
         raise NotConverged("fit did not converge; refusing to report a hazard ratio")
-    return float(fit.hr[0]), float(fit.ci95[0][0]), float(fit.ci95[1][0])
+    return _hazard_ratio(float(fit.beta[0]), float(fit.se[0]), Z_95)

@@ -419,13 +419,25 @@ def _first_repeated(doc):
         stack.extend(reversed(items))
 
 
+def _unknown_keys(doc):
+    """(position, key) of each key outside the graph schema, in document order."""
+    for key, value in doc.items():
+        if key not in ("nodes", "edges"):
+            yield "", key
+        elif key == "nodes" and isinstance(value, list):
+            for i, entry in enumerate(value):
+                if isinstance(entry, dict):
+                    yield from ((f"nodes[{i}]", k) for k in entry if k not in ("name", "observed"))
+
+
 def load_graph(source) -> CausalDag:
     """Read a graph JSON file: {"nodes": [...], "edges": [[parent, child], ...]}.
 
     Node entries are objects with "name" (string) and optional "observed"
     (bool, default true).  Malformed input is rejected with the offending
     position in the message; so is an object that repeats a key, since the
-    file then does not say which value holds.
+    file then does not say which value holds, and a key the schema does not
+    name, since a misspelt "observed" would silently mean true.
     """
     try:
         if hasattr(source, "read"):
@@ -465,6 +477,9 @@ def load_graph(source) -> CausalDag:
         raise GraphFileError(f"{origin}: {where + ': ' if where else ''}key {key} is repeated")
     if not isinstance(doc, dict):
         raise GraphFileError(f"{origin}: top level must be an object")
+    for where, key in _unknown_keys(doc):
+        key = json.dumps(key, ensure_ascii=False)
+        raise GraphFileError(f"{origin}: {where + ': ' if where else ''}unknown key {key}")
 
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list):

@@ -67,7 +67,7 @@ def test_criterion_1_simulated_three_way_comparison():
     for seed in range(1, 201):
         cohort = cs.generate_cohort(cs.SimConfig(seed=seed))
         crude, adjusted, _, _ = _three_way(cohort)
-        crude_hrs.append(float(crude.hr[0]))
+        crude_hrs.append(float(np.exp(crude.beta[0])))
         hr, lo, hi = cs.hr_report(adjusted)
         adj_hrs.append(hr)
         covered.append(lo <= 1.0 <= hi)
@@ -120,16 +120,16 @@ def test_criterion_2_ewing_fixture():
         cohort.event,
     )
     checks = [
-        abs(float(crude.hr[0]) - 0.53) <= 0.05,
-        abs(float(traditional.hr[0]) - 1.12) <= 0.10,
-        abs(float(adjusted.hr[0]) - 1.04) <= 0.10,
+        abs(float(np.exp(crude.beta[0])) - 0.53) <= 0.05,
+        abs(float(np.exp(traditional.beta[0])) - 1.12) <= 0.10,
+        abs(float(np.exp(adjusted.beta[0])) - 1.04) <= 0.10,
     ]
     for fit, (lo_ref, hi_ref) in (
         (crude, (0.30, 0.96)),
         (traditional, (0.59, 2.11)),
         (adjusted, (0.57, 1.87)),
     ):
-        lo, hi = float(fit.ci95[0][0]), float(fit.ci95[1][0])
+        _, lo, hi = cs.hr_report(fit)
         checks.append(abs(lo - lo_ref) <= 0.15 and abs(hi - hi_ref) <= 0.15)
     _report(2, "sarcoma fixture", all(checks))
 

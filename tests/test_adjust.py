@@ -22,6 +22,9 @@ def test_weighted_sum_hand_example():
     cohort = cohort_from_rows(rows)
     curve = adjust_curve(cohort, to_daily_trials(cohort, {"z"}), ZSET)
     assert curve.p_at(1, 5) == pytest.approx(0.8 * 0.5 + 0.4 * 0.5, abs=1e-15)
+    # before day 0 everyone is alive, not the horizon's value (all dead here)
+    assert curve.p_at(1, -1) == 1.0 and curve.p_at(1, 9) == 0.0
+    assert curve.p_at(1, [-1, 0, 9]).tolist() == [1.0, 1.0, 0.0]
 
 
 def test_exact_balance_matches_crude():

@@ -839,14 +839,17 @@ def test_analyze_fuzzed_cohort_bytes_exit_contract(data):
 def graph_bytes(draw):
     """Graph JSON over the cohort's columns and a latent u: mostly DAGs of
     random edges, and at times u confounding treatment and time, a cycle, a
-    malformed node, text that is not JSON, or bytes that are not UTF-8."""
+    malformed node, a key the schema does not name, text that is not JSON,
+    or bytes that are not UTF-8."""
     names = ["z", "treatment", "time", "u"]
     order = draw(st.permutations(names))
     pairs = [[a, b] for a in order for b in order[order.index(a) + 1 :]]
     edges = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=6))
     nodes = [{"name": n, "observed": n != "u"} for n in names]
     # sampled_from favours its ends, so a DAG sits at both
-    kinds = ["dag"] * 6 + ["latent", "cycle", "bad_node", "not_json", "not_utf8", "dag"]
+    kinds = ["dag"] * 6 + [
+        "latent", "cycle", "bad_node", "stray_key", "not_json", "not_utf8", "dag"
+    ]
     kind = draw(st.sampled_from(kinds))
     if kind == "latent":
         edges += [e for e in (["u", "treatment"], ["u", "time"]) if e not in edges]
@@ -855,7 +858,12 @@ def graph_bytes(draw):
     elif kind == "bad_node":
         bad = draw(st.sampled_from([{"name": ""}, 7, {"name": "z", "observed": 1}]))
         nodes[draw(st.integers(0, 3))] = bad
-    text = json.dumps({"nodes": nodes, "edges": edges})
+    doc = {"nodes": nodes, "edges": edges}
+    if kind == "stray_key":
+        # a misspelt flag on a node, or an editor's extra key at the top level
+        owner = draw(st.sampled_from([doc, *nodes]))
+        owner[draw(st.sampled_from(["observd", "label"]))] = False
+    text = json.dumps(doc)
     if kind == "not_json":
         text = text[: draw(st.integers(0, len(text) - 1))]
     data = text.encode()
@@ -911,6 +919,7 @@ _CYCLIC_GRAPH = {**CONFOUNDED_GRAPH, "edges": CONFOUNDED_GRAPH["edges"] + [["tim
 @example(_GOOD_COHORT, json.dumps(CONFOUNDED_GRAPH).encode(), ["--alpha", "nan"])
 @example(_GOOD_COHORT, json.dumps(_CYCLIC_GRAPH).encode(), ["--covariates", "z"])
 @example(_GOOD_COHORT, json.dumps(_LATENT_GRAPH).encode(), ["--covariates", ""])
+@example(_GOOD_COHORT, json.dumps({**CONFOUNDED_GRAPH, "title": "g"}).encode(), [])
 @given(st.one_of(valid_cohort_bytes(), cohort_bytes()), graph_bytes(), analyze_options())
 def test_cli_fuzzed_inputs_exit_contract(data, graph, options):
     with tempfile.TemporaryDirectory() as tmp:

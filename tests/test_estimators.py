@@ -95,7 +95,7 @@ def test_cox_symmetric_arms_give_hr_exactly_one():
     x = [1.0] * 7 + [0.0] * 7
     fit = cox_fit(np.array(x)[:, None], times, np.ones(14, dtype=int))
     assert fit.beta[0] == 0.0
-    assert fit.hr[0] == 1.0
+    assert hr_report(fit)[0] == 1.0
     assert fit.converged
 
 
@@ -105,7 +105,7 @@ def test_cox_four_subject_golden_value():
     )
     assert fit.converged
     assert abs(fit.beta[0] - FOUR_SUBJECT_BETA) <= 1e-6
-    assert abs(fit.hr[0] - FOUR_SUBJECT_HR) <= 1e-5
+    assert abs(hr_report(fit)[0] - FOUR_SUBJECT_HR) <= 1e-5
 
 
 def test_cox_complete_separation_raises():
@@ -246,9 +246,9 @@ def test_cox_ci_brackets_hr():
     rng = np.random.default_rng(97)
     x, t, _ = random_tie_free_dataset(rng)
     fit = cox_fit(x[:, None], t, np.ones(len(t), dtype=int))
-    lo, hi = fit.ci95
-    assert lo[0] < fit.hr[0] < hi[0]
-    assert fit.hr[0] > 0
+    hr, lo, hi = hr_report(fit)
+    assert lo < hr < hi
+    assert hr > 0
 
 
 # --- Newton paths: step-halving and the iteration limit -----------------------------
@@ -304,16 +304,7 @@ def _fake_fit(beta, se, converged=True):
 
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     se = np.atleast_1d(np.asarray(se, dtype=float))
-    return CoxFit(
-        beta,
-        se,
-        np.exp(beta),
-        (np.exp(beta - Z_95 * se), np.exp(beta + Z_95 * se)),
-        0.0,
-        5,
-        converged,
-        "efron",
-    )
+    return CoxFit(beta, se, 0.0, 5, converged)
 
 
 def test_hr_report_zero_beta():
@@ -332,3 +323,9 @@ def test_hr_report_log_two():
 def test_hr_report_requires_convergence():
     with pytest.raises(errors.NotConverged):
         hr_report(_fake_fit(0.0, 0.1, converged=False))
+
+
+def test_hr_report_refuses_a_non_finite_interval():
+    # a converged fit whose upper bound exp(400 * Z_95) overflows
+    with pytest.raises(errors.NonFiniteEstimate):
+        hr_report(_fake_fit(0.0, 400.0))

@@ -440,6 +440,14 @@ def test_load_graph_reads_string_nodes_as_observed(tmp_path):
         pytest.param('{"nodes": [{"name": "u", "observed": false, "observed": true}], '
                      '"edges": []}', 'nodes[0]: key "observed" is repeated',
                      id="repeated-observed"),
+        # the schema is closed: a misspelt "observed" would otherwise read as true
+        pytest.param({"nodes": [{"name": "u", "observd": False}, "treatment", "time"],
+                      "edges": [["u", "treatment"], ["u", "time"], ["treatment", "time"]]},
+                     'bad.json: nodes[0]: unknown key "observd"', id="misspelt-node-key"),
+        pytest.param({"nodes": ["A", {"name": "B", "label": "b"}], "edges": []},
+                     'bad.json: nodes[1]: unknown key "label"', id="extra-node-key"),
+        pytest.param('{"title": "g", "nodes": [{"name": "A", "pos": [0, 0]}], "edges": []}',
+                     'bad.json: unknown key "title"', id="extra-top-level-key"),
     ],
 )
 def test_load_graph_position_annotated_errors(tmp_path, doc, fragment):

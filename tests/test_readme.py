@@ -23,7 +23,8 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
     out = capsys.readouterr().out.splitlines()
     assert "variables=frozenset({'z'})" in out[0]
-    # the example's cohort and graph are analyze's golden seed-7 run
+    # the example's cohort and graph are analyze's golden seed-7 run, and
+    # hr_report and analyze turn (beta, se) into the interval by one helper
     adjusted = json.loads((GOLDEN / "report.json").read_text(encoding="utf-8"))["adjusted"]
     assert out[-1] == repr((adjusted["hr"], *adjusted["ci"]))
 
