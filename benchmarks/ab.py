@@ -1,6 +1,6 @@
 """Time two source trees against each other, call by call, in one interpreter.
 
-    python3 benchmarks/ab.py BEFORE AFTER [WORKLOAD ...]
+    python3 benchmarks/ab.py BEFORE AFTER
 
 BEFORE and AFTER are source checkouts, each holding ``src/causalsurv``;
 ``git archive REV | tar -x -C DIR`` makes one of any commit.  The script
@@ -12,13 +12,12 @@ trees, and BLAS is pinned to one thread before numpy loads.
 The inputs come from ``perfbench/inputs.generate`` in this script's
 checkout, the only perfbench module it reads: paper_small seed 1, whose
 pairs cycle through its cohorts as perfbench gives each analysis a new
-cohort, and wide_extract seed 3.  The workloads default to both.  After
-``WARMUP`` calls per side, each of a workload's pairs calls
-``cli.main(["analyze", ..., "--out", DIR])`` once per side on the same
-input, the side that goes first alternating from pair to pair, with
-stdout sent to ``os.devnull``.  Only the call is timed.  A pair differs
-when the two sides' exit codes or ``report.json``, ``curves.csv`` or
-``curves.svg`` bytes differ.
+cohort, and wide_extract seed 3.  After ``WARMUP`` calls per side, each
+of a workload's pairs calls ``cli.main(["analyze", ..., "--out", DIR])``
+once per side on the same input, the side that goes first alternating
+from pair to pair, through ``benchmarks/equivalence.fingerprint``: only
+the call is timed, and a pair differs when the two sides' fingerprints
+of the exit code and output files differ.
 
 The script writes ``BENCH_ab.json`` in the current directory: per
 workload, each side's median and quartiles in milliseconds, the change of
@@ -37,7 +36,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 sys.dont_write_bytecode = True  # leave the trees, and perfbench, as they are
 
-import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
@@ -45,7 +43,6 @@ import platform  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import tempfile  # noqa: E402
-import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -53,11 +50,12 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from inputs import generate  # noqa: E402
 
+from equivalence import fingerprint  # noqa: E402
+
 SIDES = ("before", "after")
 # workload -> (seed, cohorts, pairs)
 WORKLOADS = {"paper_small": (1, 20, 1000), "wide_extract": (3, 1, 200)}
 WARMUP = 3
-OUTPUTS = ("report.json", "curves.csv", "curves.svg")
 
 
 def load(tree, name):
@@ -81,14 +79,9 @@ def source_digest(tree):
 
 
 def run(cli, argv, out):
-    """Seconds of one ``cli.main(argv)`` call into a fresh ``out``, and what it wrote."""
+    """Seconds of one ``cli.main(argv)`` call into a fresh ``out``, and its fingerprint."""
     shutil.rmtree(out, ignore_errors=True)
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        start = time.perf_counter()
-        code = cli.main([*argv, "--out", str(out)])
-        seconds = time.perf_counter() - start
-    written = [(out / name).read_bytes() if (out / name).exists() else None for name in OUTPUTS]
-    return seconds, (code, written)
+    return fingerprint(cli, argv, out)
 
 
 def compare(clis, workload, directory):
@@ -117,14 +110,13 @@ def summary(samples):
 
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
-    if len(args) < 2 or any(w not in WORKLOADS for w in args[2:]):
-        sys.exit(f"usage: ab.py BEFORE AFTER [{' '.join(WORKLOADS)}]")
-    trees = dict(zip(SIDES, args[:2]))
-    workloads = args[2:] or list(WORKLOADS)
+    if len(args) != 2:
+        sys.exit("usage: ab.py BEFORE AFTER")
+    trees = dict(zip(SIDES, args))
     clis = {side: load(tree, f"{side}_causalsurv") for side, tree in trees.items()}
     results = {}
     with tempfile.TemporaryDirectory() as directory:
-        for workload in workloads:
+        for workload in WORKLOADS:
             seconds, differ = compare(clis, workload, Path(directory))
             before, after = (summary(seconds[side]) for side in SIDES)
             ratios = [a / b for b, a in zip(seconds["before"], seconds["after"])]
@@ -148,7 +140,7 @@ def main(argv=None):
         "benchmark": "ab",
         "measure": "seconds of one cli.main(['analyze', ..., '--out', DIR]) call per side per "
         "pair, the side that goes first alternating, both packages in one interpreter, "
-        "stdout to os.devnull",
+        "stdout to an io.StringIO",
         "statistic": "median and quartiles of each side's calls; median_change compares the "
         "two medians, paired_change is the median over pairs of AFTER's time over BEFORE's, "
         "less 1; pairs_after_won counts the pairs in which AFTER's call was faster",

@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # one BLAS thread, as perfbench's worker runs: set before numpy loads BLAS
@@ -35,8 +36,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from inputs import generate  # noqa: E402
-
-from causalsurv import cli  # noqa: E402
 
 INPUTS = (
     *(("paper_small", seed, 20) for seed in (1, 2)),
@@ -50,19 +49,24 @@ FILTERS = ((), STRICT, HORIZON, HORIZON + STRICT)
 OUTPUTS = ("report.json", "curves.csv", "curves.svg")
 
 
-def fingerprint(argv, out):
-    """sha256 of one run's exit code and output files; a missing file hashes as absent."""
+def fingerprint(cli, argv, out):
+    """Seconds of one ``cli.main`` call into ``out``, and a sha256 of its exit code and
+    output files; a missing file hashes as absent."""
     with contextlib.redirect_stdout(io.StringIO()):
+        start = time.perf_counter()
         code = cli.main([*argv, "--out", str(out)])
+        seconds = time.perf_counter() - start
     digest = hashlib.sha256(f"exit {code}\n".encode())
     for name in OUTPUTS:
         path = out / name
         data = path.read_bytes() if path.exists() else b""
         digest.update(f"{name} {path.exists()} {len(data)}\n".encode() + data)
-    return digest.hexdigest()
+    return seconds, digest.hexdigest()
 
 
 def main():
+    from causalsurv import cli  # here, so that benchmarks/ab.py can import fingerprint
+
     runs = {}
     with tempfile.TemporaryDirectory() as directory:
         root = Path(directory)
@@ -72,7 +76,9 @@ def main():
                 data = Path(argv[argv.index("--data") + 1]).name
                 for ties, extra in itertools.product(TIES, FILTERS):
                     key = "/".join((workload, str(seed), data, ties, *extra))
-                    runs[key] = fingerprint([*argv, "--ties", ties, *extra], root / "out" / key)
+                    _, runs[key] = fingerprint(
+                        cli, [*argv, "--ties", ties, *extra], root / "out" / key
+                    )
     Path("equivalence.json").write_text(json.dumps(runs, indent=2) + "\n", encoding="utf-8")
     total = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
     print(f"{len(runs)} runs, digest {total}")

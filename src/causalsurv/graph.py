@@ -419,17 +419,6 @@ def _first_repeated(doc):
         stack.extend(reversed(items))
 
 
-def _unknown_keys(doc):
-    """(position, key) of each key outside the graph schema, in document order."""
-    for key, value in doc.items():
-        if key not in ("nodes", "edges"):
-            yield "", key
-        elif key == "nodes" and isinstance(value, list):
-            for i, entry in enumerate(value):
-                if isinstance(entry, dict):
-                    yield from ((f"nodes[{i}]", k) for k in entry if k not in ("name", "observed"))
-
-
 def load_graph(source) -> CausalDag:
     """Read a graph JSON file: {"nodes": [...], "edges": [[parent, child], ...]}.
 
@@ -477,9 +466,9 @@ def load_graph(source) -> CausalDag:
         raise GraphFileError(f"{origin}: {where + ': ' if where else ''}key {key} is repeated")
     if not isinstance(doc, dict):
         raise GraphFileError(f"{origin}: top level must be an object")
-    for where, key in _unknown_keys(doc):
-        key = json.dumps(key, ensure_ascii=False)
-        raise GraphFileError(f"{origin}: {where + ': ' if where else ''}unknown key {key}")
+    extra = next((k for k in doc if k not in ("nodes", "edges")), None)
+    if extra is not None:
+        raise GraphFileError(f"{origin}: unknown key {json.dumps(extra, ensure_ascii=False)}")
 
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list):
@@ -492,6 +481,9 @@ def load_graph(source) -> CausalDag:
             continue
         if not isinstance(entry, dict):
             raise GraphFileError(f"{where}: expected an object or a string")
+        extra = next((k for k in entry if k not in ("name", "observed")), None)
+        if extra is not None:
+            raise GraphFileError(f"{where}: unknown key {json.dumps(extra, ensure_ascii=False)}")
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise GraphFileError(f'{where}: "name" must be a non-empty string')
