@@ -12,11 +12,19 @@ days are multiples of 30, so a horizon of 1000 falls between two of them
 and the follow-up filters must add a day and drop the days past it.
 For each run the script takes one sha256 over its exit code and its
 report.json, curves.csv and curves.svg (stdout names the output
-directory, so it is left out).  It writes them to ``equivalence.json`` in
-the current directory and prints one digest of them all: two checkouts
-whose outputs agree on every run print the same digest, and ``diff`` of
-their ``equivalence.json`` names the runs that differ.  BLAS runs on one
-thread.
+directory, so it is left out).
+
+The identification output is fingerprinted apart, by exit code and
+stdout: ``backdoor`` on each workload's graph, and ``analyze`` on the
+workload's first input with the graph's first confounder (the first node
+with edges into both treatment and time) made latent, which exits 4
+naming an open backdoor path.
+
+The script writes every fingerprint to ``equivalence.json`` in the
+current directory and prints two digests: one over the 376 analyze runs,
+then one over the identification runs.  Two checkouts whose outputs agree
+on every run print the same digests, and ``diff`` of their
+``equivalence.json`` names the runs that differ.  BLAS runs on one thread.
 """
 
 import contextlib
@@ -64,24 +72,57 @@ def fingerprint(cli, argv, out):
     return seconds, digest.hexdigest()
 
 
+def stdout_fingerprint(cli, argv):
+    """A sha256 of one ``cli.main`` call's exit code and stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    return hashlib.sha256(f"exit {code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def identification(cli, workload, argv, out):
+    """Fingerprints of ``backdoor`` on the graph of ``argv``, and of ``argv`` with
+    the graph's first confounder made latent."""
+    graph = Path(argv[argv.index("--graph") + 1])
+    doc = json.loads(graph.read_text(encoding="utf-8"))
+    causes = [{a for a, b in doc["edges"] if b == v} for v in ("treatment", "time")]
+    first = next(n for n in doc["nodes"] if n["name"] in causes[0] & causes[1])
+    doc["nodes"] = [{**n, "observed": False} if n is first else n for n in doc["nodes"]]
+    latent = graph.with_name("latent.json")
+    latent.write_text(json.dumps(doc), encoding="utf-8")
+    backdoor = ["backdoor", "--graph", str(graph), "--treatment", "treatment", "--outcome", "time"]
+    return {
+        f"{workload}/backdoor": stdout_fingerprint(cli, backdoor),
+        # the last --graph given wins
+        f"{workload}/latent {first['name']}": stdout_fingerprint(
+            cli, [*argv, "--graph", str(latent), "--out", str(out)]
+        ),
+    }
+
+
 def main():
     from causalsurv import cli  # here, so that benchmarks/ab.py can import fingerprint
 
-    runs = {}
+    runs, identified = {}, {}
     with tempfile.TemporaryDirectory() as directory:
         root = Path(directory)
         for workload, seed, cohorts in INPUTS:
             inputs = root / f"{workload}-{seed}"
-            for argv in generate(workload, seed, inputs, cohorts)["argv"]:
+            plan = generate(workload, seed, inputs, cohorts)
+            if f"{workload}/backdoor" not in identified:  # once per workload
+                identified.update(identification(cli, workload, plan["argv"][0], root / "out"))
+            for argv in plan["argv"]:
                 data = Path(argv[argv.index("--data") + 1]).name
                 for ties, extra in itertools.product(TIES, FILTERS):
                     key = "/".join((workload, str(seed), data, ties, *extra))
                     _, runs[key] = fingerprint(
                         cli, [*argv, "--ties", ties, *extra], root / "out" / key
                     )
-    Path("equivalence.json").write_text(json.dumps(runs, indent=2) + "\n", encoding="utf-8")
-    total = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
-    print(f"{len(runs)} runs, digest {total}")
+    Path("equivalence.json").write_text(
+        json.dumps({**runs, **identified}, indent=2) + "\n", encoding="utf-8"
+    )
+    for label, group in (("runs", runs), ("identification runs", identified)):
+        total = hashlib.sha256(json.dumps(group).encode()).hexdigest()
+        print(f"{len(group)} {label}, digest {total}")
 
 
 if __name__ == "__main__":

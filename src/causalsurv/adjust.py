@@ -20,6 +20,7 @@ import numpy as np
 
 from .cohort import CohortDataset
 from .errors import InvalidAdjustmentSet
+from .estimators import _step_at
 from .graph import AdjustmentSet
 from .trials import DailyTrials, require_positivity
 
@@ -43,9 +44,7 @@ class AdjustedCurve(NamedTuple):
 
     def p_at(self, arm: int, day) -> np.ndarray:
         """Row ``arm`` of ``p`` on ``day``; 1.0 before the first grid day."""
-        idx = np.searchsorted(self.grid, day, side="right") - 1
-        out = np.where(idx >= 0, self.p[arm, np.maximum(idx, 0)], 1.0)
-        return out if out.shape else out[()]
+        return _step_at(self.grid, self.p[arm], day)
 
 
 def _curve(trials: DailyTrials) -> AdjustedCurve:

@@ -52,7 +52,7 @@ from .graph import (
     satisfies_backdoor,
 )
 from .svg import CurveSeries, emit_svg
-from .trials import from_adjusted_counts, to_daily_trials
+from .trials import from_adjusted_counts, require_strata_at_most, to_daily_trials
 
 __all__ = ["AnalysisOptions", "AnalysisReport", "run_analysis", "write_outputs"]
 
@@ -234,6 +234,8 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
         raise held
     warnings.extend(select_warnings)
 
+    # an arm with fewer subjects than strata is refused before any table is filled
+    require_strata_at_most(cohort, adjset.variables, min(cohort.arm_sizes().values()))
     trials = to_daily_trials(cohort, adjset.variables)
     curve = adjust_curve(cohort, trials, adjset)
     pseudo = from_adjusted_counts(curve)
@@ -248,7 +250,7 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
             days = np.unique(
                 np.concatenate((group.times, [0, cohort.t_max]))
             ).astype(np.int64)
-            survival = np.asarray(group.survival_at(days), dtype=np.float64)
+            survival = group.survival_at(days)
             counts = survival * curve.arm_sizes[arm]
             curves.append((variant, arm, days, survival, counts))
 

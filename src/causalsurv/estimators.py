@@ -50,6 +50,11 @@ GRAD_TOL = 1e-8
 STEP_TOL = 1e-6
 
 
+def _step_at(points, values, day):
+    """The right-continuous step function taking ``values`` from ``points`` on, 1.0 before."""
+    return np.append(1.0, values)[np.searchsorted(points, day, side="right")]
+
+
 class KmGroup(NamedTuple):
     times: np.ndarray
     at_risk: np.ndarray
@@ -57,13 +62,7 @@ class KmGroup(NamedTuple):
     survival: np.ndarray
 
     def survival_at(self, day) -> np.ndarray:
-        day = np.asarray(day)
-        if self.times.size == 0:  # no events: survival is identically 1
-            out = np.ones(day.shape)
-            return out if out.shape else 1.0
-        idx = np.searchsorted(self.times, day, side="right") - 1
-        out = np.where(idx >= 0, self.survival[np.maximum(idx, 0)], 1.0)
-        return out if out.shape else float(out)
+        return _step_at(self.times, self.survival, day)
 
 
 class KmCurve(NamedTuple):

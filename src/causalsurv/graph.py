@@ -60,65 +60,30 @@ __all__ = [
 MAX_CANDIDATES = 20
 
 
-class CausalDag:
-    """Validated directed acyclic graph with per-node observability flags.
+class CausalDag(NamedTuple):
+    """Validated directed acyclic graph with per-node observability flags."""
 
-    Immutable; equal, hashed and shown by (nodes, observed, edges).
-    """
-
-    __slots__ = ("nodes", "observed", "edges", "_parents", "_children")
-
-    def __init__(
-        self,
-        nodes: tuple[str, ...],
-        observed: frozenset[str],
-        edges: tuple[tuple[str, str], ...],
-    ):
-        parents = {v: [] for v in nodes}
-        children = {v: [] for v in nodes}
-        for a, b in edges:
-            parents[b].append(a)
-            children[a].append(b)
-        # sorted adjacency keeps every traversal deterministic
-        for name, value in (
-            ("nodes", nodes),
-            ("observed", observed),
-            ("edges", edges),
-            ("_parents", {v: tuple(sorted(ps)) for v, ps in parents.items()}),
-            ("_children", {v: tuple(sorted(cs)) for v, cs in children.items()}),
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self):
-        return self.nodes, self.observed, self.edges
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "CausalDag(nodes={!r}, observed={!r}, edges={!r})".format(*self._key())
-
-    def parents(self, node: str) -> tuple[str, ...]:
-        self._require(node)
-        return self._parents[node]
-
-    def children(self, node: str) -> tuple[str, ...]:
-        self._require(node)
-        return self._children[node]
+    nodes: tuple[str, ...]
+    observed: frozenset[str]
+    edges: tuple[tuple[str, str], ...]
 
     def observed_nodes(self) -> tuple[str, ...]:
         return tuple(v for v in self.nodes if v in self.observed)
 
-    def _require(self, node: str) -> None:
-        if node not in self._parents:
+
+def _adjacency(dag):
+    """Parent and child tuples of every node, sorted so every traversal is deterministic."""
+    parents = {v: [] for v in dag.nodes}
+    children = {v: [] for v in dag.nodes}
+    for a, b in dag.edges:
+        parents[b].append(a)
+        children[a].append(b)
+    return [{v: tuple(sorted(vs)) for v, vs in links.items()} for links in (parents, children)]
+
+
+def _require(adjacency, *nodes):
+    for node in nodes:
+        if node not in adjacency:
             raise UnknownNode(f"unknown node {node!r}")
 
 
@@ -171,16 +136,16 @@ def validate_dag(nodes, edges) -> CausalDag:
         edge_list.append((a, b))
 
     dag = CausalDag(tuple(names), frozenset(observed), tuple(edge_list))
-    _check_acyclic(dag)
+    _check_acyclic(*_adjacency(dag))
     return dag
 
 
-def _check_acyclic(dag):
-    """Raise CycleDetected naming one cycle of ``dag``, if it has any."""
+def _check_acyclic(parents, children):
+    """Raise CycleDetected naming one cycle of the graph, if it has any."""
     # Peel nodes with no parent left, then nodes with no child left: each
     # node still left has a child left, so walking along them repeats one.
-    left = set(dag.nodes)
-    for links, back in ((dag._parents, dag._children), (dag._children, dag._parents)):
+    left = set(parents)
+    for links, back in ((parents, children), (children, parents)):
         count = {v: len(left.intersection(links[v])) for v in left}
         peel = [v for v, k in count.items() if not k]
         for v in peel:  # the list grows while it is read
@@ -194,7 +159,7 @@ def _check_acyclic(dag):
         trail, pos = [min(left)], {}
         while trail[-1] not in pos:
             pos[trail[-1]] = len(trail) - 1
-            trail.append(next(c for c in dag._children[trail[-1]] if c in left))
+            trail.append(next(c for c in children[trail[-1]] if c in left))
         raise CycleDetected(trail[pos[trail[-1]]:])
 
 
@@ -212,8 +177,9 @@ def _reach(neighbours, seeds, blocked=frozenset()):
 
 def descendants(dag: CausalDag, node: str) -> set[str]:
     """All nodes reachable from ``node`` by directed paths, excluding itself."""
-    dag._require(node)
-    return _reach(dag._children, [node]) - {node}
+    _, children = _adjacency(dag)
+    _require(children, node)
+    return _reach(children, [node]) - {node}
 
 
 def _moral_ancestral_graph(parents, targets):
@@ -241,10 +207,10 @@ def _separated(parents, a, b, given):
     return _reach(adjacent, a, given).isdisjoint(b)
 
 
-def _as_name_set(dag, value, label):
+def _as_name_set(adjacency, value, label):
     out = frozenset(value)
     for name in out:
-        if name not in dag._parents:
+        if name not in adjacency:
             raise UnknownNode(f"unknown node {name!r} in {label}")
     return out
 
@@ -254,20 +220,21 @@ def d_separated(dag: CausalDag, a, b, given) -> bool:
 
     The test is separation in the moral graph of An(a | b | given).
     """
-    a = _as_name_set(dag, a, "first set")
-    b = _as_name_set(dag, b, "second set")
-    given = _as_name_set(dag, given, "conditioning set")
+    parents, _ = _adjacency(dag)
+    a = _as_name_set(parents, a, "first set")
+    b = _as_name_set(parents, b, "second set")
+    given = _as_name_set(parents, given, "conditioning set")
     for x, y in ((a, b), (a, given), (b, given)):
         overlap = x & y
         if overlap:
             raise OverlappingSets(f"sets overlap on {sorted(overlap)!r}")
-    return _separated(dag._parents, a, b, given)
+    return _separated(parents, a, b, given)
 
 
-def _backdoor_parents(dag, treatment):
+def _backdoor_parents(parents, children, treatment):
     """Parent lists of the graph with every edge out of ``treatment`` removed."""
-    parents = dict(dag._parents)
-    for c in dag._children[treatment]:
+    parents = dict(parents)
+    for c in children[treatment]:
         parents[c] = tuple(p for p in parents[c] if p != treatment)
     return parents
 
@@ -280,17 +247,18 @@ def satisfies_backdoor(dag: CausalDag, z, treatment: str, outcome: str) -> Adjus
     treatment are removed, tested as separation in the moral graph of
     An({treatment, outcome} | z) of that graph.
     """
-    dag._require(treatment)
-    dag._require(outcome)
+    parents, children = _adjacency(dag)
+    _require(parents, treatment, outcome)
     if treatment == outcome:
         raise TreatmentEqualsOutcome(f"treatment and outcome are both {treatment!r}")
-    z = _as_name_set(dag, z, "adjustment set")
+    z = _as_name_set(parents, z, "adjustment set")
     if treatment in z or outcome in z:
         raise OverlappingSets("adjustment set must exclude treatment and outcome")
 
-    valid = z <= dag.observed and not (z & descendants(dag, treatment))
+    valid = z <= dag.observed and not (z & _reach(children, [treatment]))
     if valid:
-        valid = _separated(_backdoor_parents(dag, treatment), {treatment}, {outcome}, z)
+        parents = _backdoor_parents(parents, children, treatment)
+        valid = _separated(parents, {treatment}, {outcome}, z)
     return AdjustmentSet(z, valid, treatment, outcome)
 
 
@@ -317,17 +285,18 @@ def minimal_backdoor_sets(dag: CausalDag, treatment: str, outcome: str) -> list[
     The result is ascending by size then lexicographically; an empty
     result means the effect is not backdoor-identifiable.
     """
-    dag._require(treatment)
-    dag._require(outcome)
+    parents, children = _adjacency(dag)
+    _require(parents, treatment, outcome)
     if treatment == outcome:
         raise TreatmentEqualsOutcome(f"treatment and outcome are both {treatment!r}")
-    banned = descendants(dag, treatment) | {treatment, outcome}
+    banned = _reach(children, [treatment]) | {outcome}
     allowed = dag.observed - banned
     if len(allowed) > MAX_CANDIDATES:
         raise GraphTooLarge(
             f"{len(allowed)} candidate nodes exceed the cap of {MAX_CANDIDATES}"
         )
-    adjacent = _moral_ancestral_graph(_backdoor_parents(dag, treatment), [treatment, outcome])
+    parents = _backdoor_parents(parents, children, treatment)
+    adjacent = _moral_ancestral_graph(parents, [treatment, outcome])
     found = []
     stack = [({treatment}, frozenset())]
     while stack:
@@ -358,13 +327,13 @@ def find_open_backdoor_path(dag: CausalDag, treatment: str, outcome: str):
     Used to explain non-identifiability: a path starting with an arrow into
     the treatment that contains no collider is open unconditionally.
     """
-    dag._require(treatment)
-    dag._require(outcome)
+    parents, children = _adjacency(dag)
+    _require(parents, treatment, outcome)
     # Breadth-first over (node, arrived_into) states.  After a step along
     # an edge into a node the path may only go on to children: turning
     # back to a parent would make that node a collider, which the empty
     # set blocks.
-    start = [(p, False) for p in dag.parents(treatment)]
+    start = [(p, False) for p in parents[treatment]]
     came_from = dict.fromkeys(start)
     queue = deque(start)
     while queue:
@@ -376,9 +345,9 @@ def find_open_backdoor_path(dag: CausalDag, treatment: str, outcome: str):
                 path.append(state[0])
                 state = came_from[state]
             return [treatment, *reversed(path)]
-        steps = [(c, True) for c in dag.children(node)]
+        steps = [(c, True) for c in children[node]]
         if not arrived_into:
-            steps += [(p, False) for p in dag.parents(node)]
+            steps += [(p, False) for p in parents[node]]
         for step in sorted(steps):
             if step[0] != treatment and step not in came_from:
                 came_from[step] = state
@@ -388,10 +357,10 @@ def find_open_backdoor_path(dag: CausalDag, treatment: str, outcome: str):
 
 def format_path(dag: CausalDag, path) -> str:
     """Render a node path with edge directions, e.g. ``X <- Z -> Y``."""
+    edges = set(dag.edges)
     parts = [path[0]]
     for a, b in zip(path, path[1:]):
-        arrow = " -> " if b in dag.children(a) else " <- "
-        parts.append(arrow + b)
+        parts.append((" -> " if (a, b) in edges else " <- ") + b)
     return "".join(parts)
 
 

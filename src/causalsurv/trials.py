@@ -97,26 +97,41 @@ class DailyTrials(NamedTuple):
         return [c[:, None] == np.arange(1, len(ls)) for c, ls in zip(codes, self.levels)]
 
 
-def to_daily_trials(cohort: CohortDataset, covariates) -> DailyTrials:
-    """Break the study into daily trials, counted per (arm, stratum, day, event).
+def require_strata_at_most(cohort: CohortDataset, covariates, most: int) -> tuple:
+    """Level tuples of the sorted ``covariates``; :class:`PositivityViolation` past ``most`` strata.
 
-    One bincount over the cell key, built from the cohort's day codes,
-    fills the table.  Past n strata, stratum indices capped at n (exact
-    below it) find the empty cell and none is built.
+    ``most`` must be at least the smaller arm's size.  An arm with fewer
+    subjects than there are strata leaves a stratum below n empty, and
+    stratum indices capped at n are exact below it, so they find the first
+    empty cell with no table filled.
     """
     covs = tuple(sorted(covariates))
     for c in covs:
         if c not in cohort.covariate_levels:
             raise UnknownCovariate(f"unknown covariate {c!r}")
     levels = tuple(cohort.covariate_levels[c] for c in covs)
-    stratum = np.zeros(cohort.n, dtype=np.int64)
-    for c, ls in zip(covs, levels):
-        stratum = np.minimum(stratum * len(ls) + cohort.codes[c], cohort.n)
-    strata = math.prod(len(ls) for ls in levels)
-    if strata > cohort.n:
-        # an arm holds fewer than n subjects, so a cell below n is empty: this raises
+    if math.prod(len(ls) for ls in levels) > most:
+        stratum = np.zeros(cohort.n, dtype=np.int64)
+        for c, ls in zip(covs, levels):
+            stratum = np.minimum(stratum * len(ls) + cohort.codes[c], cohort.n)
         key = cohort.treatment * (cohort.n + 1) + stratum
         require_positivity(np.bincount(key, minlength=2 * cohort.n + 2).reshape(2, -1), levels)
+    return levels
+
+
+def to_daily_trials(cohort: CohortDataset, covariates) -> DailyTrials:
+    """Break the study into daily trials, counted per (arm, stratum, day, event).
+
+    One bincount over the cell key, built from the cohort's day codes,
+    fills the table.  Past n strata none is built: the first empty cell
+    is refused by :func:`require_strata_at_most`.
+    """
+    covs = tuple(sorted(covariates))
+    levels = require_strata_at_most(cohort, covs, cohort.n)
+    stratum = np.zeros(cohort.n, dtype=np.int64)
+    for c, ls in zip(covs, levels):
+        stratum = stratum * len(ls) + cohort.codes[c]
+    strata = math.prod(len(ls) for ls in levels)
     shape = (2, strata, len(cohort.days), 2)
     key = ((cohort.treatment * strata + stratum) * len(cohort.days) + cohort.day) * 2 + cohort.event
     counts = np.bincount(key, minlength=math.prod(shape)).reshape(shape)

@@ -58,6 +58,10 @@ def test_invalid_set_rejected():
     cohort = cohort_from_rows(rows, ["m"])
     with pytest.raises(errors.InvalidAdjustmentSet):
         adjust_curve(cohort, to_daily_trials(cohort, bad.variables), bad)
+    # a valid set with trials stratified by another
+    valid = satisfies_backdoor(mediator, (), "x", "y")
+    with pytest.raises(ValueError, match=r"trials are stratified by \('m',\), not by the set"):
+        adjust_curve(cohort, to_daily_trials(cohort, bad.variables), valid)
 
 
 def test_positivity_violation_names_stratum():

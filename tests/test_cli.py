@@ -285,7 +285,7 @@ def test_analyze_breslow_and_alpha_flags(workspace):
     assert lo < report["crude"]["hr"] < hi
 
 
-@pytest.mark.parametrize("alpha", ["2", "0", "-1", "nan", "inf", "1e-17", "5e-324"])
+@pytest.mark.parametrize("alpha", ["2", "0", "-1", "nan", "inf", "1e-17", "5e-324", "abc"])
 def test_analyze_alpha_outside_unit_interval_is_usage_error(workspace, capsys, alpha):
     tmp_path, graph, data = workspace
     with pytest.raises(SystemExit) as exc:
@@ -503,14 +503,8 @@ def test_analyze_names_the_first_empty_stratum(tmp_path, capsys):
     }
 
 
-def test_more_strata_than_subjects_is_refused_in_small_memory(tmp_path, capsys):
-    # 6**6 = 46 656 strata for 2 000 subjects: refused before any count table
-    rng = np.random.default_rng(5)
-    covariates = tuple(f"c{k}" for k in range(6))
-    rows = np.column_stack([
-        rng.integers(0, 2, 2000), rng.integers(0, 100, 2000), rng.integers(0, 2, 2000),
-        rng.integers(0, 6, (2000, 6)),
-    ])
+def _refused_in_small_memory(tmp_path, capsys, rows, covariates, mib):
+    """Run ``analyze`` on ``rows``: exit 3 naming the first empty cell, in at most ``mib`` MiB."""
     argv = _confounder_workspace(tmp_path, rows.tolist(), covariates)
     tracemalloc.start()
     try:
@@ -530,7 +524,28 @@ def test_more_strata_than_subjects_is_refused_in_small_memory(tmp_path, capsys):
         "message": f"empty stratum: arm={arm}, covariate levels={levels!r}",
         "exit": 3,
     }
-    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_more_strata_than_subjects_is_refused_in_small_memory(tmp_path, capsys):
+    # 6**6 = 46 656 strata for 2 000 subjects: refused before any count table
+    rng = np.random.default_rng(5)
+    rows = np.column_stack([
+        rng.integers(0, 2, 2000), rng.integers(0, 100, 2000), rng.integers(0, 2, 2000),
+        rng.integers(0, 6, (2000, 6)),
+    ])
+    _refused_in_small_memory(tmp_path, capsys, rows, tuple(f"c{k}" for k in range(6)), 8)
+
+
+def test_more_strata_than_an_arm_is_refused_in_small_memory(tmp_path, capsys):
+    # one stratum per subject: the smaller arm leaves some empty, refused before
+    # the (2, 20 000, 200, 2) count table is filled
+    n = 20_000
+    rng = np.random.default_rng(6)
+    rows = np.column_stack([
+        rng.integers(0, 2, n), rng.integers(0, 200, n), rng.integers(0, 2, n), np.arange(n),
+    ])
+    _refused_in_small_memory(tmp_path, capsys, rows, ("z",), 16)
 
 
 # z confounds; w causes only time, so the auto set is {z} and w is only checked
@@ -695,6 +710,25 @@ LATIN1_GRAPH_BYTES = json.dumps(CONFOUNDED_GRAPH).replace('"z"', '"z\xe9"').enco
             "backdoor", _cohort_bytes(), LATIN1_GRAPH_BYTES,
             "GraphFileError", "byte 0xe9 at offset", id="latin1-graph-backdoor",
         ),
+        pytest.param(
+            "analyze", b"", GRAPH_BYTES, "CohortError", "CSV has no header row", id="empty-csv",
+        ),
+        pytest.param(
+            "analyze", _cohort_bytes().replace(b"treatment", b'treat"ment', 1), GRAPH_BYTES,
+            "CohortError", "row 1: a quote inside an unquoted field", id="quote-in-header",
+        ),
+        pytest.param(
+            "analyze --t-max -1", _cohort_bytes(), GRAPH_BYTES,
+            "CohortError", "t_max must be non-negative, got -1", id="negative-t-max",
+        ),
+        pytest.param(
+            "analyze --adjustment-set treatment", _cohort_bytes(), GRAPH_BYTES,
+            "OverlappingSets", "must exclude treatment and outcome", id="treatment-in-set",
+        ),
+        pytest.param(
+            "backdoor --treatment time", _cohort_bytes(), GRAPH_BYTES,
+            "TreatmentEqualsOutcome", "are both 'time'", id="treatment-is-outcome",
+        ),
     ],
 )
 def test_bad_input_is_data_error(tmp_path, capsys, command, cohort, graph, error_type, detail):
@@ -702,11 +736,12 @@ def test_bad_input_is_data_error(tmp_path, capsys, command, cohort, graph, error
     graph_path.write_bytes(graph)
     data = tmp_path / "cohort.csv"
     data.write_bytes(cohort)
+    command, *extra = command.split()  # options after the command's own; the last given wins
     if command == "backdoor":
         argv = ["backdoor", "--graph", str(graph_path), "--treatment", "treatment",
-                "--outcome", "time"]
+                "--outcome", "time", *extra]
     else:
-        argv = _analyze_args(tmp_path, graph_path, data)
+        argv = _analyze_args(tmp_path, graph_path, data, extra=extra)
     code = main(argv)
     assert code == 3
     payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)

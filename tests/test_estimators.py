@@ -158,9 +158,11 @@ FOUR_X = [[1.0], [0.0], [1.0], [0.0]]
          errors.NoEvents, "no events"),
         (km_fit, ([1, 2, np.nan, 4], [1, 1, 1, 1]), {}, ValueError, "must be finite"),
         (km_fit, ([1, 2, 3, 4], [1, 2, 1, 1]), {}, ValueError, "events must be 0 or 1"),
+        (cox_fit, (FOUR_X, [1, 2, 3, 4], [1, 0, 1, 1]), {"ties": "exact"},
+         ValueError, "ties must be 'efron' or 'breslow', got 'exact'"),
     ],
     ids=["cox-event-2", "cox-nan-covariate", "cox-inf-time", "cox-zero-weighted-events",
-         "km-nan-time", "km-event-2"],
+         "km-nan-time", "km-event-2", "cox-ties-exact"],
 )
 def test_malformed_fit_arguments_are_rejected(fit, args, kwargs, error, match):
     with pytest.raises(error, match=match):

@@ -448,6 +448,9 @@ def test_load_graph_reads_string_nodes_as_observed(tmp_path):
                      'bad.json: nodes[1]: unknown key "label"', id="extra-node-key"),
         pytest.param('{"title": "g", "nodes": [{"name": "A", "pos": [0, 0]}], "edges": []}',
                      'bad.json: unknown key "title"', id="extra-top-level-key"),
+        pytest.param([], "bad.json: top level must be an object", id="top-level-array"),
+        pytest.param({"nodes": [3], "edges": []},
+                     "bad.json: nodes[0]: expected an object or a string", id="number-node"),
     ],
 )
 def test_load_graph_position_annotated_errors(tmp_path, doc, fragment):

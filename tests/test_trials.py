@@ -386,6 +386,10 @@ def test_reconstruction_rejects_increasing_counts():
     curve = _curve([0, 1], [5, 9], [10, 10], {0: 10, 1: 10})
     with pytest.raises(errors.NonMonotoneCounts):
         from_adjusted_counts(curve)
+    # a count above the arm size is an increase from the size itself
+    curve = _curve([0, 1], [12, 9], [10, 10], {0: 10, 1: 10})
+    with pytest.raises(errors.NonMonotoneCounts, match="adjusted count exceeds the arm size"):
+        from_adjusted_counts(curve)
 
 
 def test_round_trip_identity_without_censoring():
