@@ -366,26 +366,24 @@ def format_path(dag: CausalDag, path) -> str:
 
 # --- graph JSON interface ----------------------------------------------------
 
-class _Repeated(dict):
-    """A JSON object that names ``key`` more than once; the last value is kept."""
+def _pairs_hook(pairs):
+    """A JSON object as a dict, the last value of a key kept; the first key
+    it repeats is also filed under None, which no JSON key can be."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        obj[None] = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return obj
 
-    __slots__ = ("key",)
 
-
-def _first_repeated(doc):
-    """(position, key) of the first object in ``doc`` that repeats a key."""
-    stack = [("", doc)]
-    while stack:  # depth first, in document order
-        where, value = stack.pop()
-        if isinstance(value, _Repeated):
-            return where, value.key
-        if isinstance(value, dict):
-            items = [(f"{where}.{k}" if where else k, v) for k, v in value.items()]
-        elif isinstance(value, list):
-            items = [(f"{where}[{i}]", v) for i, v in enumerate(value)]
-        else:
-            continue
-        stack.extend(reversed(items))
+def _check_keys(obj, names, where):
+    """Refuse the key the JSON object ``obj`` repeats, then any key outside ``names``."""
+    if None in obj:
+        key = json.dumps(obj[None], ensure_ascii=False)
+        raise GraphFileError(f"{where}: key {key} is repeated")
+    extra = next((k for k in obj if k not in names), None)
+    if extra is not None:
+        raise GraphFileError(f"{where}: unknown key {json.dumps(extra, ensure_ascii=False)}")
 
 
 def load_graph(source) -> CausalDag:
@@ -395,7 +393,8 @@ def load_graph(source) -> CausalDag:
     (bool, default true).  Malformed input is rejected with the offending
     position in the message; so is an object that repeats a key, since the
     file then does not say which value holds, and a key the schema does not
-    name, since a misspelt "observed" would silently mean true.
+    name, since a misspelt "observed" would silently mean true.  Of several
+    faults, the first in document order is named.
     """
     try:
         if hasattr(source, "read"):
@@ -409,35 +408,17 @@ def load_graph(source) -> CausalDag:
             f"{origin}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} "
             "is not valid UTF-8"
         ) from None
-    repeated = []
-
-    def pairs_hook(pairs):
-        obj = dict(pairs)
-        if len(obj) == len(pairs):
-            return obj
-        seen = set()
-        obj = _Repeated(obj)
-        obj.key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        repeated.append(obj)
-        return obj
-
     try:
-        doc = json.loads(text, object_pairs_hook=pairs_hook)
+        doc = json.loads(text, object_pairs_hook=_pairs_hook)
     except json.JSONDecodeError as exc:
         raise GraphFileError(
             f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except (RecursionError, ValueError) as exc:  # nested too deep, or a huge integer
         raise GraphFileError(f"{origin}: unreadable JSON: {exc}") from None
-    if repeated:
-        where, key = _first_repeated(doc)
-        key = json.dumps(key, ensure_ascii=False)
-        raise GraphFileError(f"{origin}: {where + ': ' if where else ''}key {key} is repeated")
     if not isinstance(doc, dict):
         raise GraphFileError(f"{origin}: top level must be an object")
-    extra = next((k for k in doc if k not in ("nodes", "edges")), None)
-    if extra is not None:
-        raise GraphFileError(f"{origin}: unknown key {json.dumps(extra, ensure_ascii=False)}")
+    _check_keys(doc, ("nodes", "edges"), origin)
 
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list):
@@ -445,14 +426,11 @@ def load_graph(source) -> CausalDag:
     nodes = []
     for i, entry in enumerate(raw_nodes):
         where = f"{origin}: nodes[{i}]"
-        if isinstance(entry, str):
-            nodes.append((entry, True))
-            continue
+        if isinstance(entry, str):  # a bare name is short for {"name": ...}
+            entry = {"name": entry}
         if not isinstance(entry, dict):
             raise GraphFileError(f"{where}: expected an object or a string")
-        extra = next((k for k in entry if k not in ("name", "observed")), None)
-        if extra is not None:
-            raise GraphFileError(f"{where}: unknown key {json.dumps(extra, ensure_ascii=False)}")
+        _check_keys(entry, ("name", "observed"), where)
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise GraphFileError(f'{where}: "name" must be a non-empty string')

@@ -874,8 +874,8 @@ def test_analyze_fuzzed_cohort_bytes_exit_contract(data):
 def graph_bytes(draw):
     """Graph JSON over the cohort's columns and a latent u: mostly DAGs of
     random edges, and at times u confounding treatment and time, a cycle, a
-    malformed node, a key the schema does not name, text that is not JSON,
-    or bytes that are not UTF-8."""
+    malformed node, a key the schema does not name, a key written twice,
+    text that is not JSON, or bytes that are not UTF-8."""
     names = ["z", "treatment", "time", "u"]
     order = draw(st.permutations(names))
     pairs = [[a, b] for a in order for b in order[order.index(a) + 1 :]]
@@ -883,7 +883,8 @@ def graph_bytes(draw):
     nodes = [{"name": n, "observed": n != "u"} for n in names]
     # sampled_from favours its ends, so a DAG sits at both
     kinds = ["dag"] * 6 + [
-        "latent", "cycle", "bad_node", "stray_key", "not_json", "not_utf8", "dag"
+        "latent", "cycle", "bad_node", "stray_key", "repeated_key", "not_json", "not_utf8",
+        "dag",
     ]
     kind = draw(st.sampled_from(kinds))
     if kind == "latent":
@@ -899,6 +900,16 @@ def graph_bytes(draw):
         owner = draw(st.sampled_from([doc, *nodes]))
         owner[draw(st.sampled_from(["observd", "label"]))] = False
     text = json.dumps(doc)
+    if kind == "repeated_key":
+        # json.dumps writes a key once, so the first key of the top level, of a
+        # node or of an edge written as an object is spliced in again before it
+        owner = draw(st.sampled_from([doc, *nodes, {"x": 1}]))
+        if owner == {"x": 1}:
+            edges.append(owner)
+            text = json.dumps(doc)
+        key = next(iter(owner))
+        part = json.dumps(owner)
+        text = text.replace(part, json.dumps({key: owner[key]})[:-1] + ", " + part[1:], 1)
     if kind == "not_json":
         text = text[: draw(st.integers(0, len(text) - 1))]
     data = text.encode()

@@ -160,13 +160,29 @@ FOUR_X = [[1.0], [0.0], [1.0], [0.0]]
         (km_fit, ([1, 2, 3, 4], [1, 2, 1, 1]), {}, ValueError, "events must be 0 or 1"),
         (cox_fit, (FOUR_X, [1, 2, 3, 4], [1, 0, 1, 1]), {"ties": "exact"},
          ValueError, "ties must be 'efron' or 'breslow', got 'exact'"),
+        (km_fit, ([1, 2, 3, 4], [1, 1, 1, 1]), {"counts": [1, 1, 1]},
+         errors.LengthMismatch, "counts differs in length from times"),
+        (km_fit, ([1, 2, 3, 4], [1, 1, 1, 1], [0, 1, 0]), {},
+         errors.LengthMismatch, "groups differs in length from times"),
+        (cox_fit, (FOUR_X[:3], [1, 2, 3, 4], [1, 1, 1, 1]), {},
+         errors.LengthMismatch, "covariates, times, and events differ in length"),
     ],
     ids=["cox-event-2", "cox-nan-covariate", "cox-inf-time", "cox-zero-weighted-events",
-         "km-nan-time", "km-event-2", "cox-ties-exact"],
+         "km-nan-time", "km-event-2", "cox-ties-exact", "km-short-counts", "km-short-groups",
+         "cox-short-covariates"],
 )
 def test_malformed_fit_arguments_are_rejected(fit, args, kwargs, error, match):
     with pytest.raises(error, match=match):
         fit(*args, **kwargs)
+
+
+def test_cox_covariate_vector_fits_as_one_column():
+    x, t, _ = random_tie_free_dataset(np.random.default_rng(5))
+    events = np.ones(len(t), dtype=int)
+    vector, column = cox_fit(x, t, events), cox_fit(x[:, None], t, events)
+    assert vector.converged and vector.beta.shape == (1,)
+    for a, b in zip(vector, column):
+        assert np.array_equal(a, b)
 
 
 def test_cox_collinear_columns_singular():

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -103,6 +104,11 @@ def test_validate_dag_rejects_duplicate_node():
         validate_dag(["A", "A"], [])
 
 
+def test_validate_dag_rejects_a_name_that_is_not_a_string():
+    with pytest.raises(errors.GraphError, match="non-empty string, got 3"):
+        validate_dag([("A", True), (3, True)], [])
+
+
 def test_validate_dag_rejects_unknown_edge_endpoint():
     with pytest.raises(errors.UnknownNode):
         validate_dag(["A"], [("A", "B")])
@@ -172,6 +178,12 @@ def test_d_separated_rejects_overlap():
     dag = validate_dag(["A", "B"], [("A", "B")])
     with pytest.raises(errors.OverlappingSets):
         d_separated(dag, {"A"}, {"A"}, set())
+
+
+def test_d_separated_rejects_unknown_node():
+    dag = validate_dag(["A", "B"], [("A", "B")])
+    with pytest.raises(errors.UnknownNode, match="unknown node 'Q' in conditioning set"):
+        d_separated(dag, {"A"}, {"B"}, {"Q"})
 
 
 def _separation_query(rng, names, max_side):
@@ -451,14 +463,30 @@ def test_load_graph_reads_string_nodes_as_observed(tmp_path):
         pytest.param([], "bad.json: top level must be an object", id="top-level-array"),
         pytest.param({"nodes": [3], "edges": []},
                      "bad.json: nodes[0]: expected an object or a string", id="number-node"),
+        # a bare name is checked as the "name" of an object node is
+        pytest.param({"nodes": ["", "treatment", "time"], "edges": [["treatment", "time"]]},
+                     'bad.json: nodes[0]: "name" must be a non-empty string',
+                     id="empty-bare-name"),
+        # with two faults, the first in document order is named
+        pytest.param('{"nodes": [{"name": ""}, {"name": "u", "observed": false, '
+                     '"observed": true}], "edges": []}',
+                     'bad.json: nodes[0]: "name" must be a non-empty string', id="two-faults"),
     ],
 )
 def test_load_graph_position_annotated_errors(tmp_path, doc, fragment):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
     path = tmp_path / "bad.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    with pytest.raises(errors.GraphFileError) as exc:
-        load_graph(path)
-    assert fragment in str(exc.value)
+    path.write_text(text)
+    # an open file is named by its .name, a stream without one as <graph>
+    with path.open(encoding="utf-8") as opened:
+        for source, expected in [
+            (path, fragment),
+            (opened, fragment),
+            (io.StringIO(text), fragment.replace("bad.json", "<graph>")),
+        ]:
+            with pytest.raises(errors.GraphFileError) as exc:
+                load_graph(source)
+            assert expected in str(exc.value)
 
 
 def test_load_graph_invalid_json_reports_position(tmp_path):

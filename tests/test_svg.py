@@ -52,3 +52,13 @@ def test_empty_input_rejected():
 def test_output_is_deterministic():
     series = [_series("s", [0, 2, 9], [1.0, 0.7, 0.1])]
     assert emit_svg(series) == emit_svg(series)
+
+
+def test_a_series_that_ends_early_runs_flat_to_the_axis_end():
+    short = _series("short", [0, 4], [1.0, 0.5])
+    doc = emit_svg([short, _series("long", [0, 2, 9], [1.0, 0.7, 0.1])])
+    points = [line.split('points="')[1].split('"')[0].split() for line in doc.splitlines()
+              if "<polyline" in line]
+    # the axis ends at day 9, x = 60 + 564; the short curve keeps y = 16 + 358 * (1 - 0.5)
+    assert points[0][-2:] == ["310.67,195.00", "624.00,195.00"]
+    assert points[1][-1] == "624.00,338.20"
