@@ -121,10 +121,10 @@ def wide_extract(directory):
     """wide_extract's file, column map, automatic set and horizon, from its analyze command."""
     argv = generate("wide_extract", WIDE_SEED, Path(directory) / "wide")["argv"][0]
     args = build_parser().parse_args([*argv, "--out", str(directory)])
-    covariates = args.covariates.split(",")
-    column_map = {"treatment": args.treatment, "time": args.time, "event": args.event,
-                  "covariates": covariates, "id": args.id_col}
-    keep = minimal_backdoor_sets(load_graph(args.graph), args.treatment, args.time)[0].variables
+    column_map = {"treatment": args.treatment_col, "time": args.time_col, "event": args.event_col,
+                  "covariates": list(args.covariate_cols), "id": args.id_col}
+    dag = load_graph(args.graph)
+    keep = minimal_backdoor_sets(dag, args.treatment_col, args.time_col)[0].variables
     return args.data, column_map, tuple(sorted(keep)), args.t_max
 
 

@@ -57,6 +57,7 @@ from .trials import from_adjusted_counts, require_strata_at_most, to_daily_trial
 __all__ = ["AnalysisOptions", "AnalysisReport", "run_analysis", "write_outputs"]
 
 REPORT_SCHEMA = "1"
+FITS = ("crude", "traditional", "adjusted")
 
 
 class AnalysisOptions(NamedTuple):
@@ -82,16 +83,10 @@ class FitEntry(NamedTuple):
     error: str | None = None
 
     def to_dict(self):
+        """The report entry: every field but ``error``, or only ``error`` if set."""
         if self.error is not None:
             return {"error": self.error}
-        return {
-            "hr": self.hr,
-            "ci": [self.ci[0], self.ci[1]],
-            "beta": self.beta,
-            "se": self.se,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
+        return {k: v for k, v in self._asdict().items() if k != "error"}
 
 
 class AnalysisReport(NamedTuple):
@@ -107,19 +102,11 @@ class AnalysisReport(NamedTuple):
     warnings: tuple[str, ...] = ()
 
     def to_dict(self):
-        return {
-            "schema": REPORT_SCHEMA,
-            "n": self.n,
-            "t_max": self.t_max,
-            "arms": {"0": self.arms[0], "1": self.arms[1]},
-            "adjustment_set": list(self.adjustment_set),
-            "alpha": self.alpha,
-            "ties": self.ties,
-            "crude": self.crude.to_dict(),
-            "traditional": self.traditional.to_dict(),
-            "adjusted": self.adjusted.to_dict(),
-            "warnings": list(self.warnings),
-        }
+        """What report.json holds: the schema, then the fields in order."""
+        report = self._asdict()
+        for name in FITS:
+            report[name] = report[name].to_dict()
+        return {"schema": REPORT_SCHEMA, **report}
 
 
 def _z_for(alpha: float) -> float:
@@ -256,7 +243,7 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
 
     z_alpha = _z_for(options.alpha)
     fits = {}
-    for name, table in (("crude", pooled), ("traditional", trials), ("adjusted", pseudo)):
+    for name, table in zip(FITS, (pooled, trials, pseudo)):
         entry = fits[name] = _fit_entry(table, options.ties, z_alpha)
         if entry.error is not None:
             warnings.append(f"{name} fit failed: {entry.error}")

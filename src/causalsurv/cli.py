@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .analysis import AnalysisOptions, not_identifiable, run_analysis, write_outputs
+from .analysis import FITS, AnalysisOptions, not_identifiable, run_analysis, write_outputs
 from .cohort import save_cohort
 from .errors import (
     CausalSurvError,
@@ -52,6 +52,11 @@ def _alpha(text: str) -> float:
     return value
 
 
+def _names(text: str) -> tuple[str, ...]:
+    """argparse type for --covariates: comma-separated names, blanks dropped."""
+    return tuple(c.strip() for c in text.split(",") if c.strip())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``causalsurv`` parser, built on the first call and shared after it.
@@ -71,19 +76,26 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run the full adjustment pipeline")
     analyze.add_argument("--data", required=True, help="cohort CSV file")
     analyze.add_argument("--graph", required=True, help="causal graph JSON file")
+    # each option's dest is its AnalysisOptions field
     analyze.add_argument(
-        "--treatment", required=True, help="treatment column (and graph node) name"
+        "--treatment", dest="treatment_col", required=True,
+        help="treatment column (and graph node) name",
     )
     analyze.add_argument(
-        "--time", required=True, help="survival-time column (and outcome node) name"
+        "--time", dest="time_col", required=True,
+        help="survival-time column (and outcome node) name",
     )
-    analyze.add_argument("--event", required=True, help="event-status column name")
     analyze.add_argument(
-        "--covariates", default="", help="comma-separated covariate column names"
+        "--event", dest="event_col", required=True, help="event-status column name"
+    )
+    analyze.add_argument(
+        "--covariates", dest="covariate_cols", type=_names, default=(),
+        help="comma-separated covariate column names",
     )
     analyze.add_argument("--id", dest="id_col", default=None, help="id column name")
     analyze.add_argument(
         "--adjustment-set",
+        dest="adjustment",
         default="auto",
         help="'auto' (first minimal backdoor set) or explicit comma-separated names",
     )
@@ -125,28 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    covariates = tuple(c.strip() for c in args.covariates.split(",") if c.strip())
-    options = AnalysisOptions(
-        treatment_col=args.treatment,
-        time_col=args.time,
-        event_col=args.event,
-        covariate_cols=covariates,
-        id_col=args.id_col,
-        adjustment=args.adjustment_set,
-        ties=args.ties,
-        alpha=args.alpha,
-        t_max=args.t_max,
-        strict_censoring=args.strict_censoring,
-    )
+    options = AnalysisOptions(*(getattr(args, f) for f in AnalysisOptions._fields))
     report, artifacts = run_analysis(args.data, args.graph, options)
     paths = write_outputs(report, artifacts, args.out, svg=args.svg)
-    for name in ("crude", "traditional", "adjusted"):
-        entry = getattr(report, name).to_dict()
-        if "error" in entry:
-            print(f"{name}: failed ({entry['error']})")
+    for name in FITS:
+        entry = getattr(report, name)
+        if entry.error is not None:
+            print(f"{name}: failed ({entry.error})")
         else:
-            lo, hi = entry["ci"]
-            print(f"{name}: HR {entry['hr']:.4f} (CI {lo:.4f}-{hi:.4f})")
+            lo, hi = entry.ci
+            print(f"{name}: HR {entry.hr:.4f} (CI {lo:.4f}-{hi:.4f})")
     print(f"wrote {', '.join(str(p) for p in paths.values())}")
     return EXIT_OK
 

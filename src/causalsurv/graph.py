@@ -103,16 +103,18 @@ def validate_dag(nodes, edges) -> CausalDag:
     """Build a CausalDag, rejecting duplicates, dangling edges, and cycles.
 
     ``nodes`` entries are either plain names (observed) or (name, observed)
-    pairs.  ``edges`` entries are (parent, child) pairs.
+    pairs whose flag is a bool.  ``edges`` entries are (parent, child) pairs
+    of names.  Any other entry is a GraphError that shows it.
     """
     names: list[str] = []
     observed: set[str] = set()
     seen: set[str] = set()
     for item in nodes:
         if isinstance(item, str):
-            name, obs = item, True
-        else:
-            name, obs = item
+            item = (item, True)
+        elif not (_is_pair(item) and isinstance(item[1], bool)):
+            raise GraphError(f"node entry must be a name or a (name, bool) pair, got {item!r}")
+        name, obs = item
         if not isinstance(name, str) or not name:
             raise GraphError(f"node name must be a non-empty string, got {name!r}")
         if name in seen:
@@ -124,7 +126,10 @@ def validate_dag(nodes, edges) -> CausalDag:
 
     edge_list: list[tuple[str, str]] = []
     edge_seen: set[tuple[str, str]] = set()
-    for a, b in edges:
+    for item in edges:
+        if not (_is_pair(item) and all(isinstance(end, str) for end in item)):
+            raise GraphError(f"edge must be a (parent, child) pair of names, got {item!r}")
+        a, b = item
         for end in (a, b):
             if end not in seen:
                 raise UnknownNode(f"edge endpoint {end!r} is not a declared node")
@@ -138,6 +143,10 @@ def validate_dag(nodes, edges) -> CausalDag:
     dag = CausalDag(tuple(names), frozenset(observed), tuple(edge_list))
     _check_acyclic(*_adjacency(dag))
     return dag
+
+
+def _is_pair(item) -> bool:
+    return isinstance(item, (tuple, list)) and len(item) == 2
 
 
 def _check_acyclic(parents, children):

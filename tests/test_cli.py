@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causalsurv import analysis, estimators
+from causalsurv import analysis, cli, estimators
 from causalsurv._cox_kernels import BIG, cox_layout
+from causalsurv.analysis import AnalysisOptions
 from causalsurv.cli import main
 from causalsurv.cohort import CohortDataset, load_cohort
 from causalsurv.errors import EmptyGroup
@@ -283,6 +284,28 @@ def test_analyze_breslow_and_alpha_flags(workspace):
     assert report["alpha"] == 0.01
     lo, hi = report["crude"]["ci"]
     assert lo < report["crude"]["hr"] < hi
+
+
+def test_every_analyze_flag_reaches_its_option_field(monkeypatch):
+    seen = []
+
+    def capture(data, graph, options):
+        seen.append(options)
+        raise EmptyGroup("stop before any file is read")
+
+    monkeypatch.setattr(cli, "run_analysis", capture)
+    required = ["analyze", "--data", "d.csv", "--graph", "g.json", "--treatment", "treatment",
+                "--time", "time", "--event", "event", "--out", "out"]
+    assert main([*required, "--covariates", " z, ,w", "--id", "id", "--adjustment-set", "z",
+                 "--ties", "breslow", "--alpha", "0.1", "--t-max", "30",
+                 "--strict-censoring"]) == 5
+    assert main(required) == 5
+    assert seen == [
+        AnalysisOptions("treatment", "time", "event", ("z", "w"), "id", "z", "breslow", 0.1,
+                        30, True),
+        AnalysisOptions("treatment", "time", "event"),
+    ]
+    assert seen[1].covariate_cols == ()
 
 
 @pytest.mark.parametrize("alpha", ["2", "0", "-1", "nan", "inf", "1e-17", "5e-324", "abc"])

@@ -109,6 +109,24 @@ def test_validate_dag_rejects_a_name_that_is_not_a_string():
         validate_dag([("A", True), (3, True)], [])
 
 
+@pytest.mark.parametrize(
+    "nodes, edges, entry",
+    [
+        pytest.param([3], [], 3, id="number-node"),
+        pytest.param([("a",)], [], ("a",), id="one-element-node"),
+        # a flag that is not a bool would be read by its truth value
+        pytest.param([("a", "no")], [], ("a", "no"), id="string-flag"),
+        # a two-letter string would unpack as an edge
+        pytest.param(["a", "b"], ["ab"], "ab", id="string-edge"),
+        pytest.param(["a"], [5], 5, id="number-edge"),
+    ],
+)
+def test_validate_dag_rejects_a_malformed_entry(nodes, edges, entry):
+    with pytest.raises(errors.GraphError) as exc:
+        validate_dag(nodes, edges)
+    assert str(exc.value).endswith(f"got {entry!r}")
+
+
 def test_validate_dag_rejects_unknown_edge_endpoint():
     with pytest.raises(errors.UnknownNode):
         validate_dag(["A"], [("A", "B")])
@@ -460,6 +478,8 @@ def test_load_graph_reads_string_nodes_as_observed(tmp_path):
                      'bad.json: nodes[1]: unknown key "label"', id="extra-node-key"),
         pytest.param('{"title": "g", "nodes": [{"name": "A", "pos": [0, 0]}], "edges": []}',
                      'bad.json: unknown key "title"', id="extra-top-level-key"),
+        pytest.param({"nodes": [{"name": "u", "observed": "false"}], "edges": []},
+                     'bad.json: nodes[0]: "observed" must be a boolean', id="string-observed"),
         pytest.param([], "bad.json: top level must be an object", id="top-level-array"),
         pytest.param({"nodes": [3], "edges": []},
                      "bad.json: nodes[0]: expected an object or a string", id="number-node"),
