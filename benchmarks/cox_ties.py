@@ -8,10 +8,12 @@ times over five years, so ties of hundreds to thousands of weighted
 failures), and the three fits are the ones ``analyze`` runs: crude on the
 pooled daily trials, traditional on the trials stratified by {w, z}, and
 adjusted on the pseudo-cohort, all under Efron ties.  For each fit the
-script records the median wall time of one ``cox_eval`` at beta = 0 and
-of one whole ``cox_fit`` (layout and Newton included), with the rows,
-failure times, weighted failures and largest tie it fitted.  BLAS runs
-on one thread.  It writes ``BENCH_cox_ties.json`` in the current directory.
+script records the median wall time of one ``_prepare`` of the table's
+cells (its checks, and the merge when the rows are not already distinct
+and in order), of one ``cox_eval`` at beta = 0 and of one whole
+``cox_fit`` (preparation, layout and Newton included), with the rows,
+failure times, weighted failures and largest tie it fitted.  BLAS runs on
+one thread.  It writes ``BENCH_cox_ties.json`` in the current directory.
 """
 
 import json
@@ -84,6 +86,7 @@ def measure(n, directory):
             "weighted_failures": int(m.sum()),
             "largest_tie": int(m.max()),
             "iterations": int(fit.iterations),
+            "prepare_s": _median_s(lambda: _prepare(x, day, event, count), EVAL_REPEATS),
             "cox_eval_s": _median_s(lambda: cox_eval(layout, beta), EVAL_REPEATS),
             "cox_fit_s": _median_s(lambda: cox_fit(x, day, event, counts=count), FIT_REPEATS),
         }
@@ -97,7 +100,9 @@ def main():
         "benchmark": "cox_ties",
         "cohort": f"perfbench/inputs.registry_cohort_csv({SEED}, n), covariates z and w",
         "ties": "efron",
-        "statistic": f"median wall seconds: cox_eval of {EVAL_REPEATS}, cox_fit of {FIT_REPEATS}",
+        "statistic": (
+            f"median wall seconds: _prepare and cox_eval of {EVAL_REPEATS}, cox_fit of {FIT_REPEATS}"
+        ),
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -108,7 +113,8 @@ def main():
     Path("BENCH_cox_ties.json").write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     for n, fits in results.items():
         for name, r in fits.items():
-            print(f"n={n:>7} {name:<11} eval {r['cox_eval_s'] * 1e3:8.3f} ms  "
+            print(f"n={n:>7} {name:<11} prepare {r['prepare_s'] * 1e3:8.3f} ms  "
+                  f"eval {r['cox_eval_s'] * 1e3:8.3f} ms  "
                   f"fit {r['cox_fit_s'] * 1e3:8.2f} ms  largest tie {r['largest_tie']}")
 
 

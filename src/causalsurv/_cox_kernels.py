@@ -91,6 +91,9 @@ def _closed_ties(m, index) -> ClosedTies:
     return ClosedTies(index, mi, 1.0 / mi, head, series, tail)
 
 
+NO_CLOSED_TIES = _closed_ties(np.zeros(0), np.zeros(0, dtype=np.int64))  # the layouts that have none share it
+
+
 class CoxLayout(NamedTuple):
     moments: np.ndarray  # (1 + p + p*p) x rows: 1 | x | x x^T of each row
     counts: np.ndarray  # weight of each row
@@ -98,7 +101,7 @@ class CoxLayout(NamedTuple):
     risk: np.ndarray  # first row of each failure time, where its risk set begins
     m: np.ndarray  # weighted failures at each failure time
     flat: np.ndarray  # Efron ties of at most BIG failures, whose terms are summed one by one
-    terms: np.ndarray  # tie terms of each flat failure time: its m
+    term_of: np.ndarray  # the failure time of each flat term
     term_first: np.ndarray  # position of each flat failure time's first term
     frac: np.ndarray  # each flat term's l/m
     closed: ClosedTies  # Efron ties of more than BIG failures
@@ -111,24 +114,35 @@ def cox_layout(x, t, d, counts, efron) -> CoxLayout:
     xt = np.ascontiguousarray(x.T)
     moments = np.concatenate((np.ones((1, n)), xt, (xt[:, None] * xt).reshape(p * p, n)))
     failures = np.where(d == 1, c, 0.0)
-    risk = np.searchsorted(t, np.unique(t[failures > 0]))
+    starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))  # each time's first row
+    risk = starts[np.add.reduceat(failures, starts) > 0]
     m = np.add.reduceat(failures, risk)
     flat = np.flatnonzero((m <= BIG) & efron)
     mf = m[flat]
     terms = mf.astype(np.int64)
     term_first = np.cumsum(terms) - terms
     frac = (np.arange(terms.sum()) - np.repeat(term_first, terms)) / np.repeat(mf, terms)
-    closed = _closed_ties(m, np.flatnonzero((m > BIG) & efron))
-    return CoxLayout(moments, c, failures, risk, m, flat, terms, term_first, frac, closed)
+    term_of = np.repeat(flat, terms)
+    big = (m > BIG) & efron
+    closed = _closed_ties(m, np.flatnonzero(big)) if big.any() else NO_CLOSED_TIES
+    return CoxLayout(moments, c, failures, risk, m, flat, term_of, term_first, frac, closed)
 
 
 def tie_sums(layout, r):
     """S, Q and Q2 of every failure time's tie, at failure shares ``r = s0f/s0``."""
+    flat = layout.flat
+    if flat.size:
+        y = 1.0 - r[layout.term_of] * layout.frac
+        summands = np.empty((3, y.size))
+        np.log(y, out=summands[0])
+        q = np.divide(layout.frac, y, out=summands[1])
+        np.multiply(q, q, out=summands[2])
+        sums = np.add.reduceat(summands, layout.term_first, axis=1)
+        if flat.size == r.size:  # every tie is a flat Efron tie
+            return sums
     out = np.zeros((3, r.size))  # Breslow ties keep their zeros
-    if layout.flat.size:
-        y = 1.0 - np.repeat(r[layout.flat], layout.terms) * layout.frac
-        q = layout.frac / y
-        out[:, layout.flat] = [np.add.reduceat(v, layout.term_first) for v in (np.log(y), q, q * q)]
+    if flat.size:
+        out[:, flat] = sums
     if layout.closed.index.size:
         out[:, layout.closed.index] = _closed_sums(layout.closed, r[layout.closed.index])
     return out
@@ -179,8 +193,8 @@ def cox_eval(layout, beta):
     moments, counts, failures, risk, m = layout[:5]
     p = beta.size
     eta = beta @ moments[1 : p + 1]
-    shift = eta.max()
-    e = np.exp(eta - shift)
+    eta -= eta.max()  # the shift cancels; see the module docstring
+    e = np.exp(eta)
     # per failure time: 1 | x | x x^T summed over its risk set and its failures
     at_risk = np.add.reduceat(moments * (counts * e), risk, axis=1)
     at_risk = np.cumsum(at_risk[:, ::-1], axis=1)[:, ::-1]
@@ -193,7 +207,7 @@ def cox_eval(layout, beta):
     dev = mean * r - failed / s0  # 0 | delta | (r s2 - s2f)/s0
     total = mean @ m + dev @ qs  # 1 | e1 | e2 summed over all terms
     a, delta = mean[1 : p + 1], dev[1 : p + 1]
-    ll = failures @ (eta - shift) - m @ np.log(s0) - log_sum.sum()
+    ll = float(failures @ eta - m @ np.log(s0) - log_sum.sum())
     grad = moments[1 : p + 1] @ failures - total[1 : p + 1]
     ad = (a * qs) @ delta.T
     info = total[p + 1 :].reshape(p, p) - (a * m) @ a.T - ad - ad.T - (delta * q2) @ delta.T

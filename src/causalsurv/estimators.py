@@ -143,6 +143,21 @@ class CoxFit(NamedTuple):
     converged: bool
 
 
+def _in_order(rows) -> bool:
+    """Whether the (time, event, covariates) ``rows`` are distinct and in the merge's order.
+
+    The merge orders rows by time as a number, then by their bytes in
+    memory order, as the void keys of ``np.unique`` compare; byte strings
+    compare the same way.  So a 0.0 time comes before a -0.0 time.  Rows
+    whose times are not sorted fail at the first, cheapest test.
+    """
+    t = rows[:, 0]
+    if not (t[:-1] <= t[1:]).all():
+        return False
+    keys = rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel()
+    return bool(((t[:-1] < t[1:]) | (keys[:-1] < keys[1:])).all())
+
+
 def _prepare(covariate_matrix, times, events, counts=None):
     """Distinct (time, event, covariates) rows sorted by time, with counts.
 
@@ -168,6 +183,10 @@ def _prepare(covariate_matrix, times, events, counts=None):
     flat = np.flatnonzero(top[2:] == bottom[2:])
     if flat.size:
         raise ConstantCovariate(f"covariate column {int(flat[0])} is constant")
+    if _in_order(rows):
+        # distinct rows in merge order, as DailyTrials.cells() gives them; + 0.0
+        # makes a -0.0 count read 0.0, as the merge's bincount does
+        return np.ascontiguousarray(rows[:, 2:]), rows[:, 0], rows[:, 1], weights + 0.0
     # Rows compare as fixed-width byte keys, which sorts several times faster
     # than np.unique(axis=0); the kernel needs time order only between times.
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
@@ -209,25 +228,25 @@ def cox_fit(covariate_matrix, times, events, *, counts=None, ties="efron") -> Co
             # the underflow end-state of a monotone likelihood: the walk to
             # +-infinity ran out of floating-point range before the |beta|
             # bound tripped.
-            if np.abs(grad).max() <= GRAD_TOL and np.abs(beta).max() > 1.0:
+            if _max_abs(grad) <= GRAD_TOL and _max_abs(beta) > 1.0:
                 raise MonotoneLikelihood(
                     "information matrix underflowed while a coefficient "
-                    f"diverged (|beta| reached {np.abs(beta).max():.1f}); the "
+                    f"diverged (|beta| reached {_max_abs(beta):.1f}); the "
                     "partial likelihood is monotone (complete separation)"
                 ) from None
             raise
-        converged = bool(np.abs(grad).max() <= GRAD_TOL and np.abs(step).max() <= STEP_TOL)
+        converged = _max_abs(grad) <= GRAD_TOL and _max_abs(step) <= STEP_TOL
         if converged or iterations == MAX_ITER:
             break
         scale = 1.0
         for _halving in range(10):
             cand = beta + scale * step
             ll_new, grad_new, info_new = cox_eval(layout, cand)
-            if np.isfinite(ll_new) and ll_new >= ll - 1e-10 * (abs(ll) + 1.0):
+            if math.isfinite(ll_new) and ll_new >= ll - 1e-10 * (abs(ll) + 1.0):
                 break
             scale *= 0.5
         beta, ll, grad, info = cand, ll_new, grad_new, info_new
-        if np.abs(beta).max() > SEPARATION_BOUND:
+        if _max_abs(beta) > SEPARATION_BOUND:
             raise MonotoneLikelihood(
                 "a coefficient exceeded +-50 during iteration; the partial "
                 "likelihood is monotone (complete separation)"
@@ -236,19 +255,38 @@ def cox_fit(covariate_matrix, times, events, *, counts=None, ties="efron") -> Co
     return CoxFit(beta, _standard_errors(info), float(ll), iterations, converged)
 
 
+def _max_abs(v) -> float:
+    """``np.abs(v).max()`` read as a Python float: NaN as soon as any entry is NaN."""
+    values = v.tolist()
+    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
+
+
 def _newton_step(info, grad):
-    # Cholesky doubles as the concavity check: the observed information
-    # must be positive definite for the step to be an ascent direction.
-    try:
-        np.linalg.cholesky(info)
-        return np.linalg.solve(info, grad)
-    except np.linalg.LinAlgError:
-        raise SingularHessian(
-            "observed information is singular or not positive definite"
-        ) from None
+    """The Newton step info^-1 grad, or SingularHessian when info is not positive definite.
+
+    Cholesky doubles as the concavity check: the observed information must
+    be positive definite for the step to be an ascent direction.  A
+    one-coefficient fit divides instead, and refuses an entry that is not
+    above 0, the test reference LAPACK's Cholesky makes, which refuses a NaN.
+    """
+    if info.shape == (1, 1):
+        a = float(info[0, 0])
+        if a > 0:
+            return np.array([float(grad[0]) / a])
+    else:
+        try:
+            np.linalg.cholesky(info)
+            return np.linalg.solve(info, grad)
+        except np.linalg.LinAlgError:
+            pass
+    raise SingularHessian("observed information is singular or not positive definite")
 
 
 def _standard_errors(info):
+    """sqrt of the diagonal of info^-1; all NaN if info is singular or that diagonal has a negative entry."""
+    if info.shape == (1, 1):
+        a = float(info[0, 0])
+        return np.array([math.sqrt(1.0 / a) if a > 0 else math.nan])
     try:
         diag = np.diag(np.linalg.inv(info))
     except np.linalg.LinAlgError:

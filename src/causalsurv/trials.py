@@ -87,9 +87,20 @@ class DailyTrials(NamedTuple):
         return DailyTrials((), (), self.days, self.counts.sum(axis=1, keepdims=True))
 
     def cells(self):
-        """Occupied cells as count rows: arm, stratum, day, event and count arrays."""
-        arm, stratum, g, event = np.nonzero(self.counts)
-        return arm, stratum, self.days[g], event, self.counts[arm, stratum, g, event]
+        """Occupied cells as count rows: arm, stratum, day, event and count arrays.
+
+        Rows come in the order the Cox fitter takes distinct rows in, so it
+        sorts none: by day, then event, then arm, then stratum, with strata
+        in the byte order of their float64 dummy rows.  For 0/1 values that
+        is the order of the dummy rows read left to right, so a covariate's
+        level 2, with dummies (0, 1), comes before its level 1, (1, 0).
+        """
+        rank = np.arange(self.counts.shape[1])
+        if rank.size > 1:  # one stratum has no dummy columns to rank by
+            rank = np.lexsort(np.column_stack(self.dummies(rank)).T[::-1])
+        ranked = self.counts[:, rank]
+        g, event, arm, s = np.nonzero(ranked.transpose(2, 3, 0, 1))
+        return arm, rank[s], self.days[g], event, ranked[arm, s, g, event]
 
     def dummies(self, stratum) -> list[np.ndarray]:
         """0/1 column blocks of each covariate's levels but the first, per stratum index."""

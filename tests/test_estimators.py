@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalsurv import errors, estimators
 from causalsurv.estimators import Z_95, cox_fit, hr_report, km_fit
@@ -189,6 +191,86 @@ def test_cox_collinear_columns_singular():
     x = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(errors.SingularHessian):
         cox_fit(x, [1, 2, 3, 4], [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, -1.0, math.nan])
+def test_one_coefficient_step_refuses_an_information_not_above_zero(a):
+    with pytest.raises(errors.SingularHessian):
+        estimators._newton_step(np.array([[a]]), np.array([0.5]))
+    assert np.isnan(estimators._standard_errors(np.array([[a]]))).all()
+    if a <= 0:
+        # the same entry leading a 2 x 2 information, which takes Cholesky and inv
+        with pytest.raises(errors.SingularHessian):
+            estimators._newton_step(np.diag([a, 1.0]), np.array([0.5, 0.5]))
+        assert np.isnan(estimators._standard_errors(np.diag([a, 1.0]))).all()
+
+
+@pytest.mark.parametrize("a", [5e-324, 1e-300, 0.3, 1.0, 7.25, 1e300])
+@pytest.mark.parametrize("g", [-0.7, 0.0, 3.0, 1e-310])
+def test_one_coefficient_step_divides(a, g):
+    step = estimators._newton_step(np.array([[a]]), np.array([g]))
+    assert step.shape == (1,) and step[0] == g / a
+    se = estimators._standard_errors(np.array([[a]]))
+    assert se.shape == (1,) and se[0] == math.sqrt(1.0 / a)
+
+
+# --- row preparation ---------------------------------------------------------------
+
+@st.composite
+def fit_inputs(draw):
+    """1-40 rows of p = 1-3 columns, repeats likely, with counts 0-3 and a permutation.
+
+    Times come from a few values, 0.0 and -0.0 among them; covariates are
+    0/1 or small floats, -0.0 among them.
+    """
+    p = draw(st.integers(1, 3))
+    time = st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0])
+    cell = st.sampled_from([0.0, 1.0]) | st.sampled_from([-0.0, 0.5, -1.25, 3.0])
+    row = st.tuples(time, st.integers(0, 1), st.lists(cell, min_size=p, max_size=p))
+    pool = draw(st.lists(row, min_size=1, max_size=8))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    t, d, x = (np.array(v, dtype=np.float64) for v in zip(*picks))
+    counts = np.array(draw(st.lists(st.integers(0, 3), min_size=len(t), max_size=len(t))))
+    return x, t, d, counts, np.array(draw(st.permutations(range(len(t)))))
+
+
+def _prepared(x, t, d, counts):
+    try:
+        return estimators._prepare(x, t, d, counts)
+    except (errors.NoEvents, errors.ConstantCovariate) as exc:
+        return type(exc)
+
+
+def _same_arrays(got, want):
+    return all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+@settings(max_examples=400)
+@given(fit_inputs())
+def test_prepare_is_a_fixed_point_and_ignores_row_order(inputs):
+    x, t, d, counts, order = inputs
+    out = _prepared(x, t, d, counts)
+    shuffled = _prepared(x[order], t[order], d[order], counts[order])
+    if isinstance(out, type):  # an error, whatever the order
+        assert shuffled is out
+        return
+    assert _same_arrays(shuffled, out)
+    assert _same_arrays(_prepared(*out), out)
+
+
+def test_prepare_sorts_equal_times_in_the_wrong_byte_order():
+    # numerically equal times, rows in descending byte order: covariate 1.0
+    # before 0.0, and a -0.0 time before a 0.0 time
+    for t, x in (([2.0, 2.0], [1.0, 0.0]), ([-0.0, 0.0], [0.0, 1.0])):
+        t, x = np.array(t), np.array(x)[:, None]
+        d = np.ones(2)
+        assert not estimators._in_order(np.column_stack((t, d, x)))
+        got = estimators._prepare(x, t, d)
+        assert _same_arrays(got, estimators._prepare(x[::-1], t[::-1], d))
+        assert _same_arrays(got, (x[::-1], t[::-1], d, np.ones(2)))
 
 
 def test_cox_efron_equals_breslow_without_ties():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from causalsurv import errors
 from causalsurv.adjust import AdjustedCurve, adjust_curve, unadjusted_curve
-from causalsurv.estimators import cox_fit, km_fit
+from causalsurv.estimators import _prepare, cox_fit, km_fit
 from causalsurv.graph import AdjustmentSet, satisfies_backdoor, validate_dag
 from causalsurv.trials import _level_codes, from_adjusted_counts, to_daily_trials
 
@@ -295,6 +295,31 @@ def test_count_rows_fit_exactly_as_subjects(cohort):
         other = by_cell.groups[arm_label]
         for name in ("times", "at_risk", "events", "survival"):
             assert getattr(group, name).tobytes() == getattr(other, name).tobytes()
+
+
+def test_cells_come_in_the_order_the_fitter_takes_rows():
+    # a 3-level and a 2-level covariate: 6 strata, every (arm, stratum) cell occupied
+    rng = np.random.default_rng(31)
+    rows = [
+        (i % 2, int(rng.integers(0, 12)), int(rng.integers(0, 2)),
+         str(int(rng.integers(0, 3))), str(int(rng.integers(0, 2))))
+        for i in range(240)
+    ]
+    cohort, curve = _pseudo_cohort(rows, ("a", "b"))
+    trials = to_daily_trials(cohort, ("a", "b"))
+    assert trials.counts.shape[1] == 6
+    for table in (trials, trials.pooled(), from_adjusted_counts(curve)):
+        arm, stratum, day, event, count = table.cells()
+        x = np.column_stack([arm, *table.dummies(stratum)]).astype(np.float64)
+        given = (x, day.astype(np.float64), event.astype(np.float64), count.astype(np.float64))
+        for got, want in zip(_prepare(x, day, event, count), given):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        # each occupied cell once, with its count
+        cells = list(zip(arm.tolist(), stratum.tolist(), day.tolist(), event.tolist()))
+        assert len(set(cells)) == len(cells) == np.count_nonzero(table.counts)
+        g = np.searchsorted(table.days, day)
+        assert table.counts[arm, stratum, g, event].tolist() == count.tolist()
+        assert count.sum() == table.n
 
 
 def _curve(days, counts0, counts1, sizes):
