@@ -32,8 +32,9 @@ integrals of the three summands (power series below rho = r F = 0.1, so
 that nothing divides by r).  Beyond the tail each correction is about
 (2 pi K)^2 times smaller than the one before, so the sums agree with the
 exact ones to about 1e-14 relative.  No array is larger than
-rows x p x p or the flat terms long.  The centred sums do not depend on
-the scale of s0, and their cancellation stays inside delta.  The linear
+2 x rows x (1 + p + p*p), the rows' moments weighted for the risk sets
+and for the failures, or the flat terms long.  The centred sums do not
+depend on the scale of s0, and their cancellation stays inside delta.  The linear
 predictor is shifted by its maximum before exponentiation; the shift
 cancels exactly because every failure contributes one numerator eta and
 one log-denominator term.
@@ -96,8 +97,7 @@ NO_CLOSED_TIES = _closed_ties(np.zeros(0), np.zeros(0, dtype=np.int64))  # the l
 
 class CoxLayout(NamedTuple):
     moments: np.ndarray  # (1 + p + p*p) x rows: 1 | x | x x^T of each row
-    counts: np.ndarray  # weight of each row
-    failures: np.ndarray  # weight of each row's failures: its count, or 0 if censored
+    weights: np.ndarray  # 2 x rows: each row's count | its failures' weight, its count or 0 if censored
     risk: np.ndarray  # first row of each failure time, where its risk set begins
     m: np.ndarray  # weighted failures at each failure time
     flat: np.ndarray  # Efron ties of at most BIG failures, whose terms are summed one by one
@@ -113,19 +113,20 @@ def cox_layout(x, t, d, counts, efron) -> CoxLayout:
     c = np.asarray(counts, dtype=np.float64)
     xt = np.ascontiguousarray(x.T)
     moments = np.concatenate((np.ones((1, n)), xt, (xt[:, None] * xt).reshape(p * p, n)))
-    failures = np.where(d == 1, c, 0.0)
-    starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))  # each time's first row
+    weights = np.array((c, np.where(d == 1, c, 0.0)))
+    failures = weights[1]
+    starts = np.concatenate(([True], t[1:] != t[:-1])).nonzero()[0]  # each time's first row
     risk = starts[np.add.reduceat(failures, starts) > 0]
     m = np.add.reduceat(failures, risk)
-    flat = np.flatnonzero((m <= BIG) & efron)
+    flat = ((m <= BIG) & efron).nonzero()[0]
     mf = m[flat]
     terms = mf.astype(np.int64)
-    term_first = np.cumsum(terms) - terms
-    frac = (np.arange(terms.sum()) - np.repeat(term_first, terms)) / np.repeat(mf, terms)
-    term_of = np.repeat(flat, terms)
+    term_first = terms.cumsum() - terms
+    frac = (np.arange(terms.sum()) - term_first.repeat(terms)) / mf.repeat(terms)
+    term_of = flat.repeat(terms)
     big = (m > BIG) & efron
-    closed = _closed_ties(m, np.flatnonzero(big)) if big.any() else NO_CLOSED_TIES
-    return CoxLayout(moments, c, failures, risk, m, flat, term_of, term_first, frac, closed)
+    closed = _closed_ties(m, big.nonzero()[0]) if big.any() else NO_CLOSED_TIES
+    return CoxLayout(moments, weights, risk, m, flat, term_of, term_first, frac, closed)
 
 
 def tie_sums(layout, r):
@@ -163,17 +164,20 @@ def _closed_sums(ties, r):
     u = 1.0 / (1.0 - rho)  # 1 - rho >= K/m
     log1m = np.log1p(-rho)
     fu = head * u
-    # m times the integrals over [0, F]: closed forms, which cancel for small rho, or series
+    # m times the integrals over [0, F]: series, or closed forms where rho is large enough
+    # that they do not cancel
+    integral = ties.series * ((rho[:, None] ** _J) @ _SERIES).T
     closed = rho >= _RHO_SERIES
-    rc = np.where(closed, r, 1.0)
-    scale = m / rc
-    forms = _FORMS @ np.array((log1m, rho * log1m, rho, rho * u))
-    series = ties.series * ((rho[:, None] ** _J) @ _SERIES).T
-    integral = np.where(closed, forms * np.array((scale, scale / rc, scale / rc**2)), series)
+    if closed.any():
+        rc = np.where(closed, r, 1.0)
+        scale = m / rc
+        forms = _FORMS @ np.array((log1m, rho * log1m, rho, rho * u))
+        integral = np.where(closed, forms * np.array((scale, scale / rc, scale / rc**2)), integral)
     # the weighted derivatives at f = F and at f = 0
     x = np.array((h * r * u, h * r))
     y = x * x
-    at_f, at_0 = np.tensordot(_EM.T, np.array((np.ones_like(y), y, y * y, y * y * y)), axes=1).swapaxes(0, 1)
+    powers = np.array((np.ones_like(y), y, y * y, y * y * y))
+    at_f, at_0 = np.dot(_EM.T, powers.reshape(4, -1)).reshape(4, 2, -1).swapaxes(0, 1)
     u2 = u * u
     ends = np.array((
         x[1] * at_0[0] - x[0] * at_f[0],
@@ -190,23 +194,24 @@ def _closed_sums(ties, r):
 
 def cox_eval(layout, beta):
     """Log partial likelihood, gradient and observed information at ``beta``."""
-    moments, counts, failures, risk, m = layout[:5]
+    moments, weights, risk, m = layout[:4]
     p = beta.size
     eta = beta @ moments[1 : p + 1]
     eta -= eta.max()  # the shift cancels; see the module docstring
     e = np.exp(eta)
-    # per failure time: 1 | x | x x^T summed over its risk set and its failures
-    at_risk = np.add.reduceat(moments * (counts * e), risk, axis=1)
-    at_risk = np.cumsum(at_risk[:, ::-1], axis=1)[:, ::-1]
-    failed = np.add.reduceat(moments * (failures * e), risk, axis=1)
-    s0 = at_risk[0]
-    r = failed[0] / s0
+    # per failure time: 1 | x | x x^T summed over its rows, then over its failures; a
+    # risk set is its time's rows and every later time's, so those sums run from the last
+    sums = np.add.reduceat(moments * (weights * e)[:, None], risk, axis=2)
+    sums[0, :, ::-1].cumsum(axis=1, out=sums[0, :, ::-1])
+    s0 = sums[0, 0]
+    mean, failed = sums / s0  # 1 | a | s2/s0, and the failures' sums over s0
+    r = failed[0]
     log_sum, qs, q2 = tie_sums(layout, r)
 
-    mean = at_risk / s0  # 1 | a | s2/s0
-    dev = mean * r - failed / s0  # 0 | delta | (r s2 - s2f)/s0
+    dev = mean * r - failed  # 0 | delta | (r s2 - s2f)/s0
     total = mean @ m + dev @ qs  # 1 | e1 | e2 summed over all terms
     a, delta = mean[1 : p + 1], dev[1 : p + 1]
+    failures = weights[1]
     ll = float(failures @ eta - m @ np.log(s0) - log_sum.sum())
     grad = moments[1 : p + 1] @ failures - total[1 : p + 1]
     ad = (a * qs) @ delta.T

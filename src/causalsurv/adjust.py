@@ -47,6 +47,15 @@ class AdjustedCurve(NamedTuple):
         return _step_at(self.grid, self.p[arm], day)
 
 
+def spanning(days, last) -> np.ndarray:
+    """Ascending distinct ``days`` within [0, last], with 0 and ``last`` added where missing."""
+    if not days.size or days[0] != 0:
+        days = np.concatenate(([0], days))
+    if days[-1] != last:
+        days = np.concatenate((days, [last]))
+    return days
+
+
 def _curve(trials: DailyTrials) -> AdjustedCurve:
     """The adjusted curve of a daily-trials table, weighted over its strata.
 
@@ -57,18 +66,18 @@ def _curve(trials: DailyTrials) -> AdjustedCurve:
     sizes = table.sum(axis=(2, 3))
     require_positivity(sizes, trials.levels)
     deaths = table[..., 1]
-    grid = np.union1d(days[deaths.any(axis=(0, 1))], [0, days[-1]])
+    grid = spanning(days[deaths.any(axis=(0, 1))], days[-1])
     # deaths on or before each grid day, then alive = size - deaths so far
     dead = np.zeros(deaths.shape[:2] + (len(days) + 1,), dtype=np.int64)
-    np.cumsum(deaths, axis=2, out=dead[..., 1:])
-    alive = sizes[..., None] - dead[..., np.searchsorted(days, grid, side="right")]
+    deaths.cumsum(axis=2, out=dead[..., 1:])
+    alive = sizes[..., None] - dead[..., days.searchsorted(grid, side="right")]
     values = alive / sizes[..., None]
     weights = sizes.sum(axis=0) / int(sizes.sum())
     p = np.empty((2, len(grid)))
     for arm in (0, 1):
         # fixed evaluation order per day keeps the curve monotone in fp too
         p[arm] = values[arm].T @ weights
-    np.clip(p, 0.0, 1.0, out=p)  # trim fp dust; the true values are in [0, 1]
+    p.clip(0.0, 1.0, out=p)  # trim fp dust; the true values are in [0, 1]
     arm_sizes = sizes.sum(axis=1)
     counts = p * arm_sizes[:, None]
     return AdjustedCurve(grid, p, counts, dict(enumerate(arm_sizes.tolist())), trials)

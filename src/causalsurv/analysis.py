@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adjust import adjust_curve
+from .adjust import adjust_curve, spanning
 from .cohort import drop_early_censored, load_cohort, truncate_followup
 from .errors import (
     CausalSurvError,
@@ -210,7 +210,7 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
                 f"strict censoring mode dropped {dropped} subjects censored "
                 "before the horizon"
             )
-    elif bool(np.any(cohort.event == 0)):
+    elif bool((cohort.event == 0).any()):
         warnings.append(
             "censored subjects count as alive on every day in the transform; "
             "survival may be overstated under heavy censoring "
@@ -234,9 +234,7 @@ def run_analysis(data_path, graph_path, options: AnalysisOptions):
         km = km_fit(day, event, arms, counts=count)
         for arm in (0, 1):
             group = km.groups[arm]
-            days = np.unique(
-                np.concatenate((group.times, [0, cohort.t_max]))
-            ).astype(np.int64)
+            days = spanning(group.times, cohort.t_max)
             survival = group.survival_at(days)
             counts = survival * curve.arm_sizes[arm]
             curves.append((variant, arm, days, survival, counts))

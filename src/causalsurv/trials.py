@@ -99,7 +99,7 @@ class DailyTrials(NamedTuple):
         if rank.size > 1:  # one stratum has no dummy columns to rank by
             rank = np.lexsort(np.column_stack(self.dummies(rank)).T[::-1])
         ranked = self.counts[:, rank]
-        g, event, arm, s = np.nonzero(ranked.transpose(2, 3, 0, 1))
+        g, event, arm, s = ranked.transpose(2, 3, 0, 1).nonzero()
         return arm, rank[s], self.days[g], event, ranked[arm, s, g, event]
 
     def dummies(self, stratum) -> list[np.ndarray]:
@@ -190,19 +190,19 @@ def from_adjusted_counts(adj) -> DailyTrials:
         size = int(adj.arm_sizes[arm])
         counts = np.asarray(adj.counts[arm], dtype=np.float64)
         tol = 1e-9 * max(size, 1)
-        if np.any(np.diff(counts) > tol):
+        if (counts[1:] - counts[:-1] > tol).any():
             raise NonMonotoneCounts(
                 f"arm {arm}: adjusted counts increase along the day grid"
             )
         deaths = size - counts
-        if np.any(deaths < -tol):
+        if (deaths < -tol).any():
             raise NonMonotoneCounts("adjusted count exceeds the arm size")
         deaths = np.maximum(deaths, 0.0)
         rounded = np.floor(deaths + 0.5).astype(np.int64)
         if adj.trials is not None:
-            for g in np.flatnonzero(np.abs(deaths - rounded) >= 0.5 - tol).tolist():
+            for g in (np.abs(deaths - rounded) >= 0.5 - tol).nonzero()[0].tolist():
                 rounded[g] = _exact_deaths(adj.trials, arm, days[g])
         ints = size - rounded
-        table[arm, 0, :, 1] = np.maximum(-np.diff(ints, prepend=size), 0)
+        table[arm, 0, :, 1] = np.maximum(np.concatenate(([size], ints[:-1])) - ints, 0)
         table[arm, 0, -1, 0] = ints[-1]
     return DailyTrials((), (), days, table)

@@ -10,7 +10,9 @@ are checked by trying every subset of the candidates with
 ``satisfies_backdoor``, which that oracle anchors; the Cox coefficient is
 checked by golden-section search over a directly-evaluated log partial
 likelihood; the Cox kernel is checked against a scalar loop over
-subjects, and its Efron tie sums against exact sums of their terms; the backdoor-adjusted curve is checked against a sum over whole
+subjects, and its Efron tie sums against exact sums of their terms; the
+Kaplan-Meier estimate is checked against one pass per group; the
+backdoor-adjusted curve is checked against a sum over whole
 daily outcome histories; the first empty (arm, stratum) cell is found by
 walking the level product over the subjects; the pseudo-cohort is
 rebuilt by exact half-up rounding of the adjusted deaths, and its count
@@ -301,6 +303,33 @@ def efron_tie_sums(m, r):
     f = np.arange(m) / m
     q = f / (1.0 - r * f)
     return math.fsum(np.log1p(-r * f)), math.fsum(q), math.fsum(q * q)
+
+
+# --- Kaplan-Meier one group at a time --------------------------------------------
+
+def km_per_group(times, events, groups, counts=None):
+    """Kaplan-Meier estimates as dict label -> (times, at_risk, events, survival).
+
+    Each group is masked out and its own times made distinct by their own
+    ``np.unique``; at-risk counts are the reverse cumulative sum of the
+    per-time weights, events the float weights of event rows, and survival
+    the cumulative product of 1 - events/at risk over the times with an
+    event.  Labels become the Python values ``.item()`` gives.
+    """
+    times, events, groups = np.asarray(times), np.asarray(events), np.asarray(groups)
+    weights = np.ones(times.size) if counts is None else np.asarray(counts, dtype=np.float64)
+    out = {}
+    for label in np.unique(groups):
+        mask = groups == label
+        t, d, c = times[mask], events[mask], weights[mask]
+        days, day_of = np.unique(t, return_inverse=True)
+        at_risk = np.cumsum(np.bincount(day_of, c)[::-1])[::-1]
+        # float64 also for a group without event rows, whose bincount is int64
+        failed = np.bincount(day_of[d == 1], c[d == 1], minlength=days.size).astype(np.float64)
+        keep = failed > 0
+        survival = np.cumprod(1.0 - failed[keep] / at_risk[keep])
+        out[label.item()] = (days[keep], at_risk[keep], failed[keep], survival)
+    return out
 
 
 # --- small random survival data -------------------------------------------------

@@ -361,6 +361,19 @@ def test_import_loads_no_optional_modules():
     assert parsers == 0
 
 
+def test_analyze_loads_no_masked_arrays(workspace):
+    # numpy's set routines on their bare path import numpy.ma on their first
+    # call, a cost that only the first analyze in a process would pay
+    tmp_path, graph, data = workspace
+    code = "import sys, causalsurv.cli; print(causalsurv.cli.main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", code, *_analyze_args(tmp_path, graph, data, extra=["--svg"])],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.stdout.splitlines()[-1] == "0 False"
+
+
 def test_calls_in_one_process_share_no_parse_state(workspace, capsys):
     # the parser is built once per process: options, defaults and errors of
     # one call must not leak into the next

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     direct_loglik,
     golden_section_max,
     gradient_at,
+    km_per_group,
     random_tie_free_dataset,
 )
 
@@ -212,6 +214,80 @@ def test_one_coefficient_step_divides(a, g):
     assert step.shape == (1,) and step[0] == g / a
     se = estimators._standard_errors(np.array([[a]]))
     assert se.shape == (1,) and se[0] == math.sqrt(1.0 / a)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_step_refuses_a_non_finite_information(a):
+    for info in (np.diag([a, 1.0]), np.array([[1.0, a], [a, 1.0]]), np.full((3, 3), a)):
+        with pytest.raises(errors.SingularHessian):
+            estimators._newton_step(info, np.full(len(info), 0.5))
+
+
+def test_two_coefficient_fit_whose_moments_overflow_is_singular():
+    # x x^T of the first column overflows, so the information is NaN, which
+    # OpenBLAS's Cholesky returns without an error: the fit must stop at once
+    # rather than iterate on NaN
+    x = np.column_stack(((1.0, 3.0, 2.0, 5.0, 4.0), (0.0, 1.0, 1.0, 0.0, 1.0))) * (1e160, 1.0)
+    with np.errstate(all="ignore"), pytest.raises(errors.SingularHessian):
+        cox_fit(x, [1, 2, 3, 4, 5], [1, 1, 0, 1, 1])
+
+
+def test_cox_fit_takes_a_column_major_covariate_matrix():
+    rng = np.random.default_rng(17)
+    x = rng.integers(0, 3, size=(60, 3)).astype(np.float64)
+    t, d = rng.integers(1, 9, size=60), rng.integers(0, 2, size=60)
+    merged = estimators._prepare(x, t, d)  # distinct rows in order: they skip the merge
+    for x, t, d, counts in ((x, t, d, None), merged):
+        fits = [cox_fit(a, t, d, counts=counts) for a in (np.ascontiguousarray(x), np.asfortranarray(x))]
+        for a, b in zip(*fits):
+            assert np.array_equal(a, b)
+
+
+@st.composite
+def km_inputs(draw):
+    """1-40 rows: unsorted float or int times, int or str labels, counts 0-3 or none.
+
+    Every row of one drawn label is censored, so a group without events
+    turns up whenever that label does.
+    """
+    n = draw(st.integers(1, 40))
+    time = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, 7.0, 7.25]) | st.integers(0, 9).map(float)
+    times = draw(st.lists(time, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        times = [int(v) for v in times]
+    pool = draw(st.sampled_from([[-3, 0, 1, 2], ["a", "b", "c"]]))
+    groups = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    silent = draw(st.sampled_from(pool))
+    events = [draw(st.integers(0, 1)) if g != silent else 0 for g in groups]
+    counts = draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return np.array(times), np.array(events), np.array(groups), counts
+
+
+@settings(max_examples=300)
+@given(km_inputs())
+def test_km_matches_one_pass_per_group(inputs):
+    times, events, groups, counts = inputs
+    got = km_fit(times, events, groups, counts=counts).groups
+    want = km_per_group(times, events, groups, counts)
+    assert [(type(k), k) for k in got] == [(type(k), k) for k in want]
+    for group, fields in zip(got.values(), want.values()):
+        for name, g, w in zip(group._fields, group, fields):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+            # bit for bit, but a time of 0.0 may stand for another group's -0.0 rows
+            assert np.array_equal(g, w) if name == "times" else g.tobytes() == w.tobytes(), name
+
+
+def test_km_memory_is_linear_in_the_rows_however_many_groups():
+    # 3 000 rows in 3 000 groups at 3 000 times: a groups x times array would
+    # take 72 MB, while the groups' own arrays take about 100 x 8 bytes a row
+    n = 3000
+    rng = np.random.default_rng(1)
+    times, groups, events = rng.permutation(n).astype(float), rng.permutation(n), rng.integers(0, 2, n)
+    tracemalloc.start()
+    curve = km_fit(times, events, groups)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(curve.groups) == n and peak < 300 * n * 8
 
 
 # --- row preparation ---------------------------------------------------------------

@@ -119,6 +119,22 @@ def test_tie_sums_match_exact_sums_of_their_terms(m):
             assert abs(g - w) <= 1e-13 * abs(w) + s, (m, r, got, want)
 
 
+def test_closed_sums_of_ties_on_both_sides_of_the_series_bound_match_each_side_alone():
+    # below rho = r F = 0.1 a tie's integrals take their power series, and the
+    # closed forms are computed only when some tie is at or above it: a tie's
+    # sums must not depend on which other ties share the call
+    m = np.array([150.0, 4000.0, 100_000.0, 150.0, 4000.0, 100_000.0, 97.0, 2500.0])
+    r = np.array([1e-4, 0.05, 0.0999, 0.1001, 0.3, 0.95, 0.2, 0.0]) * m / (m - kernels.K)
+    ties = kernels._closed_ties(m, np.arange(m.size))
+    low = r * ties.head < 0.1
+    assert low.tolist() == [True, True, True, False, False, False, False, True]
+    both = kernels._closed_sums(ties, r)
+    for side in (low, ~low):
+        index = np.flatnonzero(side)
+        alone = kernels._closed_sums(kernels._closed_ties(m, index), r[index])
+        assert both[:, index].tobytes() == alone.tobytes()
+
+
 def test_kernel_memory_does_not_grow_with_failures_times_p():
     # 200 rows at p = 8 whose counts hold 10^3 or 10^5 weighted failures: the
     # per-row moments are the same either way, and a failures x p array would
