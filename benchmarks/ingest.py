@@ -16,7 +16,9 @@ the 10^6 file with every ``z`` cell in double quotes; for the last and
 the plain 10^6 file the script records the ``tracemalloc`` peak of one
 load and the peak RSS (``VmHWM``) of one ``causalsurv analyze
 --covariates z,w --t-max 1825 --svg`` run in a fresh process.  BLAS runs
-on one thread.  It writes ``BENCH_ingest.json`` in the current directory.
+on one thread.  A column of 2-byte cells: the 10^6 file is also read
+with ``z`` written as ``10``, ``11`` and ``12``.  It writes
+``BENCH_ingest.json`` in the current directory.
 """
 
 import json
@@ -103,11 +105,11 @@ def memory(path, graph, out):
     return {"load_cohort_peak_mib": peak / 2**20, "cli_peak_rss_mib": int(kib) / 1024}
 
 
-def quoted_z(text):
-    """Registry CSV text with every z cell (the fourth field) in double quotes."""
+def rewrite_z(text, form):
+    """Registry CSV text with every z cell (the fourth field) written as ``form % cell``."""
     lines = text.splitlines()
     cells = (line.split(",") for line in lines[1:])
-    return "\n".join([lines[0], *(",".join([*c[:3], f'"{c[3]}"', *c[4:]]) for c in cells)]) + "\n"
+    return "\n".join([lines[0], *(",".join([*c[:3], form % c[3], *c[4:]]) for c in cells)]) + "\n"
 
 
 def first_name_quoted(source, target):
@@ -140,9 +142,15 @@ def main():
                 graph = Path(directory) / "graph.json"
                 graph.write_text(json.dumps(REGISTRY_GRAPH), encoding="utf-8")
                 quoted = Path(directory) / "registry_quoted.csv"
-                quoted.write_text(quoted_z(path.read_text(encoding="utf-8")), encoding="utf-8")
+                text = path.read_text(encoding="utf-8")
+                quoted.write_text(rewrite_z(text, '"%s"'), encoding="utf-8")
                 name = f"registry_{n}_quoted"
                 results[name] = measure(quoted, COLUMNS, ("w", "z"), None, repeats)
+                two_digit = Path(directory) / "registry_two_digit_z.csv"
+                two_digit.write_text(rewrite_z(text, "1%s"), encoding="utf-8")  # 10, 11, 12
+                results[f"registry_{n}_two_digit_z"] = measure(
+                    two_digit, COLUMNS, ("w", "z"), None, repeats
+                )
                 header = first_name_quoted(path, Path(directory) / "registry_header_quoted.csv")
                 results[f"registry_{n}_header_quoted"] = measure(
                     header, COLUMNS, ("w", "z"), None, repeats
@@ -159,6 +167,8 @@ def main():
             "registry_N": f"perfbench/inputs.registry_cohort_csv({SEED}, N), covariates z and w, "
             "table by {w, z}",
             "registry_1000000_quoted": "registry_1000000 with every z cell in double quotes",
+            "registry_1000000_two_digit_z": "registry_1000000 with every z cell written as 10, "
+            "11 or 12",
             "registry_1000000_header_quoted": "registry_1000000 with only its first header name "
             "(treatment) in double quotes",
             "wide_extract": f"perfbench/inputs.generate('wide_extract', {WIDE_SEED}): every "

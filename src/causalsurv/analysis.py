@@ -277,12 +277,15 @@ def write_outputs(report, artifacts, out_dir, svg: bool = False) -> dict[str, Pa
     )
     paths["report"] = report_path
 
-    lines = ["variant,arm,day,survival,count"]
+    lines = ["variant,arm,day,survival,count\n"]
     for variant, arm, days, survival, counts in artifacts["curves"]:
-        for day, s, c in zip(days.tolist(), survival.tolist(), counts.tolist()):
-            lines.append(f"{variant},{arm},{day},{s!r},{c!r}")
+        # one template per curve over its rows' interleaved cells
+        cells = [None] * (3 * len(days))
+        cells[0::3], cells[1::3], cells[2::3] = days.tolist(), survival.tolist(), counts.tolist()
+        row = f"{variant},{arm},".replace("%", "%%") + "%s,%r,%r\n"
+        lines.append("".join([row] * len(days)) % tuple(cells))
     curves_path = out / "curves.csv"
-    curves_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    curves_path.write_text("".join(lines), encoding="utf-8")
     paths["curves"] = curves_path
 
     if svg:

@@ -375,14 +375,16 @@ def _empty_cells(chunk, start, width):
 def _distinct_cells(parts):
     """Distinct texts of one column's cells, and each row's index into them.
 
-    ``parts`` holds :func:`_cell_keys` of each chunk in turn.  One sort
-    (a lookup for 1-byte keys) finds the distinct integer keys; a wide
-    chunk's cells are merged in by a dict over their texts.
+    ``parts`` holds :func:`_cell_keys` of each chunk in turn.  A table
+    lookup finds the distinct integer keys when the table is no larger than
+    the keys (always for 1-byte keys), else one sort; a wide chunk's cells
+    are merged in by a dict over their texts.
     """
     narrow = [part for part in parts if isinstance(part, np.ndarray)]
     keys = narrow[0] if len(narrow) == 1 else np.concatenate(narrow or [np.zeros(0, np.uint8)])
     size = keys.dtype.itemsize
-    if size == 1:  # a lookup beats a sort
+    # numpy's 2-byte sort has no fast path; keys.max() + 1 would wrap for 8-byte keys
+    if size == 1 or keys.size and keys.max() < keys.size:
         seen = np.bincount(keys) > 0
         values = np.flatnonzero(seen)
         index = (np.cumsum(seen) - 1).astype(keys.dtype).take(keys)

@@ -817,6 +817,17 @@ def test_simulate_seed_7_analysis_matches_golden_outputs(tmp_path, monkeypatch):
     assert all(layout.m.max() <= BIG and layout.closed.index.size == 0 for layout in layouts)
 
 
+def test_simulate_seed_7_analysis_matches_golden_svg(tmp_path):
+    # curves.svg draws only Kaplan-Meier steps, so no BLAS kernel moves its bytes
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(CONFOUNDED_GRAPH))
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--seed", "7", "--out", str(data)]) == 0
+    assert main(_analyze_args(tmp_path, graph, data, extra=["--svg"])) == 0
+    golden = Path(__file__).parent / "fixtures" / "golden_seed7" / "curves.svg"
+    assert (tmp_path / "out" / "curves.svg").read_bytes() == golden.read_bytes()
+
+
 @st.composite
 def cohort_bytes(draw):
     """Cohort CSV bytes for the confounded graph: mostly valid rows, and at

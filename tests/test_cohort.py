@@ -762,3 +762,41 @@ def test_an_id_column_costs_no_object_per_row():
     finally:
         tracemalloc.stop()
     assert peaks["id"] - peaks["plain"] <= 2**18, peaks
+
+
+def _unique_dtypes(text, column_map):
+    """``_load_outcome`` of ``text``, and the dtype of each array ``np.unique`` saw."""
+    seen = []
+    unique = np.unique
+
+    def recorded(ar, *args, **kwargs):
+        seen.append(np.asarray(ar).dtype.str)
+        return unique(ar, *args, **kwargs)
+
+    with mock.patch.object(np, "unique", recorded):
+        outcome = _load_outcome(text, column_map=column_map)
+    return outcome, seen
+
+
+def test_two_byte_keys_below_the_row_count_take_a_lookup():
+    # every keyed cell is at most 2 bytes, so no key exceeds "99" (0x3939 = 14 649)
+    column_map = {**MAP, "covariates": ["z", "w"]}
+    rng = np.random.default_rng(11)
+    times = rng.choice(["0", "5", "07", "7", "10", "42", "99", " 3"], 15_000)
+    lines = [["x", "t", "s", "z", "w"]]
+    lines += [[str(k % 2), t, str(k % 3 % 2), "1" + "012"[k % 3], "ab"[k % 2] + "1"]
+              for k, t in enumerate(times)]
+    text = _write_csv(lines, "\n", True, False)
+    outcome, seen = _unique_dtypes(text, column_map)
+    assert "<u2" not in seen
+    assert outcome == csv_reader_outcome(text, column_map)
+    assert outcome[3] == {"z": ("10", "11", "12"), "w": ("a1", "b1")}
+
+
+def test_two_byte_keys_above_the_row_count_take_a_sort():
+    # paper_small's shape: 200 rows whose 2-byte time keys reach about 14 000
+    rows = [[k % 2, 10 + k % 90, 1, k % 2] for k in range(200)]
+    text = "x,t,s,z\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+    outcome, seen = _unique_dtypes(text, MAP)
+    assert "<u2" in seen
+    assert outcome == csv_reader_outcome(text, MAP)

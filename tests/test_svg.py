@@ -62,3 +62,15 @@ def test_a_series_that_ends_early_runs_flat_to_the_axis_end():
     # the axis ends at day 9, x = 60 + 564; the short curve keeps y = 16 + 358 * (1 - 0.5)
     assert points[0][-2:] == ["310.67,195.00", "624.00,195.00"]
     assert points[1][-1] == "624.00,338.20"
+
+
+def test_the_seventh_series_takes_the_first_palette_colour():
+    series = [_series(f"s{i}", [0, 1 + i], [1.0, 0.9 - 0.1 * i]) for i in range(7)]
+    doc = emit_svg(series)
+    strokes = [line.split('stroke="')[1].split('"')[0] for line in doc.splitlines()
+               if "<polyline" in line]
+    assert len(strokes) == 7 and len(set(strokes[:6])) == 6
+    assert strokes[6] == strokes[0] == "#1f77b4"
+    legend = [line.split('stroke="')[1].split('"')[0] for line in doc.splitlines()
+              if 'stroke-width="2"' in line]
+    assert legend == strokes
